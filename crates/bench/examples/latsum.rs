@@ -9,7 +9,7 @@
 //! latsum`).
 
 use peppa_apps::all_benchmarks;
-use peppa_inject::{run_campaign_observed, CampaignConfig};
+use peppa_inject::{CampaignConfig, CampaignPlan};
 use peppa_obs::{Event, Observer};
 use peppa_vm::{EngineKind, ExecLimits};
 use std::sync::Mutex;
@@ -39,14 +39,15 @@ fn main() {
             engine,
         };
         let t0 = std::time::Instant::now();
-        let r = run_campaign_observed(
+        let r = CampaignPlan::new(
             &bench.module,
             &bench.reference_input,
             ExecLimits::default(),
             cfg,
-            &obs,
         )
-        .unwrap();
+        .run(&obs)
+        .unwrap()
+        .campaign;
         let wall = t0.elapsed().as_secs_f64();
         let lats = obs.0.lock().unwrap();
         let sum_ns: u64 = lats.iter().sum();

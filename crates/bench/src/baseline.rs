@@ -12,11 +12,8 @@
 
 use crate::scale::Ctx;
 use peppa_apps::all_benchmarks;
-use peppa_inject::{
-    run_campaign_observed, run_campaign_pruned_gated, run_campaign_snapshotted, CampaignConfig,
-    PruneGate, SnapshotConfig, StaticPrune,
-};
-use peppa_obs::{Event, MetricsRegistry, MultiObserver, Observer};
+use peppa_inject::{CampaignConfig, CampaignPlan, PruneGate, StaticPrune};
+use peppa_obs::{Event, MetricsRegistry, MultiObserver, NullObserver, Observer};
 use peppa_vm::EngineKind;
 use serde::{Deserialize, Serialize};
 use std::sync::{Arc, Mutex};
@@ -183,8 +180,11 @@ pub fn run_baseline(ctx: &Ctx, observer: Arc<dyn Observer>) -> BaselineReport {
             engine: ctx.engine,
         };
         let t0 = std::time::Instant::now();
-        let r = run_campaign_observed(&bench.module, &bench.reference_input, ctx.limits, cfg, &fan)
-            .unwrap_or_else(|e| panic!("{}: baseline campaign failed: {e}", bench.name));
+        let plan = CampaignPlan::new(&bench.module, &bench.reference_input, ctx.limits, cfg);
+        let r = plan
+            .run(&fan)
+            .unwrap_or_else(|e| panic!("{}: baseline campaign failed: {e}", bench.name))
+            .campaign;
         let campaign_wall_s = t0.elapsed().as_secs_f64();
 
         // The same trial plan on the *other* engine, so both per-engine
@@ -197,7 +197,7 @@ pub fn run_baseline(ctx: &Ctx, observer: Arc<dyn Observer>) -> BaselineReport {
             EngineKind::Compiled => EngineKind::Interp,
         };
         let other_samples = LatencySamples::new();
-        let r_other = run_campaign_observed(
+        let r_other = CampaignPlan::new(
             &bench.module,
             &bench.reference_input,
             ctx.limits,
@@ -205,14 +205,15 @@ pub fn run_baseline(ctx: &Ctx, observer: Arc<dyn Observer>) -> BaselineReport {
                 engine: other_engine,
                 ..cfg
             },
-            &*other_samples,
         )
+        .run(&*other_samples)
         .unwrap_or_else(|e| {
             panic!(
                 "{}: {other_engine} baseline campaign failed: {e}",
                 bench.name
             )
-        });
+        })
+        .campaign;
         assert_eq!(
             (r.sdc, r.crash, r.hang, r.benign),
             (r_other.sdc, r_other.crash, r_other.hang, r_other.benign),
@@ -250,32 +251,26 @@ pub fn run_baseline(ctx: &Ctx, observer: Arc<dyn Observer>) -> BaselineReport {
             burst: cfg.burst,
         };
         let t1 = std::time::Instant::now();
-        let pruned = run_campaign_pruned_gated(
-            &bench.module,
-            &bench.reference_input,
-            ctx.limits,
-            cfg,
-            &prune,
-            PruneGate::default(),
-        )
-        .unwrap_or_else(|e| panic!("{}: pruned baseline campaign failed: {e}", bench.name));
+        let pruned = plan
+            .prune(&prune, PruneGate::default())
+            .run(&NullObserver)
+            .unwrap_or_else(|e| panic!("{}: pruned baseline campaign failed: {e}", bench.name));
         let pruned_campaign_wall_s = t1.elapsed().as_secs_f64();
+        let gate = pruned
+            .decision
+            .as_ref()
+            .expect("a prune table yields a decision");
 
         // Same campaign again under the snapshot/fork engine — identical
         // seed and trial count, so `snapshot_speedup` is the apples-to-
         // apples trials-per-second improvement the engine buys.
         let t2 = std::time::Instant::now();
-        let snapped = run_campaign_snapshotted(
-            &bench.module,
-            &bench.reference_input,
-            ctx.limits,
-            cfg,
-            SnapshotConfig {
-                snapshots: ctx.campaign_snapshots(),
-                converge_exit: true,
-            },
-        )
-        .unwrap_or_else(|e| panic!("{}: snapshotted baseline campaign failed: {e}", bench.name));
+        let snapped = plan
+            .snapshots(ctx.campaign_snapshots())
+            .run(&NullObserver)
+            .unwrap_or_else(|e| {
+                panic!("{}: snapshotted baseline campaign failed: {e}", bench.name)
+            });
         let snapshot_campaign_wall_s = t2.elapsed().as_secs_f64();
         debug_assert_eq!(
             (r.sdc, r.crash, r.hang, r.benign),
@@ -328,9 +323,9 @@ pub fn run_baseline(ctx: &Ctx, observer: Arc<dyn Observer>) -> BaselineReport {
             trial_latency_p99_ns: percentile_ns(&sorted, 0.99),
             campaign_wall_s,
             pruned_campaign_wall_s,
-            pruned_skip_ratio: pruned.result.skip_ratio(),
-            prune_applied: pruned.decision.applied,
-            prune_predicted_skip_ratio: pruned.decision.predicted_skip_ratio,
+            pruned_skip_ratio: pruned.skip_ratio(),
+            prune_applied: gate.applied,
+            prune_predicted_skip_ratio: gate.predicted_skip_ratio,
             prune_masked_cells,
             prune_total_cells,
             snapshot_campaign_wall_s,
@@ -408,7 +403,6 @@ pub fn render_baseline(r: &BaselineReport) -> String {
 mod tests {
     use super::*;
     use crate::scale::Scale;
-    use peppa_obs::NullObserver;
 
     #[test]
     fn nearest_rank_percentiles_are_observed_samples() {
@@ -458,7 +452,8 @@ mod tests {
             threads: ctx.threads,
             ..Default::default()
         };
-        run_campaign_observed(&bench.module, &bench.reference_input, ctx.limits, cfg, &fan)
+        CampaignPlan::new(&bench.module, &bench.reference_input, ctx.limits, cfg)
+            .run(&fan)
             .unwrap();
         let golden_dynamic = registry.counter_value("golden.dynamic_instrs");
         let sorted = samples.sorted();

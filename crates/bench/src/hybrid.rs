@@ -38,8 +38,9 @@ use peppa_analysis::deviation::combined_skip_cells;
 use peppa_analysis::FaultReach;
 use peppa_apps::{all_benchmarks, random_inputs, Benchmark};
 use peppa_inject::{
-    classify, run_campaign, run_campaign_pruned, CampaignConfig, FaultOutcome, StaticPrune,
+    classify, run_campaign, CampaignConfig, CampaignPlan, FaultOutcome, PruneGate, StaticPrune,
 };
+use peppa_obs::NullObserver;
 use peppa_stats::Pcg64;
 use peppa_vm::{ExecLimits, Injection, InjectionTarget, Vm};
 use serde::{Deserialize, Serialize};
@@ -148,7 +149,9 @@ pub fn hybrid_benchmark(bench: &Benchmark, ctx: &Ctx, trials: u32, validate: usi
     let full = run_campaign(&bench.module, &input, ctx.limits, cfg).expect("full campaign");
     let full_wall_ms = t0.elapsed().as_secs_f64() * 1e3;
     let t1 = Instant::now();
-    let pruned = run_campaign_pruned(&bench.module, &input, ctx.limits, cfg, &prune)
+    let pruned = CampaignPlan::new(&bench.module, &input, ctx.limits, cfg)
+        .prune(&prune, PruneGate::default())
+        .run(&NullObserver)
         .expect("pruned campaign");
     let pruned_wall_ms = t1.elapsed().as_secs_f64() * 1e3;
 

@@ -28,10 +28,9 @@ use peppa_apps::{all_benchmarks, random_inputs, Benchmark};
 use peppa_core::{PeppaConfig, PeppaX};
 use peppa_inject::campaign::golden_run;
 use peppa_inject::{
-    per_instruction_sdc, run_campaign_observed, CampaignConfig, CampaignResult, PerInstrConfig,
+    per_instruction_sdc, run_campaign, CampaignConfig, CampaignResult, PerInstrConfig,
 };
 use peppa_ir::{InstrId, Module};
-use peppa_obs::NullObserver;
 use peppa_stats::corr::spearman;
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
@@ -120,8 +119,7 @@ fn campaign(module: &Module, input: &[f64], ctx: &Ctx, trials: u32) -> (Campaign
         engine: ctx.engine,
     };
     let t = Instant::now();
-    let r = run_campaign_observed(module, input, ctx.limits, cfg, &NullObserver)
-        .expect("reference input must run");
+    let r = run_campaign(module, input, ctx.limits, cfg).expect("reference input must run");
     (r, t.elapsed().as_secs_f64() * 1e3)
 }
 

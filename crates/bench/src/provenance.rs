@@ -24,7 +24,7 @@
 use crate::scale::Ctx;
 use peppa_analysis::FaultReach;
 use peppa_apps::all_benchmarks;
-use peppa_inject::{run_campaign_traced_observed, CampaignConfig};
+use peppa_inject::{CampaignConfig, CampaignPlan};
 use peppa_ir::InstrId;
 use peppa_obs::Observer;
 use serde::{Deserialize, Serialize};
@@ -108,14 +108,10 @@ pub fn provenance_benchmark(
         burst: 0,
         engine: ctx.engine,
     };
-    let traced = run_campaign_traced_observed(
-        &bench.module,
-        &bench.reference_input,
-        ctx.limits,
-        cfg,
-        observer,
-    )
-    .unwrap_or_else(|e| panic!("{}: traced campaign failed: {e}", bench.name));
+    let traced = CampaignPlan::new(&bench.module, &bench.reference_input, ctx.limits, cfg)
+        .trace(true)
+        .run(observer)
+        .unwrap_or_else(|e| panic!("{}: traced campaign failed: {e}", bench.name));
 
     let mut seeded = 0u32;
     let mut propagated = 0u32;
@@ -128,7 +124,7 @@ pub fn provenance_benchmark(
     let mut cell_propagated: BTreeMap<(u32, u32), bool> = BTreeMap::new();
     let mut hops_sum = 0u64;
 
-    for t in &traced.trials {
+    for t in &traced.traced {
         let r = &t.report;
         if !r.seeded {
             continue;

@@ -1,6 +1,6 @@
 //! Snapshot/fork campaign experiment — `repro snapshot`.
 //!
-//! The fork engine ([`peppa_inject::run_campaign_snapshotted`]) captures
+//! The fork engine (a [`peppa_inject::CampaignPlan`] with snapshots) captures
 //! K stratified snapshots of the golden prefix and starts every trial
 //! from the latest snapshot preceding its injection site, so thousands
 //! of trials stop re-executing the same prefix. This experiment measures
@@ -18,9 +18,7 @@
 
 use crate::scale::Ctx;
 use peppa_apps::all_benchmarks;
-use peppa_inject::{
-    run_campaign_observed, run_campaign_snapshotted_observed, CampaignConfig, SnapshotConfig,
-};
+use peppa_inject::{CampaignConfig, CampaignPlan};
 use peppa_obs::Observer;
 use serde::{Deserialize, Serialize};
 
@@ -99,29 +97,18 @@ pub fn snapshot_benchmark(
     };
 
     let t0 = std::time::Instant::now();
-    let full = run_campaign_observed(
-        &bench.module,
-        &bench.reference_input,
-        ctx.limits,
-        cfg,
-        observer,
-    )
-    .unwrap_or_else(|e| panic!("{}: full campaign failed: {e}", bench.name));
+    let plan = CampaignPlan::new(&bench.module, &bench.reference_input, ctx.limits, cfg);
+    let full = plan
+        .run(observer)
+        .unwrap_or_else(|e| panic!("{}: full campaign failed: {e}", bench.name))
+        .campaign;
     let full_wall_s = t0.elapsed().as_secs_f64();
 
     let t1 = std::time::Instant::now();
-    let snap = run_campaign_snapshotted_observed(
-        &bench.module,
-        &bench.reference_input,
-        ctx.limits,
-        cfg,
-        SnapshotConfig {
-            snapshots,
-            converge_exit: true,
-        },
-        observer,
-    )
-    .unwrap_or_else(|e| panic!("{}: snapshotted campaign failed: {e}", bench.name));
+    let snap = plan
+        .snapshots(snapshots)
+        .run(observer)
+        .unwrap_or_else(|e| panic!("{}: snapshotted campaign failed: {e}", bench.name));
     let snapshot_wall_s = t1.elapsed().as_secs_f64();
 
     let outcomes_identical = (full.sdc, full.crash, full.hang, full.benign)

@@ -5,7 +5,7 @@ use crate::fitness::FitnessOracle;
 use crate::small_input::{fuzz_small_input, SmallInput, SmallInputConfig};
 use peppa_apps::Benchmark;
 use peppa_ga::{ArgBounds, GaConfig, GeneticEngine, Individual};
-use peppa_inject::{run_campaign_observed, CampaignConfig, CampaignResult};
+use peppa_inject::{CampaignConfig, CampaignPlan, CampaignResult};
 use peppa_obs::{Event, NullObserver, Observer};
 use peppa_vm::{EngineKind, ExecLimits};
 use serde::{Deserialize, Serialize};
@@ -245,14 +245,10 @@ impl<'b> PeppaX<'b> {
                 burst: 0,
                 engine: self.cfg.engine,
             };
-            let sdc = run_campaign_observed(
-                &self.bench.module,
-                &input,
-                self.cfg.limits,
-                campaign_cfg,
-                observer,
-            )
-            .expect("GA best input must be valid (oracle rejected invalid genomes)");
+            let sdc = CampaignPlan::new(&self.bench.module, &input, self.cfg.limits, campaign_cfg)
+                .run(observer)
+                .expect("GA best input must be valid (oracle rejected invalid genomes)")
+                .campaign;
             results.push(SearchCheckpoint {
                 generation,
                 input,

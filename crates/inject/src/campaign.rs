@@ -1,26 +1,18 @@
-//! Program-level statistical FI campaigns.
+//! Program-level statistical FI campaigns: what a campaign measures.
 //!
-//! Two runners share one engine: the classic full campaign and the
-//! statically-pruned campaign ([`run_campaign_pruned`]). Pruning never
-//! changes what a campaign *measures*: each trial's fault is sampled
-//! from the same per-trial RNG stream first, and only then — if the
-//! sampled `(static instruction, bit)` cell is provably masked per the
-//! caller-supplied [`StaticPrune`] table — is the faulty execution
-//! skipped and the trial counted Benign. Trials that do run are
-//! bit-identical to the full campaign's, so a *sound* prune table makes
-//! the pruned outcome counts exactly equal to the full campaign's.
+//! This module holds a campaign's configuration, results, static prune
+//! table and gate, and errors; [`crate::plan`] holds how a campaign
+//! executes. [`run_campaign`] runs the plain [`CampaignPlan`]. The
+//! snapshotted and gated-pruned runners are thin wrappers over a plan,
+//! kept with their signatures and result types for existing callers.
 
-use crate::forkpoint::{fork_point_for, plan_fork_points};
-use crate::outcome::{classify, FaultOutcome};
-use peppa_ir::{Instr, Module};
-use peppa_obs::{Event, NullObserver, Observer, Outcome as ObsOutcome};
-use peppa_stats::{binomial_ci, ci::Z_95, BinomialCi, Pcg64};
-use peppa_vm::{
-    encode_inputs, CompiledModule, Engine, EngineKind, ExecHook, ExecLimits, Injection,
-    InjectionTarget, ResumeScratch, RunOutput, TrialResume, Vm,
-};
+use crate::outcome::FaultOutcome;
+use crate::plan::CampaignPlan;
+use peppa_ir::Module;
+use peppa_obs::{NullObserver, Observer, Outcome as ObsOutcome};
+use peppa_stats::{BinomialCi, Pcg64};
+use peppa_vm::{EngineKind, ExecLimits, Injection, InjectionTarget, Profile, RunOutput, Vm};
 use serde::{Deserialize, Serialize};
-use std::time::Instant;
 
 /// Configuration of one campaign.
 #[derive(Debug, Clone, Copy)]
@@ -69,8 +61,9 @@ pub struct CampaignResult {
     pub benign: u32,
     /// 95% Wilson interval on the SDC probability.
     pub sdc_ci: BinomialCi,
-    /// Total program executions consumed (trials + the golden run) — the
-    /// cost unit used when comparing search budgets with the baseline.
+    /// Total program executions consumed (executed trials + the golden
+    /// run) — the cost unit used when comparing search budgets with the
+    /// baseline.
     pub executions: u64,
     /// Dynamic instructions of the golden run.
     pub golden_dynamic: u64,
@@ -99,9 +92,9 @@ impl CampaignResult {
 /// `cells[sid]` has bit `b` set iff a fault sampled at bit position `b`
 /// of static instruction `sid` is provably masked under the burst model
 /// the table was built for. The injector deliberately does not depend on
-/// `peppa-analysis`; callers build this from a `FaultReach` (see
-/// `StaticPrune::from_masks`-style constructors in the bench/CLI
-/// layers). Missing sids are never skipped.
+/// the analysis that builds the table; callers build it from a
+/// `FaultReach` (and, for one input, its deviation cells) in the bench
+/// and CLI layers. Missing sids are never skipped.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct StaticPrune {
     pub cells: Vec<u64>,
@@ -121,812 +114,7 @@ impl StaticPrune {
     pub fn masked_cells(&self) -> u64 {
         self.cells.iter().map(|c| c.count_ones() as u64).sum()
     }
-}
 
-/// A [`CampaignResult`] plus the pruning bookkeeping.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct PrunedCampaignResult {
-    pub campaign: CampaignResult,
-    /// Trials skipped without execution (already counted Benign in
-    /// `campaign`).
-    pub skipped: u64,
-}
-
-impl PrunedCampaignResult {
-    /// Fraction of trials that needed no faulty execution.
-    pub fn skip_ratio(&self) -> f64 {
-        if self.campaign.trials == 0 {
-            return 0.0;
-        }
-        self.skipped as f64 / self.campaign.trials as f64
-    }
-}
-
-/// Records, for every value-producing dynamic instruction of the golden
-/// run, the static instruction it came from — the map a pruned campaign
-/// uses to turn a sampled dynamic index into a prune-table sid.
-struct SidMapHook {
-    sids: Vec<u32>,
-}
-
-impl ExecHook for SidMapHook {
-    const ENABLED: bool = true;
-
-    #[inline]
-    fn def_value(&mut self, ins: &Instr, _bits: u64) {
-        self.sids.push(ins.sid.0);
-    }
-}
-
-/// Errors that stop a campaign before any trial runs.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CampaignError {
-    /// The golden run did not exit cleanly; the input is invalid for
-    /// resilience measurement (§3.1.2 discards inputs that error out).
-    GoldenRunFailed(String),
-    /// The program executed no value-producing instructions.
-    NoFaultSites,
-    /// The [`StaticPrune`] table was built for a different burst width
-    /// than the campaign is configured to inject.
-    PruneBurstMismatch { table: u8, campaign: u8 },
-}
-
-impl std::fmt::Display for CampaignError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CampaignError::GoldenRunFailed(s) => write!(f, "golden run failed: {s}"),
-            CampaignError::NoFaultSites => write!(f, "no value-producing dynamic instructions"),
-            CampaignError::PruneBurstMismatch { table, campaign } => write!(
-                f,
-                "static-prune table built for burst {table}, campaign uses burst {campaign}"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for CampaignError {}
-
-/// Runs the golden execution for `inputs`, checking it is clean.
-pub fn golden_run(
-    module: &Module,
-    inputs: &[f64],
-    limits: ExecLimits,
-) -> Result<RunOutput, CampaignError> {
-    golden_run_on(module, inputs, limits, None)
-}
-
-/// [`golden_run`] on the campaign's selected engine (`Some` = the
-/// pre-lowered compiled module, `None` = interpreter).
-pub(crate) fn golden_run_on(
-    module: &Module,
-    inputs: &[f64],
-    limits: ExecLimits,
-    code: Option<&CompiledModule>,
-) -> Result<RunOutput, CampaignError> {
-    let eng = Engine::new(module, limits, code);
-    let golden = eng.run_numeric(inputs, None);
-    if !golden.status.is_ok() {
-        return Err(CampaignError::GoldenRunFailed(format!(
-            "{:?}",
-            golden.status
-        )));
-    }
-    Ok(golden)
-}
-
-/// Samples one fault site uniformly over the golden run's value-producing
-/// dynamic instructions.
-pub fn sample_fault(rng: &mut Pcg64, value_dynamic: u64) -> Injection {
-    sample_fault_burst(rng, value_dynamic, 0)
-}
-
-/// Samples a fault site under the multi-bit (burst) model.
-pub fn sample_fault_burst(rng: &mut Pcg64, value_dynamic: u64, burst: u8) -> Injection {
-    let dyn_index = rng.gen_range_u64(value_dynamic);
-    let bit = rng.gen_range_u64(64) as u32;
-    Injection {
-        target: InjectionTarget::DynamicIndex(dyn_index),
-        bit,
-        burst,
-    }
-}
-
-/// Runs a statistical FI campaign for one input.
-pub fn run_campaign(
-    module: &Module,
-    inputs: &[f64],
-    limits: ExecLimits,
-    cfg: CampaignConfig,
-) -> Result<CampaignResult, CampaignError> {
-    run_campaign_observed(module, inputs, limits, cfg, &NullObserver)
-}
-
-impl From<FaultOutcome> for ObsOutcome {
-    fn from(o: FaultOutcome) -> ObsOutcome {
-        match o {
-            FaultOutcome::Sdc => ObsOutcome::Sdc,
-            FaultOutcome::Crash => ObsOutcome::Crash,
-            FaultOutcome::Hang => ObsOutcome::Hang,
-            FaultOutcome::Benign => ObsOutcome::Benign,
-        }
-    }
-}
-
-/// One trial's observable facts, reported from worker threads to the
-/// collector over a bounded channel.
-struct TrialReport {
-    trial: u32,
-    outcome: FaultOutcome,
-    site: u64,
-    bit: u32,
-    latency_ns: u64,
-    /// `Some(sid)` if static pruning skipped the faulty execution.
-    skipped_sid: Option<u32>,
-}
-
-impl TrialReport {
-    fn to_event(&self) -> Event {
-        Event::TrialFinished {
-            trial: self.trial,
-            outcome: self.outcome.into(),
-            site: self.site,
-            bit: self.bit,
-            latency_ns: self.latency_ns,
-        }
-    }
-
-    /// Emits this report's events (a `StaticSkip` first when pruned).
-    fn emit(&self, observer: &dyn Observer) {
-        if let Some(sid) = self.skipped_sid {
-            observer.on_event(&Event::StaticSkip {
-                trial: self.trial,
-                sid,
-                site: self.site,
-                bit: self.bit,
-            });
-        }
-        observer.on_event(&self.to_event());
-    }
-}
-
-/// [`run_campaign`] with an [`Observer`] attached.
-///
-/// Emitted events: `CampaignStarted`, `GoldenRun`, one `TrialFinished`
-/// per trial (in completion order — the `trial` field carries the
-/// logical index), and `CampaignFinished` whose counts are the exact
-/// counts of the returned [`CampaignResult`].
-///
-/// Worker threads never call the observer directly: they push
-/// [`TrialReport`]s over a bounded channel drained on the calling
-/// thread, so sinks see a single-threaded event stream and slow sinks
-/// apply back-pressure instead of unbounded buffering. Outcomes are
-/// unaffected by observation — trial RNG streams depend only on
-/// `(seed, trial)`, so the result is identical to the unobserved runner
-/// at every thread count.
-pub fn run_campaign_observed(
-    module: &Module,
-    inputs: &[f64],
-    limits: ExecLimits,
-    cfg: CampaignConfig,
-    observer: &dyn Observer,
-) -> Result<CampaignResult, CampaignError> {
-    campaign_impl(module, inputs, limits, cfg, observer, None).map(|r| r.campaign)
-}
-
-/// [`run_campaign`] with `ProvablyMasked` fault cells skipped.
-///
-/// Skipped trials count as Benign (the statically proven outcome) and
-/// cost no execution; `executions` reflects only the runs actually
-/// performed. Sampling is identical to the full campaign, so with a
-/// sound table the outcome counts match [`run_campaign`] exactly —
-/// `repro hybrid` checks this, plus FI ground truth on a sample of
-/// skipped cells.
-pub fn run_campaign_pruned(
-    module: &Module,
-    inputs: &[f64],
-    limits: ExecLimits,
-    cfg: CampaignConfig,
-    prune: &StaticPrune,
-) -> Result<PrunedCampaignResult, CampaignError> {
-    run_campaign_pruned_observed(module, inputs, limits, cfg, prune, &NullObserver)
-}
-
-/// [`run_campaign_pruned`] with an [`Observer`] attached. Each skipped
-/// trial emits a `StaticSkip` event immediately before its
-/// `TrialFinished`.
-pub fn run_campaign_pruned_observed(
-    module: &Module,
-    inputs: &[f64],
-    limits: ExecLimits,
-    cfg: CampaignConfig,
-    prune: &StaticPrune,
-    observer: &dyn Observer,
-) -> Result<PrunedCampaignResult, CampaignError> {
-    if prune.burst != cfg.burst {
-        return Err(CampaignError::PruneBurstMismatch {
-            table: prune.burst,
-            campaign: cfg.burst,
-        });
-    }
-    campaign_impl(module, inputs, limits, cfg, observer, Some(prune))
-}
-
-fn campaign_impl(
-    module: &Module,
-    inputs: &[f64],
-    limits: ExecLimits,
-    cfg: CampaignConfig,
-    observer: &dyn Observer,
-    prune: Option<&StaticPrune>,
-) -> Result<PrunedCampaignResult, CampaignError> {
-    let start = Instant::now();
-    observer.on_event(&Event::CampaignStarted {
-        benchmark: module.name.clone(),
-        trials: cfg.trials,
-        seed: cfg.seed,
-        threads: cfg.threads,
-        engine: cfg.engine.as_str().to_string(),
-    });
-
-    // Lower once per campaign; workers share the read-only bytecode.
-    let code = (cfg.engine == EngineKind::Compiled).then(|| CompiledModule::lower(module));
-
-    // Pruning needs the dynamic-index → sid map of the golden run; the
-    // hook does not perturb execution, so the output is the same either
-    // way.
-    let (golden, sid_map) = if prune.is_some() {
-        let eng = Engine::new(module, limits, code.as_ref());
-        let bits = encode_inputs(module.entry_func(), inputs);
-        let mut hook = SidMapHook { sids: Vec::new() };
-        let golden = eng.run_with_hook(&bits, None, &mut hook);
-        if !golden.status.is_ok() {
-            return Err(CampaignError::GoldenRunFailed(format!(
-                "{:?}",
-                golden.status
-            )));
-        }
-        (golden, hook.sids)
-    } else {
-        (
-            golden_run_on(module, inputs, limits, code.as_ref())?,
-            Vec::new(),
-        )
-    };
-    if golden.profile.value_dynamic == 0 {
-        return Err(CampaignError::NoFaultSites);
-    }
-    observer.on_event(&Event::GoldenRun {
-        benchmark: module.name.clone(),
-        dynamic: golden.profile.dynamic,
-        value_dynamic: golden.profile.value_dynamic,
-        coverage: golden.profile.coverage(),
-    });
-
-    let faulty_limits = ExecLimits {
-        max_dynamic: golden
-            .profile
-            .dynamic
-            .saturating_mul(cfg.hang_factor)
-            .saturating_add(10_000),
-        ..limits
-    };
-
-    debug_assert!(
-        prune.is_none() || sid_map.len() as u64 == golden.profile.value_dynamic,
-        "sid map must cover every value-producing dynamic instruction"
-    );
-
-    let nthreads = effective_threads(cfg.threads, cfg.trials as usize);
-    let mut outcomes = vec![FaultOutcome::Benign; cfg.trials as usize];
-    let skipped = std::sync::atomic::AtomicU64::new(0);
-
-    let run_trial = |t: u32, scratch: &mut ResumeScratch| -> TrialReport {
-        // Per-trial stream independent of scheduling. The fault is
-        // sampled before the skip decision, so pruning never changes
-        // which fault a trial measures.
-        let mut rng = Pcg64::new(cfg.seed ^ (t as u64).wrapping_mul(0x9e3779b97f4a7c15));
-        let inj = sample_fault_burst(&mut rng, golden.profile.value_dynamic, cfg.burst);
-        let site = match inj.target {
-            InjectionTarget::DynamicIndex(k) => k,
-            InjectionTarget::StaticInstance { instance, .. } => instance,
-        };
-        if let Some(p) = prune {
-            let sid = sid_map[site as usize];
-            if p.is_masked(sid, inj.bit) {
-                skipped.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                return TrialReport {
-                    trial: t,
-                    outcome: FaultOutcome::Benign,
-                    site,
-                    bit: inj.bit,
-                    latency_ns: 0,
-                    skipped_sid: Some(sid),
-                };
-            }
-        }
-        let eng = Engine::new(module, faulty_limits, code.as_ref());
-        let t0 = Instant::now();
-        let faulty = eng.run_numeric_amortized(scratch, inputs, Some(inj));
-        let latency_ns = t0.elapsed().as_nanos() as u64;
-        TrialReport {
-            trial: t,
-            outcome: classify(&golden, &faulty),
-            site,
-            bit: inj.bit,
-            latency_ns,
-            skipped_sid: None,
-        }
-    };
-
-    if nthreads <= 1 {
-        let mut scratch = ResumeScratch::new();
-        for (t, slot) in outcomes.iter_mut().enumerate() {
-            let report = run_trial(t as u32, &mut scratch);
-            report.emit(observer);
-            *slot = report.outcome;
-        }
-    } else {
-        let chunk = outcomes.len().div_ceil(nthreads);
-        // Bounded: a slow sink back-pressures workers instead of letting
-        // reports pile up without limit.
-        let (tx, rx) = std::sync::mpsc::sync_channel::<TrialReport>(1024);
-        let collected: Vec<TrialReport> = crossbeam::thread::scope(|s| {
-            for (ci, chunk_slice) in outcomes.chunks_mut(chunk).enumerate() {
-                let run_trial = &run_trial;
-                let tx = tx.clone();
-                s.spawn(move |_| {
-                    let mut scratch = ResumeScratch::new();
-                    for (off, slot) in chunk_slice.iter_mut().enumerate() {
-                        let report = run_trial((ci * chunk + off) as u32, &mut scratch);
-                        *slot = report.outcome;
-                        // The receiver outlives the scope; send only
-                        // fails if the collector was dropped, in which
-                        // case reporting is moot.
-                        let _ = tx.send(report);
-                    }
-                });
-            }
-            drop(tx);
-            // Drain on the scope's owning thread so the observer sees a
-            // single-threaded stream.
-            let mut all = Vec::with_capacity(cfg.trials as usize);
-            for report in rx.iter() {
-                report.emit(observer);
-                all.push(report);
-            }
-            all
-        })
-        .expect("campaign worker panicked");
-        debug_assert_eq!(collected.len(), cfg.trials as usize);
-    }
-
-    let mut sdc = 0;
-    let mut crash = 0;
-    let mut hang = 0;
-    let mut benign = 0;
-    for o in &outcomes {
-        match o {
-            FaultOutcome::Sdc => sdc += 1,
-            FaultOutcome::Crash => crash += 1,
-            FaultOutcome::Hang => hang += 1,
-            FaultOutcome::Benign => benign += 1,
-        }
-    }
-
-    observer.on_event(&Event::CampaignFinished {
-        trials: cfg.trials,
-        sdc,
-        crash,
-        hang,
-        benign,
-        wall_ns: start.elapsed().as_nanos() as u64,
-    });
-    observer.flush();
-
-    let skipped = skipped.into_inner();
-    Ok(PrunedCampaignResult {
-        campaign: CampaignResult {
-            trials: cfg.trials,
-            sdc,
-            crash,
-            hang,
-            benign,
-            sdc_ci: binomial_ci(sdc as u64, cfg.trials as u64, Z_95),
-            executions: cfg.trials as u64 - skipped + 1,
-            golden_dynamic: golden.profile.dynamic,
-        },
-        skipped,
-    })
-}
-
-/// Configuration of the snapshot/fork engine of a
-/// [`run_campaign_snapshotted`] campaign.
-#[derive(Debug, Clone, Copy)]
-pub struct SnapshotConfig {
-    /// Maximum golden-prefix snapshots to capture (the `--snapshots K`
-    /// knob). `0` degenerates to the classic runner: every trial
-    /// executes from program entry.
-    pub snapshots: u32,
-    /// Stop a faulty run early when its machine state becomes
-    /// bit-identical to a later golden checkpoint (the continuation is
-    /// then pinned to the golden one, so the outcome is decided without
-    /// executing the suffix). Purely an optimization — outcomes are
-    /// identical either way.
-    pub converge_exit: bool,
-}
-
-impl Default for SnapshotConfig {
-    fn default() -> Self {
-        SnapshotConfig {
-            snapshots: 16,
-            converge_exit: true,
-        }
-    }
-}
-
-/// Bookkeeping of one snapshotted campaign.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct SnapshotStats {
-    /// Snapshots actually captured (≤ the configured `K`: fork points
-    /// dedup when sampled sites repeat).
-    pub snapshots: u32,
-    /// Total heap bytes across all captured snapshots.
-    pub bytes: u64,
-    /// Trials resumed from a snapshot.
-    pub restores: u64,
-    /// Trials executed from program entry (site before the first fork
-    /// point, or `snapshots == 0`).
-    pub full_runs: u64,
-    /// Trials cut short by golden-state convergence.
-    pub converged_exits: u64,
-    /// Golden-prefix dynamic instructions the resumed trials did not
-    /// re-execute — the quantity the speedup comes from.
-    pub prefix_instrs_saved: u64,
-}
-
-/// A [`CampaignResult`] plus the snapshot engine's accounting.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct SnapshottedCampaignResult {
-    pub campaign: CampaignResult,
-    pub stats: SnapshotStats,
-}
-
-/// [`run_campaign`] with the golden prefix amortized across trials.
-///
-/// Pre-samples every trial's fault (per-trial RNG streams depend only
-/// on `(seed, trial)`, so sampling commutes with execution), plans up
-/// to `snap.snapshots` stratified fork points over the sampled sites,
-/// replays the golden run once capturing a [`peppa_vm::VmSnapshot`] at
-/// each, then runs every trial from the latest snapshot preceding its
-/// fault site. The interpreter is deterministic and snapshots restore
-/// the complete machine state (including the dynamic counters the
-/// injection target and hang budget are defined over), so outcome
-/// counts are **bit-identical** to [`run_campaign`] under the same
-/// `CampaignConfig` — only wall time changes.
-pub fn run_campaign_snapshotted(
-    module: &Module,
-    inputs: &[f64],
-    limits: ExecLimits,
-    cfg: CampaignConfig,
-    snap: SnapshotConfig,
-) -> Result<SnapshottedCampaignResult, CampaignError> {
-    run_campaign_snapshotted_observed(module, inputs, limits, cfg, snap, &NullObserver)
-}
-
-/// [`run_campaign_snapshotted`] with an [`Observer`] attached.
-///
-/// Event stream: `CampaignStarted`, `GoldenRun`, one `SnapshotCaptured`
-/// per fork point, per-trial `TrialFinished` (completion order), then
-/// `SnapshotStats` immediately before the terminal `CampaignFinished`.
-pub fn run_campaign_snapshotted_observed(
-    module: &Module,
-    inputs: &[f64],
-    limits: ExecLimits,
-    cfg: CampaignConfig,
-    snap: SnapshotConfig,
-    observer: &dyn Observer,
-) -> Result<SnapshottedCampaignResult, CampaignError> {
-    let start = Instant::now();
-    observer.on_event(&Event::CampaignStarted {
-        benchmark: module.name.clone(),
-        trials: cfg.trials,
-        seed: cfg.seed,
-        threads: cfg.threads,
-        engine: cfg.engine.as_str().to_string(),
-    });
-
-    // Lower once per campaign; workers share the read-only bytecode.
-    let code = (cfg.engine == EngineKind::Compiled).then(|| CompiledModule::lower(module));
-
-    // Plain golden run first: sampling needs the fault-site population
-    // before any fork point can be planned.
-    let golden = golden_run_on(module, inputs, limits, code.as_ref())?;
-    if golden.profile.value_dynamic == 0 {
-        return Err(CampaignError::NoFaultSites);
-    }
-    observer.on_event(&Event::GoldenRun {
-        benchmark: module.name.clone(),
-        dynamic: golden.profile.dynamic,
-        value_dynamic: golden.profile.value_dynamic,
-        coverage: golden.profile.coverage(),
-    });
-
-    // Pre-sample every trial's fault from the same per-trial streams the
-    // classic runner uses — identical faults, identical outcomes.
-    let injections: Vec<Injection> = (0..cfg.trials)
-        .map(|t| {
-            let mut rng = Pcg64::new(cfg.seed ^ (t as u64).wrapping_mul(0x9e3779b97f4a7c15));
-            sample_fault_burst(&mut rng, golden.profile.value_dynamic, cfg.burst)
-        })
-        .collect();
-    let sites: Vec<u64> = injections
-        .iter()
-        .map(|inj| match inj.target {
-            InjectionTarget::DynamicIndex(k) => k,
-            InjectionTarget::StaticInstance { instance, .. } => instance,
-        })
-        .collect();
-
-    // Capture run: replay the golden execution once, freezing the
-    // machine at each planned fork point.
-    let points = plan_fork_points(&sites, snap.snapshots);
-    let bits = encode_inputs(module.entry_func(), inputs);
-    let (snaps, read_sets) = if points.is_empty() {
-        (Vec::new(), None)
-    } else {
-        let vm = Vm::new(module, limits);
-        // Convergence additionally needs each checkpoint's future read
-        // set, derived from the capture run's memory-access trace; a
-        // prefix-skip-only campaign uses the cheaper plain capture.
-        let (replay, snaps, read_sets) = if snap.converge_exit {
-            let (replay, snaps, rs) = vm.run_with_snapshots_read_sets(&bits, &points);
-            (replay, snaps, Some(rs))
-        } else {
-            let (replay, snaps) = vm.run_with_snapshots(&bits, &points);
-            (replay, snaps, None)
-        };
-        debug_assert!(replay.status.is_ok());
-        debug_assert_eq!(replay.output, golden.output);
-        debug_assert_eq!(
-            snaps.len(),
-            points.len(),
-            "every fork point precedes a sampled site, so all are reached"
-        );
-        (snaps, read_sets)
-    };
-    let snap_bytes: u64 = snaps.iter().map(|s| s.bytes()).sum();
-    for (i, s) in snaps.iter().enumerate() {
-        observer.on_event(&Event::SnapshotCaptured {
-            index: i as u32,
-            value_dynamic: s.value_dynamic(),
-            dynamic: s.dynamic(),
-            bytes: s.bytes(),
-        });
-    }
-
-    let faulty_limits = ExecLimits {
-        max_dynamic: golden
-            .profile
-            .dynamic
-            .saturating_mul(cfg.hang_factor)
-            .saturating_add(10_000),
-        ..limits
-    };
-
-    use std::sync::atomic::{AtomicU64, Ordering};
-    let restores = AtomicU64::new(0);
-    let full_runs = AtomicU64::new(0);
-    let converged_exits = AtomicU64::new(0);
-    let prefix_saved = AtomicU64::new(0);
-
-    // Static live-register masks widen the convergence check: a benign
-    // fault parked in a dead register would otherwise keep the register
-    // file unequal forever and force the whole suffix to execute.
-    let masks =
-        (snap.converge_exit && !snaps.is_empty()).then(|| peppa_analysis::converge_masks(module));
-
-    let run_trial = |t: u32, scratch: &mut ResumeScratch| -> TrialReport {
-        let inj = injections[t as usize];
-        let site = sites[t as usize];
-        let eng = Engine::new(module, faulty_limits, code.as_ref());
-        let t0 = Instant::now();
-        let outcome = match fork_point_for(&points, site) {
-            None => {
-                full_runs.fetch_add(1, Ordering::Relaxed);
-                classify(&golden, &eng.run(&bits, Some(inj)))
-            }
-            Some(i) => {
-                restores.fetch_add(1, Ordering::Relaxed);
-                prefix_saved.fetch_add(snaps[i].dynamic(), Ordering::Relaxed);
-                let later: &[peppa_vm::VmSnapshot] = if snap.converge_exit {
-                    &snaps[i + 1..]
-                } else {
-                    &[]
-                };
-                match eng.resume_trial_amortized(
-                    scratch,
-                    &snaps[i],
-                    Some(inj),
-                    later,
-                    masks.as_ref(),
-                    read_sets.as_ref(),
-                ) {
-                    TrialResume::Completed(faulty) => classify(&golden, &faulty),
-                    TrialResume::Converged {
-                        checkpoint_dynamic,
-                        dynamic_at_exit,
-                        output_matches,
-                        ..
-                    } => {
-                        converged_exits.fetch_add(1, Ordering::Relaxed);
-                        // The continuation from the matched checkpoint is
-                        // exactly the golden continuation. Project the
-                        // final dynamic count so the hang budget stays
-                        // bit-exact with the full execution (the VM hangs
-                        // when `dynamic > max_dynamic`).
-                        let projected = dynamic_at_exit
-                            .saturating_add(golden.profile.dynamic - checkpoint_dynamic);
-                        if projected > faulty_limits.max_dynamic {
-                            FaultOutcome::Hang
-                        } else if output_matches {
-                            FaultOutcome::Benign
-                        } else {
-                            FaultOutcome::Sdc
-                        }
-                    }
-                }
-            }
-        };
-        TrialReport {
-            trial: t,
-            outcome,
-            site,
-            bit: inj.bit,
-            latency_ns: t0.elapsed().as_nanos() as u64,
-            skipped_sid: None,
-        }
-    };
-
-    let nthreads = effective_threads(cfg.threads, cfg.trials as usize);
-    let mut outcomes = vec![FaultOutcome::Benign; cfg.trials as usize];
-    if nthreads <= 1 {
-        let mut scratch = ResumeScratch::new();
-        for (t, slot) in outcomes.iter_mut().enumerate() {
-            let report = run_trial(t as u32, &mut scratch);
-            report.emit(observer);
-            *slot = report.outcome;
-        }
-    } else {
-        let chunk = outcomes.len().div_ceil(nthreads);
-        let (tx, rx) = std::sync::mpsc::sync_channel::<TrialReport>(1024);
-        crossbeam::thread::scope(|s| {
-            for (ci, chunk_slice) in outcomes.chunks_mut(chunk).enumerate() {
-                let run_trial = &run_trial;
-                let tx = tx.clone();
-                s.spawn(move |_| {
-                    let mut scratch = ResumeScratch::new();
-                    for (off, slot) in chunk_slice.iter_mut().enumerate() {
-                        let report = run_trial((ci * chunk + off) as u32, &mut scratch);
-                        *slot = report.outcome;
-                        // The receiver outlives the scope; send only
-                        // fails if the collector was dropped, in which
-                        // case reporting is moot.
-                        let _ = tx.send(report);
-                    }
-                });
-            }
-            drop(tx);
-            // Drain on the scope's owning thread so the observer sees a
-            // single-threaded event stream.
-            for report in rx.iter() {
-                report.emit(observer);
-            }
-        })
-        .expect("snapshotted campaign worker panicked");
-    }
-
-    let mut sdc = 0;
-    let mut crash = 0;
-    let mut hang = 0;
-    let mut benign = 0;
-    for o in &outcomes {
-        match o {
-            FaultOutcome::Sdc => sdc += 1,
-            FaultOutcome::Crash => crash += 1,
-            FaultOutcome::Hang => hang += 1,
-            FaultOutcome::Benign => benign += 1,
-        }
-    }
-
-    let stats = SnapshotStats {
-        snapshots: snaps.len() as u32,
-        bytes: snap_bytes,
-        restores: restores.into_inner(),
-        full_runs: full_runs.into_inner(),
-        converged_exits: converged_exits.into_inner(),
-        prefix_instrs_saved: prefix_saved.into_inner(),
-    };
-    observer.on_event(&Event::SnapshotStats {
-        snapshots: stats.snapshots,
-        bytes: stats.bytes,
-        restores: stats.restores,
-        full_runs: stats.full_runs,
-        converged_exits: stats.converged_exits,
-        prefix_instrs_saved: stats.prefix_instrs_saved,
-    });
-    observer.on_event(&Event::CampaignFinished {
-        trials: cfg.trials,
-        sdc,
-        crash,
-        hang,
-        benign,
-        wall_ns: start.elapsed().as_nanos() as u64,
-    });
-    observer.flush();
-
-    Ok(SnapshottedCampaignResult {
-        campaign: CampaignResult {
-            trials: cfg.trials,
-            sdc,
-            crash,
-            hang,
-            benign,
-            sdc_ci: binomial_ci(sdc as u64, cfg.trials as u64, Z_95),
-            // Same accounting as the classic runner: each trial measures
-            // one (partial) program execution, plus the golden run.
-            executions: cfg.trials as u64 + 1,
-            golden_dynamic: golden.profile.dynamic,
-        },
-        stats,
-    })
-}
-
-/// Threshold policy for [`run_campaign_pruned_gated`]: pruning engages
-/// whenever the predicted skip ratio *exceeds* the threshold.
-///
-/// The default threshold is 0: any table predicting a nonzero skip
-/// ratio engages. The sid-map bookkeeping the gate once guarded against
-/// is O(1) per trial and far cheaper than even a fraction of a percent
-/// of skipped executions; the gate's remaining job is to keep empty
-/// tables (ratio exactly 0, e.g. hpccg's honestly all-live space) on
-/// the classic unpruned path.
-#[derive(Debug, Clone, Copy)]
-pub struct PruneGate {
-    /// Predicted skip ratio must be strictly greater than this for
-    /// pruning to engage.
-    pub min_skip_ratio: f64,
-}
-
-impl Default for PruneGate {
-    fn default() -> Self {
-        PruneGate {
-            min_skip_ratio: 0.0,
-        }
-    }
-}
-
-/// What a gated pruned campaign decided, and why.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct PruneDecision {
-    /// Whether pruning actually engaged.
-    pub applied: bool,
-    /// Masked `(sid, bit)` cells in the supplied table.
-    pub masked_cells: u64,
-    /// Predicted fraction of trials the table would skip (0 when the
-    /// table is empty and prediction was short-circuited).
-    pub predicted_skip_ratio: f64,
-    /// The gate's `min_skip_ratio`.
-    pub threshold: f64,
-}
-
-/// A [`PrunedCampaignResult`] plus the gate's decision record.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct GatedPrunedCampaignResult {
-    pub result: PrunedCampaignResult,
-    pub decision: PruneDecision,
-}
-
-impl StaticPrune {
     /// Predicted fraction of uniformly sampled `(dynamic site, bit)`
     /// faults this table skips, given the golden run's per-sid
     /// execution counts: `Σ exec_counts[sid] · popcount(cells[sid]) /
@@ -946,29 +134,254 @@ impl StaticPrune {
     }
 }
 
-/// [`run_campaign_pruned`] behind a cost gate: pruning engages whenever
-/// the table predicts strictly more than `gate.min_skip_ratio` of
-/// trials skip (any nonzero prediction under the default). At or below
-/// the threshold, the campaign runs the classic unpruned path and
-/// reports why.
+/// Threshold policy of the prune filter: pruning engages whenever the
+/// predicted skip ratio *exceeds* the threshold.
 ///
-/// Outcome counts are identical whichever way the gate decides — a
-/// disengaged gate only stops trials from being *skipped*, and skipped
-/// trials are Benign by proof.
-pub fn run_campaign_pruned_gated(
+/// The default threshold is 0: any table predicting a nonzero skip
+/// ratio engages, and only a table predicting no skips at all (e.g.
+/// one with no masked cell the golden run executes) stays on the
+/// unpruned path.
+#[derive(Debug, Clone, Copy)]
+pub struct PruneGate {
+    /// Predicted skip ratio must be strictly greater than this for
+    /// pruning to engage.
+    pub min_skip_ratio: f64,
+}
+
+impl Default for PruneGate {
+    fn default() -> Self {
+        PruneGate {
+            min_skip_ratio: 0.0,
+        }
+    }
+}
+
+impl PruneGate {
+    /// Decides whether `table` engages for a campaign whose golden run
+    /// has this profile.
+    pub(crate) fn decide(&self, table: &StaticPrune, golden: &Profile) -> PruneDecision {
+        let predicted_skip_ratio =
+            table.predicted_skip_ratio(&golden.exec_counts, golden.value_dynamic);
+        PruneDecision {
+            applied: predicted_skip_ratio > self.min_skip_ratio,
+            masked_cells: table.masked_cells(),
+            predicted_skip_ratio,
+            threshold: self.min_skip_ratio,
+        }
+    }
+}
+
+/// What the prune gate decided, and why.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct PruneDecision {
+    /// Whether pruning actually engaged.
+    pub applied: bool,
+    /// Masked `(sid, bit)` cells in the supplied table.
+    pub masked_cells: u64,
+    /// Predicted fraction of trials the table would skip.
+    pub predicted_skip_ratio: f64,
+    /// The gate's `min_skip_ratio`.
+    pub threshold: f64,
+}
+
+/// The journal line announcing the decision.
+impl std::fmt::Display for PruneDecision {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let (state, rule) = match self.applied {
+            true => ("engaged", ">"),
+            false => ("disengaged", "<="),
+        };
+        write!(
+            f,
+            "prune gate: {state} (masked cells {}, predicted skip {:.2}% {rule} threshold {:.2}%)",
+            self.masked_cells,
+            self.predicted_skip_ratio * 100.0,
+            self.threshold * 100.0
+        )
+    }
+}
+
+/// A [`CampaignResult`] plus the pruning bookkeeping.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct PrunedCampaignResult {
+    pub campaign: CampaignResult,
+    /// Trials skipped without execution (already counted Benign in
+    /// `campaign`).
+    pub skipped: u64,
+}
+
+/// A [`PrunedCampaignResult`] plus the gate's decision record.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct GatedPrunedCampaignResult {
+    pub result: PrunedCampaignResult,
+    pub decision: PruneDecision,
+}
+
+/// Configuration of the snapshot stage of
+/// [`run_campaign_snapshotted_observed`].
+#[derive(Debug, Clone, Copy)]
+pub struct SnapshotConfig {
+    /// Maximum golden-prefix snapshots to capture (the `--snapshots K`
+    /// knob). `0` degenerates to the plain campaign: every trial
+    /// executes from program entry.
+    pub snapshots: u32,
+}
+
+impl Default for SnapshotConfig {
+    fn default() -> Self {
+        SnapshotConfig { snapshots: 16 }
+    }
+}
+
+/// The trial executor's accounting.
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+pub struct SnapshotStats {
+    /// Snapshots actually captured (≤ the configured `K`: fork points
+    /// dedup when sampled sites repeat).
+    pub snapshots: u32,
+    /// Total heap bytes across all captured snapshots.
+    pub bytes: u64,
+    /// Trials resumed from a snapshot.
+    pub restores: u64,
+    /// Trials executed from program entry (`snapshots == 0`).
+    pub full_runs: u64,
+    /// Trials cut short by golden-state convergence.
+    pub converged_exits: u64,
+    /// Golden-prefix dynamic instructions the resumed trials did not
+    /// re-execute — the quantity the speedup comes from.
+    pub prefix_instrs_saved: u64,
+}
+
+/// A [`CampaignResult`] plus the snapshot engine's accounting.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct SnapshottedCampaignResult {
+    pub campaign: CampaignResult,
+    pub stats: SnapshotStats,
+}
+
+/// Errors that stop a campaign before any trial runs.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum CampaignError {
+    /// The golden run did not exit cleanly; the input is invalid for
+    /// resilience measurement (§3.1.2 discards inputs that error out).
+    GoldenRunFailed(String),
+    /// The program executed no value-producing instructions.
+    NoFaultSites,
+    /// The [`StaticPrune`] table was built for a different burst width
+    /// than the campaign is configured to inject.
+    PruneBurstMismatch { table: u8, campaign: u8 },
+    /// The plan combines a prune table with tracing: a skipped trial has
+    /// no execution to trace.
+    PruneWithTrace,
+}
+
+impl std::fmt::Display for CampaignError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            CampaignError::GoldenRunFailed(s) => write!(f, "golden run failed: {s}"),
+            CampaignError::NoFaultSites => write!(f, "no value-producing dynamic instructions"),
+            CampaignError::PruneBurstMismatch { table, campaign } => write!(
+                f,
+                "static-prune table built for burst {table}, campaign uses burst {campaign}"
+            ),
+            CampaignError::PruneWithTrace => write!(
+                f,
+                "static pruning (--static-prune) and propagation tracing \
+                 (--trace-propagation) do not compose: a skipped trial has \
+                 no execution to trace"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for CampaignError {}
+
+/// Runs the golden execution for `inputs` on the interpreter, checking
+/// it is clean.
+pub fn golden_run(
+    module: &Module,
+    inputs: &[f64],
+    limits: ExecLimits,
+) -> Result<RunOutput, CampaignError> {
+    check_golden(Vm::new(module, limits).run_numeric(inputs, None))
+}
+
+/// Rejects a golden run that did not exit cleanly.
+pub(crate) fn check_golden(golden: RunOutput) -> Result<RunOutput, CampaignError> {
+    if golden.status.is_ok() {
+        Ok(golden)
+    } else {
+        Err(CampaignError::GoldenRunFailed(format!(
+            "{:?}",
+            golden.status
+        )))
+    }
+}
+
+/// Samples one fault site uniformly over the golden run's value-producing
+/// dynamic instructions.
+pub fn sample_fault(rng: &mut Pcg64, value_dynamic: u64) -> Injection {
+    sample_fault_burst(rng, value_dynamic, 0)
+}
+
+/// Samples a fault site under the multi-bit (burst) model.
+pub fn sample_fault_burst(rng: &mut Pcg64, value_dynamic: u64, burst: u8) -> Injection {
+    let dyn_index = rng.gen_range_u64(value_dynamic);
+    let bit = rng.gen_range_u64(64) as u32;
+    Injection {
+        target: InjectionTarget::DynamicIndex(dyn_index),
+        bit,
+        burst,
+    }
+}
+
+impl From<FaultOutcome> for ObsOutcome {
+    fn from(o: FaultOutcome) -> ObsOutcome {
+        match o {
+            FaultOutcome::Sdc => ObsOutcome::Sdc,
+            FaultOutcome::Crash => ObsOutcome::Crash,
+            FaultOutcome::Hang => ObsOutcome::Hang,
+            FaultOutcome::Benign => ObsOutcome::Benign,
+        }
+    }
+}
+
+/// Runs a statistical FI campaign for one input: the plain
+/// [`CampaignPlan`], unobserved.
+pub fn run_campaign(
     module: &Module,
     inputs: &[f64],
     limits: ExecLimits,
     cfg: CampaignConfig,
-    prune: &StaticPrune,
-    gate: PruneGate,
-) -> Result<GatedPrunedCampaignResult, CampaignError> {
-    run_campaign_pruned_gated_observed(module, inputs, limits, cfg, prune, gate, &NullObserver)
+) -> Result<CampaignResult, CampaignError> {
+    CampaignPlan::new(module, inputs, limits, cfg)
+        .run(&NullObserver)
+        .map(|r| r.campaign)
 }
 
-/// [`run_campaign_pruned_gated`] with an [`Observer`] attached. The
-/// decision is announced as an `Event::Message` before the campaign
-/// starts.
+/// The plan with `snap.snapshots` golden-prefix snapshots, observed.
+/// Outcome counts are bit-identical to [`run_campaign`]'s.
+pub fn run_campaign_snapshotted_observed(
+    module: &Module,
+    inputs: &[f64],
+    limits: ExecLimits,
+    cfg: CampaignConfig,
+    snap: SnapshotConfig,
+    observer: &dyn Observer,
+) -> Result<SnapshottedCampaignResult, CampaignError> {
+    let r = CampaignPlan::new(module, inputs, limits, cfg)
+        .snapshots(snap.snapshots)
+        .run(observer)?;
+    Ok(SnapshottedCampaignResult {
+        campaign: r.campaign,
+        stats: r.stats,
+    })
+}
+
+/// The plan with `prune` behind `gate`, observed. Outcome counts are
+/// identical whichever way the gate decides — a disengaged gate only
+/// stops trials from being *skipped*, and skipped trials are Benign by
+/// proof.
 #[allow(clippy::too_many_arguments)]
 pub fn run_campaign_pruned_gated_observed(
     module: &Module,
@@ -979,59 +392,23 @@ pub fn run_campaign_pruned_gated_observed(
     gate: PruneGate,
     observer: &dyn Observer,
 ) -> Result<GatedPrunedCampaignResult, CampaignError> {
-    if prune.burst != cfg.burst {
-        return Err(CampaignError::PruneBurstMismatch {
-            table: prune.burst,
-            campaign: cfg.burst,
-        });
-    }
-    let masked_cells = prune.masked_cells();
-    // Prediction needs the golden profile; an empty table needs nothing.
-    let predicted_skip_ratio = if masked_cells == 0 {
-        0.0
-    } else {
-        let golden = golden_run(module, inputs, limits)?;
-        prune.predicted_skip_ratio(&golden.profile.exec_counts, golden.profile.value_dynamic)
-    };
-    let applied = predicted_skip_ratio > gate.min_skip_ratio;
-    let decision = PruneDecision {
-        applied,
-        masked_cells,
-        predicted_skip_ratio,
-        threshold: gate.min_skip_ratio,
-    };
-    observer.on_event(&Event::Message {
-        text: format!(
-            "prune gate: {} (masked cells {}, predicted skip {:.2}% {} threshold {:.2}%)",
-            if applied { "engaged" } else { "disengaged" },
-            masked_cells,
-            predicted_skip_ratio * 100.0,
-            if applied { ">=" } else { "<" },
-            gate.min_skip_ratio * 100.0
-        ),
-    });
-    let result = campaign_impl(
-        module,
-        inputs,
-        limits,
-        cfg,
-        observer,
-        applied.then_some(prune),
-    )?;
-    Ok(GatedPrunedCampaignResult { result, decision })
-}
-
-pub(crate) fn effective_threads(requested: usize, work_items: usize) -> usize {
-    let hw = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let n = if requested == 0 { hw } else { requested };
-    n.clamp(1, work_items.max(1))
+    let r = CampaignPlan::new(module, inputs, limits, cfg)
+        .prune(prune, gate)
+        .run(observer)?;
+    Ok(GatedPrunedCampaignResult {
+        result: PrunedCampaignResult {
+            campaign: r.campaign,
+            skipped: r.skipped,
+        },
+        decision: r.decision.expect("a prune table always yields a decision"),
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::CampaignPlan;
+    use peppa_obs::Event;
 
     /// A kernel where faults visibly matter: accumulates a function of
     /// the input and outputs the sum plus a guard value.
@@ -1150,7 +527,10 @@ mod tests {
             ..Default::default()
         };
         let obs = Collecting(std::sync::Mutex::new(Vec::new()));
-        let r = run_campaign_observed(&m, &[16.0, 0.5], ExecLimits::default(), cfg, &obs).unwrap();
+        let r = CampaignPlan::new(&m, &[16.0, 0.5], ExecLimits::default(), cfg)
+            .run(&obs)
+            .map(|r| r.campaign)
+            .unwrap();
         let events = obs.0.into_inner().unwrap();
 
         let trials: Vec<&Event> = events
@@ -1187,8 +567,19 @@ mod tests {
             }
             other => panic!("last event was {other:?}"),
         }
-        assert_eq!(events[0].kind(), "campaign_started");
-        assert_eq!(events[1].kind(), "golden_run");
+        // The golden phase is bracketed by its span, and the trials
+        // phase opens right after the golden-run event.
+        let prefix: Vec<&str> = events[..5].iter().map(|e| e.kind()).collect();
+        assert_eq!(
+            prefix,
+            [
+                "campaign_started",
+                "span_begin",
+                "span_end",
+                "golden_run",
+                "span_begin"
+            ]
+        );
     }
 
     #[test]
@@ -1203,15 +594,18 @@ mod tests {
             engine: EngineKind::Interp,
         };
         let obs = Collecting(std::sync::Mutex::new(Vec::new()));
-        let a =
-            run_campaign_observed(&m, &[14.0, 0.75], ExecLimits::default(), base, &obs).unwrap();
-        let b = run_campaign_observed(
+        let a = CampaignPlan::new(&m, &[14.0, 0.75], ExecLimits::default(), base)
+            .run(&obs)
+            .map(|r| r.campaign)
+            .unwrap();
+        let b = CampaignPlan::new(
             &m,
             &[14.0, 0.75],
             ExecLimits::default(),
             CampaignConfig { threads: 4, ..base },
-            &obs,
         )
+        .run(&obs)
+        .map(|r| r.campaign)
         .unwrap();
         assert_eq!(
             (a.sdc, a.crash, a.hang, a.benign),
@@ -1234,7 +628,10 @@ mod tests {
             ..Default::default()
         };
         let reg = peppa_obs::MetricsRegistry::new();
-        let r = run_campaign_observed(&m, &[16.0, 0.5], ExecLimits::default(), cfg, &reg).unwrap();
+        let r = CampaignPlan::new(&m, &[16.0, 0.5], ExecLimits::default(), cfg)
+            .run(&reg)
+            .map(|r| r.campaign)
+            .unwrap();
         assert_eq!(reg.counter_value("campaign.outcome.sdc"), r.sdc as u64);
         assert_eq!(reg.counter_value("campaign.outcome.crash"), r.crash as u64);
         assert_eq!(reg.counter_value("campaign.outcome.hang"), r.hang as u64);
@@ -1263,7 +660,10 @@ mod tests {
         ));
         {
             let j = peppa_obs::JsonlJournal::create(&path).unwrap();
-            run_campaign_observed(&m, &[16.0, 0.5], ExecLimits::default(), cfg, &j).unwrap();
+            CampaignPlan::new(&m, &[16.0, 0.5], ExecLimits::default(), cfg)
+                .run(&j)
+                .map(|r| r.campaign)
+                .unwrap();
         }
         let events = peppa_obs::JsonlJournal::read(&path).unwrap();
         std::fs::remove_file(&path).ok();
@@ -1288,8 +688,10 @@ mod tests {
             cells: vec![0; m.num_instrs],
             burst: 0,
         };
-        let pruned =
-            run_campaign_pruned(&m, &[16.0, 0.5], ExecLimits::default(), cfg, &none).unwrap();
+        let pruned = CampaignPlan::new(&m, &[16.0, 0.5], ExecLimits::default(), cfg)
+            .prune(&none, PruneGate::default())
+            .run(&NullObserver)
+            .unwrap();
         assert_eq!(pruned.skipped, 0);
         assert_eq!(
             (full.sdc, full.crash, full.hang, full.benign),
@@ -1317,9 +719,10 @@ mod tests {
             burst: 0,
         };
         let obs = Collecting(std::sync::Mutex::new(Vec::new()));
-        let r =
-            run_campaign_pruned_observed(&m, &[16.0, 0.5], ExecLimits::default(), cfg, &all, &obs)
-                .unwrap();
+        let r = CampaignPlan::new(&m, &[16.0, 0.5], ExecLimits::default(), cfg)
+            .prune(&all, PruneGate::default())
+            .run(&obs)
+            .unwrap();
         assert_eq!(r.skipped, 60);
         assert_eq!(r.skip_ratio(), 1.0);
         assert_eq!(r.campaign.benign, 60);
@@ -1343,13 +746,14 @@ mod tests {
             cells: vec![0; m.num_instrs],
             burst: 1,
         };
-        let e = run_campaign_pruned(
+        let e = CampaignPlan::new(
             &m,
             &[16.0, 0.5],
             ExecLimits::default(),
             CampaignConfig::default(),
-            &table,
-        );
+        )
+        .prune(&table, PruneGate::default())
+        .run(&NullObserver);
         assert!(matches!(
             e,
             Err(CampaignError::PruneBurstMismatch {
@@ -1378,15 +782,18 @@ mod tests {
             burst: 0,
             engine: EngineKind::Interp,
         };
-        let a =
-            run_campaign_pruned(&m, &[12.0, 0.25], ExecLimits::default(), base, &table).unwrap();
-        let b = run_campaign_pruned(
+        let a = CampaignPlan::new(&m, &[12.0, 0.25], ExecLimits::default(), base)
+            .prune(&table, PruneGate::default())
+            .run(&NullObserver)
+            .unwrap();
+        let b = CampaignPlan::new(
             &m,
             &[12.0, 0.25],
             ExecLimits::default(),
             CampaignConfig { threads: 4, ..base },
-            &table,
         )
+        .prune(&table, PruneGate::default())
+        .run(&NullObserver)
         .unwrap();
         assert_eq!(a.skipped, b.skipped);
         assert_eq!(
@@ -1419,49 +826,45 @@ mod tests {
         let full = run_campaign(&m, &[16.0, 0.5], ExecLimits::default(), cfg).unwrap();
         for k in [0, 1, 8, 64] {
             for threads in [1, 4] {
-                for converge_exit in [false, true] {
-                    let r = run_campaign_snapshotted(
-                        &m,
-                        &[16.0, 0.5],
-                        ExecLimits::default(),
-                        CampaignConfig { threads, ..cfg },
-                        SnapshotConfig {
-                            snapshots: k,
-                            converge_exit,
-                        },
-                    )
-                    .unwrap();
-                    assert_eq!(
-                        (full.sdc, full.crash, full.hang, full.benign),
-                        (
-                            r.campaign.sdc,
-                            r.campaign.crash,
-                            r.campaign.hang,
-                            r.campaign.benign
-                        ),
-                        "k={k} threads={threads} converge_exit={converge_exit}"
-                    );
-                    assert_eq!(r.campaign.executions, full.executions);
-                    assert_eq!(r.campaign.golden_dynamic, full.golden_dynamic);
-                    assert_eq!(
-                        r.stats.restores + r.stats.full_runs,
-                        cfg.trials as u64,
-                        "every trial either restores or runs from entry"
-                    );
-                    if k == 0 {
-                        assert_eq!(r.stats.snapshots, 0);
-                        assert_eq!(r.stats.full_runs, cfg.trials as u64);
-                    } else {
-                        assert!(r.stats.snapshots >= 1 && r.stats.snapshots <= k);
-                        assert!(r.stats.bytes > 0);
-                        assert!(r.stats.restores > 0, "k={k}: some trial must restore");
-                        if k > 1 {
-                            // With one fork point at the earliest sampled
-                            // site the prefix can legitimately be empty
-                            // (site 0 ⇒ snapshot at dynamic 0); with more
-                            // points the later ones must save something.
-                            assert!(r.stats.prefix_instrs_saved > 0, "k={k}");
-                        }
+                let r = CampaignPlan::new(
+                    &m,
+                    &[16.0, 0.5],
+                    ExecLimits::default(),
+                    CampaignConfig { threads, ..cfg },
+                )
+                .snapshots(k)
+                .run(&NullObserver)
+                .unwrap();
+                assert_eq!(
+                    (full.sdc, full.crash, full.hang, full.benign),
+                    (
+                        r.campaign.sdc,
+                        r.campaign.crash,
+                        r.campaign.hang,
+                        r.campaign.benign
+                    ),
+                    "k={k} threads={threads}"
+                );
+                assert_eq!(r.campaign.executions, full.executions);
+                assert_eq!(r.campaign.golden_dynamic, full.golden_dynamic);
+                assert_eq!(
+                    r.stats.restores + r.stats.full_runs,
+                    cfg.trials as u64,
+                    "every trial either restores or runs from entry"
+                );
+                if k == 0 {
+                    assert_eq!(r.stats.snapshots, 0);
+                    assert_eq!(r.stats.full_runs, cfg.trials as u64);
+                } else {
+                    assert!(r.stats.snapshots >= 1 && r.stats.snapshots <= k);
+                    assert!(r.stats.bytes > 0);
+                    assert!(r.stats.restores > 0, "k={k}: some trial must restore");
+                    if k > 1 {
+                        // With one fork point at the earliest sampled
+                        // site the prefix can legitimately be empty
+                        // (site 0 ⇒ snapshot at dynamic 0); with more
+                        // points the later ones must save something.
+                        assert!(r.stats.prefix_instrs_saved > 0, "k={k}");
                     }
                 }
             }
@@ -1556,13 +959,14 @@ mod tests {
             cells: vec![0; m.num_instrs],
             burst: 0,
         };
-        let g = run_campaign_pruned_gated(
+        let g = run_campaign_pruned_gated_observed(
             &m,
             &[16.0, 0.5],
             ExecLimits::default(),
             cfg,
             &empty,
             PruneGate::default(),
+            &NullObserver,
         )
         .unwrap();
         assert!(!g.decision.applied);
@@ -1585,13 +989,14 @@ mod tests {
             cells: vec![u64::MAX; m.num_instrs],
             burst: 0,
         };
-        let g = run_campaign_pruned_gated(
+        let g = run_campaign_pruned_gated_observed(
             &m,
             &[16.0, 0.5],
             ExecLimits::default(),
             cfg,
             &all,
             PruneGate::default(),
+            &NullObserver,
         )
         .unwrap();
         assert!(g.decision.applied);
@@ -1599,7 +1004,7 @@ mod tests {
         assert_eq!(g.result.skipped, cfg.trials as u64);
 
         // An unreachable threshold disengages even a full table.
-        let g = run_campaign_pruned_gated(
+        let g = run_campaign_pruned_gated_observed(
             &m,
             &[16.0, 0.5],
             ExecLimits::default(),
@@ -1608,10 +1013,111 @@ mod tests {
             PruneGate {
                 min_skip_ratio: 1e9,
             },
+            &NullObserver,
         )
         .unwrap();
         assert!(!g.decision.applied);
         assert_eq!(g.result.skipped, 0);
+    }
+
+    #[test]
+    fn prune_gate_message_follows_golden_run_and_states_its_rule() {
+        let m = module();
+        let cfg = CampaignConfig {
+            trials: 20,
+            seed: 19,
+            threads: 1,
+            ..Default::default()
+        };
+        let empty = StaticPrune {
+            cells: vec![0; m.num_instrs],
+            burst: 0,
+        };
+        let obs = Collecting(std::sync::Mutex::new(Vec::new()));
+        CampaignPlan::new(&m, &[16.0, 0.5], ExecLimits::default(), cfg)
+            .prune(&empty, PruneGate::default())
+            .run(&obs)
+            .unwrap();
+        let events = obs.0.into_inner().unwrap();
+        let at = events
+            .iter()
+            .position(|e| e.kind() == "message")
+            .expect("the gate journals its decision");
+        assert_eq!(events[at - 1].kind(), "golden_run");
+        // The gate engages only on `predicted > threshold`, so an empty
+        // table sits exactly at the threshold and says so.
+        match &events[at] {
+            Event::Message { text } => assert_eq!(
+                text,
+                "prune gate: disengaged (masked cells 0, predicted skip 0.00% <= threshold 0.00%)"
+            ),
+            other => panic!("expected the gate message, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn prune_with_trace_is_a_typed_error() {
+        let m = module();
+        let table = StaticPrune {
+            cells: vec![u64::MAX; m.num_instrs],
+            burst: 0,
+        };
+        let obs = Collecting(std::sync::Mutex::new(Vec::new()));
+        let e = CampaignPlan::new(&m, &[16.0, 0.5], ExecLimits::default(), Default::default())
+            .prune(&table, PruneGate::default())
+            .trace(true)
+            .run(&obs);
+        assert!(matches!(e, Err(CampaignError::PruneWithTrace)), "{e:?}");
+        assert!(
+            obs.0.into_inner().unwrap().is_empty(),
+            "refused before the campaign starts"
+        );
+    }
+
+    #[test]
+    fn snapshots_compose_with_pruning() {
+        let m = module();
+        let mut cells = vec![0u64; m.num_instrs];
+        for (i, c) in cells.iter_mut().enumerate() {
+            if i % 3 == 0 {
+                *c = 0x00FF_FF00_0000_FF00;
+            }
+        }
+        let table = StaticPrune { cells, burst: 0 };
+        let cfg = CampaignConfig {
+            trials: 90,
+            seed: 17,
+            threads: 1,
+            ..Default::default()
+        };
+        let plan = |threads, k| {
+            CampaignPlan::new(
+                &m,
+                &[12.0, 0.25],
+                ExecLimits::default(),
+                CampaignConfig { threads, ..cfg },
+            )
+            .prune(&table, PruneGate::default())
+            .snapshots(k)
+            .run(&NullObserver)
+            .unwrap()
+        };
+        let pruned = plan(1, 0);
+        assert!(pruned.skipped > 0, "the table must skip some trials");
+        for (k, threads) in [(8, 1), (8, 4), (64, 4)] {
+            let r = plan(threads, k);
+            // Same skipped trials, and the kept ones resume to the same
+            // outcomes they reach from entry.
+            assert_eq!(r.skipped, pruned.skipped, "k={k}");
+            let counts = |c: &CampaignResult| (c.sdc, c.crash, c.hang, c.benign);
+            assert_eq!(counts(&r.campaign), counts(&pruned.campaign), "k={k}");
+            assert_eq!(r.campaign.executions, pruned.campaign.executions);
+            assert_eq!(
+                r.stats.restores + r.stats.full_runs + r.skipped,
+                cfg.trials as u64
+            );
+            assert!(r.stats.restores > 0, "k={k}");
+        }
     }
 
     #[test]
@@ -1621,13 +1127,14 @@ mod tests {
             cells: vec![0; m.num_instrs],
             burst: 2,
         };
-        let e = run_campaign_pruned_gated(
+        let e = run_campaign_pruned_gated_observed(
             &m,
             &[16.0, 0.5],
             ExecLimits::default(),
             CampaignConfig::default(),
             &table,
             PruneGate::default(),
+            &NullObserver,
         );
         assert!(matches!(
             e,
@@ -1670,7 +1177,7 @@ mod tests {
         // `--engine compiled` composes with `--snapshots K`: fork points
         // land on the same value-dynamic boundaries in both backends.
         for k in [0, 8] {
-            let r = run_campaign_snapshotted(
+            let r = CampaignPlan::new(
                 &m,
                 &[16.0, 0.5],
                 ExecLimits::default(),
@@ -1678,11 +1185,9 @@ mod tests {
                     engine: EngineKind::Compiled,
                     ..base
                 },
-                SnapshotConfig {
-                    snapshots: k,
-                    converge_exit: true,
-                },
             )
+            .snapshots(k)
+            .run(&NullObserver)
             .unwrap();
             assert_eq!(
                 (interp.sdc, interp.crash, interp.hang, interp.benign),
@@ -1712,7 +1217,10 @@ mod tests {
                 ..Default::default()
             };
             let obs = Collecting(std::sync::Mutex::new(Vec::new()));
-            run_campaign_observed(&m, &[16.0, 0.5], ExecLimits::default(), cfg, &obs).unwrap();
+            CampaignPlan::new(&m, &[16.0, 0.5], ExecLimits::default(), cfg)
+                .run(&obs)
+                .map(|r| r.campaign)
+                .unwrap();
             let events = obs.0.into_inner().unwrap();
             match &events[0] {
                 Event::CampaignStarted { engine: e, .. } => assert_eq!(e, engine.as_str()),

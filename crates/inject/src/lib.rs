@@ -13,32 +13,32 @@
 //!   per-instruction probabilities, 30 per representative in the pruned
 //!   distribution analysis.
 //!
-//! Campaigns are embarrassingly parallel; [`campaign::run_campaign`]
-//! fans trials out over scoped threads while keeping the per-trial RNG
-//! stream independent of the thread schedule, so results are bit-for-bit
-//! reproducible at any parallelism level.
+//! Every campaign is one [`CampaignPlan`]: golden run → fault sampler →
+//! optional static-prune filter → trial executor (from entry, or resumed
+//! from golden-prefix snapshots) → optional shadow-taint hook →
+//! aggregator. The optional stages change only how trials execute, never
+//! which faults they sample, so they compose freely (except that a
+//! skipped trial has nothing to trace) and outcome counts stay
+//! bit-identical to the plain campaign's. Trials fan out over scoped
+//! threads while each trial's RNG stream depends only on `(seed, trial)`,
+//! so results are bit-for-bit reproducible at any parallelism level.
 
 pub mod campaign;
-pub mod flags;
 pub mod forkpoint;
 pub mod outcome;
 pub mod per_instr;
+pub mod plan;
 pub mod propagation;
 pub mod provenance;
 
 pub use campaign::{
-    run_campaign, run_campaign_observed, run_campaign_pruned, run_campaign_pruned_gated,
-    run_campaign_pruned_gated_observed, run_campaign_pruned_observed, run_campaign_snapshotted,
-    run_campaign_snapshotted_observed, CampaignConfig, CampaignResult, GatedPrunedCampaignResult,
-    PruneDecision, PruneGate, PrunedCampaignResult, SnapshotConfig, SnapshotStats,
-    SnapshottedCampaignResult, StaticPrune,
+    run_campaign, run_campaign_pruned_gated_observed, run_campaign_snapshotted_observed,
+    CampaignConfig, CampaignResult, GatedPrunedCampaignResult, PruneDecision, PruneGate,
+    PrunedCampaignResult, SnapshotConfig, SnapshotStats, SnapshottedCampaignResult, StaticPrune,
 };
-pub use flags::{validate_flags, FlagError, InjectMode};
 pub use forkpoint::{fork_point_for, plan_fork_points};
 pub use outcome::{classify, FaultOutcome};
 pub use per_instr::{per_instruction_sdc, PerInstrConfig, PerInstrResult};
+pub use plan::{CampaignPlan, PlanResult};
 pub use propagation::{generate_corpus, trace_propagation, CorpusEntry, PropagationTrace};
-pub use provenance::{
-    run_campaign_snapshotted_traced, run_campaign_snapshotted_traced_observed, run_campaign_traced,
-    run_campaign_traced_observed, TracedCampaignResult, TracedTrial,
-};
+pub use provenance::TracedTrial;

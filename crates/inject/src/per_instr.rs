@@ -8,8 +8,9 @@
 //! execute under the input, or that produce no value (stores, outputs,
 //! void calls), have no measurement.
 
-use crate::campaign::{effective_threads, golden_run, CampaignError};
+use crate::campaign::{golden_run, CampaignError};
 use crate::outcome::{classify, FaultOutcome};
+use crate::plan::fan_out;
 use peppa_ir::{InstrId, Module};
 use peppa_stats::Pcg64;
 use peppa_vm::{ExecLimits, Injection, InjectionTarget, Vm};
@@ -131,31 +132,13 @@ pub fn per_instruction_sdc(
         sdc as f64 / cfg.trials_per_instr as f64
     };
 
-    let nthreads = effective_threads(cfg.threads, work.len());
-    let mut measured: Vec<f64> = vec![0.0; work.len()];
-    if nthreads <= 1 {
-        for (i, sid) in work.iter().enumerate() {
-            measured[i] = measure_one(*sid);
-        }
-    } else {
-        let chunk = work.len().div_ceil(nthreads);
-        crossbeam::thread::scope(|s| {
-            for (slice_ids, slice_out) in work.chunks(chunk).zip(measured.chunks_mut(chunk)) {
-                let measure_one = &measure_one;
-                s.spawn(move |_| {
-                    for (sid, out) in slice_ids.iter().zip(slice_out.iter_mut()) {
-                        *out = measure_one(*sid);
-                    }
-                });
-            }
-        })
-        .expect("per-instruction worker panicked");
-    }
-
     let mut sdc_prob = vec![None; module.num_instrs];
-    for (sid, p) in work.iter().zip(&measured) {
-        sdc_prob[sid.0 as usize] = Some(*p);
-    }
+    fan_out(
+        work.len() as u32,
+        cfg.threads,
+        |i, _| (work[i as usize], measure_one(work[i as usize])),
+        |(sid, p)| sdc_prob[sid.0 as usize] = Some(p),
+    );
     let total_trials = work.len() as u64 * cfg.trials_per_instr as u64;
     Ok(PerInstrResult {
         sdc_prob,

@@ -1,34 +1,25 @@
-//! Fault-provenance campaigns: statistical FI with a shadow-taint trace
-//! attached to every trial.
+//! Fault provenance: the per-trial record of a traced campaign.
 //!
-//! [`run_campaign_traced`] is the observability variant of
-//! [`crate::run_campaign`]: each faulty execution runs under
-//! [`peppa_vm::TaintHook`], so besides the outcome the campaign records
-//! *how* each fault travelled — the seed's static instruction, every sid
-//! that touched taint, the first observable sink reached, and where the
-//! taint went extinct if it never reached one. Each trial emits an
-//! [`Event::TrialProvenance`] right after its `TrialFinished`, feeding
-//! the journal, the Chrome trace exporter, and the propagation heatmap.
+//! A [`crate::CampaignPlan`] with tracing on runs each faulty execution
+//! under [`peppa_vm::TaintHook`], so besides the outcome the campaign
+//! records *how* each fault travelled — the seed's static instruction,
+//! every sid that touched taint, the first observable sink reached, and
+//! where the taint went extinct if it never reached one. Each trial
+//! emits an `Event::TrialProvenance` right after its `TrialFinished`,
+//! feeding the journal, the Chrome trace exporter, and the propagation
+//! heatmap.
 //!
 //! Tracing never changes what a campaign measures: fault sampling uses
-//! the same per-trial RNG streams as the untraced runner, and the shadow
-//! engine only observes the interpreter, so outcome counts are identical
-//! to [`crate::run_campaign`] at every thread count.
+//! the same per-trial RNG streams as the untraced plan, and the shadow
+//! engine only observes execution, so outcome counts are identical to
+//! [`crate::run_campaign`] at every thread count. With snapshots, each
+//! resumed trial's hook is rebuilt for the snapshot's frame stack
+//! ([`peppa_vm::TaintHook::resumed`]); the skipped prefix carries no
+//! taint (the fault has not been injected yet), so records are
+//! bit-identical to a from-entry trace.
 
-use crate::campaign::{
-    effective_threads, golden_run_on, sample_fault_burst, CampaignConfig, CampaignError,
-    CampaignResult, SnapshotConfig, SnapshotStats,
-};
-use crate::forkpoint::{fork_point_for, plan_fork_points};
-use crate::outcome::{classify, FaultOutcome};
-use peppa_ir::{Instr, Module};
-use peppa_obs::{Event, NullObserver, Observer, Span};
-use peppa_stats::{binomial_ci, ci::Z_95, Pcg64};
-use peppa_vm::{
-    encode_inputs, CompiledModule, Engine, EngineKind, ExecHook, ExecLimits, InjectionTarget,
-    TaintHook, TaintReport, Vm,
-};
-use std::time::Instant;
+use crate::outcome::FaultOutcome;
+use peppa_vm::TaintReport;
 
 /// One trial of a traced campaign: the classic outcome plus the taint
 /// provenance of the faulty run.
@@ -47,550 +38,14 @@ pub struct TracedTrial {
     pub report: TaintReport,
 }
 
-/// A [`CampaignResult`] plus per-trial provenance, indexed by trial.
-#[derive(Debug, Clone)]
-pub struct TracedCampaignResult {
-    pub campaign: CampaignResult,
-    /// `trials[t]` is trial `t`'s record, whatever order trials finished
-    /// in — the traced result is thread-count-invariant.
-    pub trials: Vec<TracedTrial>,
-}
-
-impl TracedCampaignResult {
-    /// Trials whose taint reached an observable sink.
-    pub fn propagated(&self) -> usize {
-        self.trials.iter().filter(|t| t.report.propagated()).count()
-    }
-
-    /// Trials whose taint died before reaching any sink.
-    pub fn extinguished(&self) -> usize {
-        self.trials
-            .iter()
-            .filter(|t| t.report.extinguished())
-            .count()
-    }
-}
-
-/// Maps every value-producing dynamic instruction of the golden run to
-/// its static instruction — the traced campaign needs the seed sid even
-/// when the fault never activates in the faulty run (hang budgets can
-/// cut a run short of its site).
-struct SidMapHook {
-    sids: Vec<u32>,
-}
-
-impl ExecHook for SidMapHook {
-    const ENABLED: bool = true;
-
-    #[inline]
-    fn def_value(&mut self, ins: &Instr, _bits: u64) {
-        self.sids.push(ins.sid.0);
-    }
-}
-
-struct TracedReport {
-    trial: u32,
-    outcome: FaultOutcome,
-    site: u64,
-    bit: u32,
-    sid: u32,
-    latency_ns: u64,
-    report: TaintReport,
-}
-
-impl TracedReport {
-    fn emit(&self, observer: &dyn Observer) {
-        observer.on_event(&Event::TrialFinished {
-            trial: self.trial,
-            outcome: self.outcome.into(),
-            site: self.site,
-            bit: self.bit,
-            latency_ns: self.latency_ns,
-        });
-        let r = &self.report;
-        observer.on_event(&Event::TrialProvenance {
-            trial: self.trial,
-            outcome: self.outcome.into(),
-            site: self.site,
-            bit: self.bit,
-            sid: self.sid,
-            seeded: r.seeded,
-            propagated: r.propagated(),
-            sink: r.first_sink.map(|s| s.kind.as_str().to_string()),
-            hops: r.tainted_defs,
-            seed_dynamic: r.seed_dynamic,
-            extinction_dynamic: r.extinction_dynamic,
-            sid_hits: r.sid_hits.clone(),
-        });
-    }
-}
-
-/// [`crate::run_campaign`] with shadow-taint provenance per trial.
-pub fn run_campaign_traced(
-    module: &Module,
-    inputs: &[f64],
-    limits: ExecLimits,
-    cfg: CampaignConfig,
-) -> Result<TracedCampaignResult, CampaignError> {
-    run_campaign_traced_observed(module, inputs, limits, cfg, &NullObserver)
-}
-
-/// [`run_campaign_traced`] with an [`Observer`] attached.
-///
-/// Event stream: `CampaignStarted`, `GoldenRun`, per trial a
-/// `TrialFinished` immediately followed by its `TrialProvenance` (in
-/// completion order; the `trial` field carries the logical index), and
-/// `CampaignFinished`. The campaign phases are bracketed by
-/// `golden`/`trials` spans for the Chrome trace exporter. As in the
-/// untraced runner, workers never touch the observer: reports drain over
-/// a bounded channel on the calling thread.
-pub fn run_campaign_traced_observed(
-    module: &Module,
-    inputs: &[f64],
-    limits: ExecLimits,
-    cfg: CampaignConfig,
-    observer: &dyn Observer,
-) -> Result<TracedCampaignResult, CampaignError> {
-    let start = Instant::now();
-    observer.on_event(&Event::CampaignStarted {
-        benchmark: module.name.clone(),
-        trials: cfg.trials,
-        seed: cfg.seed,
-        threads: cfg.threads,
-        engine: cfg.engine.as_str().to_string(),
-    });
-
-    // Lower once per campaign; workers share the read-only bytecode.
-    let code = (cfg.engine == EngineKind::Compiled).then(|| CompiledModule::lower(module));
-
-    let golden = {
-        let _span = Span::enter(observer, "golden");
-        golden_run_on(module, inputs, limits, code.as_ref())?
-    };
-    if golden.profile.value_dynamic == 0 {
-        return Err(CampaignError::NoFaultSites);
-    }
-    // Replay the golden run under the sid-map hook; the hook does not
-    // perturb execution.
-    let bits = encode_inputs(module.entry_func(), inputs);
-    let sid_map = {
-        let eng = Engine::new(module, limits, code.as_ref());
-        let mut hook = SidMapHook { sids: Vec::new() };
-        eng.run_with_hook(&bits, None, &mut hook);
-        hook.sids
-    };
-    debug_assert_eq!(sid_map.len() as u64, golden.profile.value_dynamic);
-    observer.on_event(&Event::GoldenRun {
-        benchmark: module.name.clone(),
-        dynamic: golden.profile.dynamic,
-        value_dynamic: golden.profile.value_dynamic,
-        coverage: golden.profile.coverage(),
-    });
-
-    let faulty_limits = ExecLimits {
-        max_dynamic: golden
-            .profile
-            .dynamic
-            .saturating_mul(cfg.hang_factor)
-            .saturating_add(10_000),
-        ..limits
-    };
-
-    let run_trial = |t: u32| -> TracedReport {
-        // Same per-trial stream as the untraced campaign: identical
-        // faults, identical outcomes.
-        let mut rng = Pcg64::new(cfg.seed ^ (t as u64).wrapping_mul(0x9e3779b97f4a7c15));
-        let inj = sample_fault_burst(&mut rng, golden.profile.value_dynamic, cfg.burst);
-        let site = match inj.target {
-            InjectionTarget::DynamicIndex(k) => k,
-            InjectionTarget::StaticInstance { instance, .. } => instance,
-        };
-        let eng = Engine::new(module, faulty_limits, code.as_ref());
-        let mut hook = TaintHook::new(module);
-        let t0 = Instant::now();
-        let faulty = eng.run_with_hook(&bits, Some(inj), &mut hook);
-        let latency_ns = t0.elapsed().as_nanos() as u64;
-        TracedReport {
-            trial: t,
-            outcome: classify(&golden, &faulty),
-            site,
-            bit: inj.bit,
-            sid: sid_map[site as usize],
-            latency_ns,
-            report: hook.finish(),
-        }
-    };
-
-    let nthreads = effective_threads(cfg.threads, cfg.trials as usize);
-    let mut reports: Vec<Option<TracedReport>> = Vec::with_capacity(cfg.trials as usize);
-    {
-        let _span = Span::enter(observer, "trials");
-        if nthreads <= 1 {
-            for t in 0..cfg.trials {
-                let r = run_trial(t);
-                r.emit(observer);
-                reports.push(Some(r));
-            }
-        } else {
-            reports.resize_with(cfg.trials as usize, || None);
-            let chunk = reports.len().div_ceil(nthreads);
-            let (tx, rx) = std::sync::mpsc::sync_channel::<TracedReport>(1024);
-            crossbeam::thread::scope(|s| {
-                for (ci, _) in (0..cfg.trials as usize).step_by(chunk).enumerate() {
-                    let run_trial = &run_trial;
-                    let tx = tx.clone();
-                    let lo = ci * chunk;
-                    let hi = (lo + chunk).min(cfg.trials as usize);
-                    s.spawn(move |_| {
-                        for t in lo..hi {
-                            // The receiver outlives the scope; send only
-                            // fails if the collector was dropped, in
-                            // which case reporting is moot.
-                            let _ = tx.send(run_trial(t as u32));
-                        }
-                    });
-                }
-                drop(tx);
-                // Drain on the scope's owning thread so the observer
-                // sees a single-threaded event stream.
-                for r in rx.iter() {
-                    r.emit(observer);
-                    let slot = r.trial as usize;
-                    reports[slot] = Some(r);
-                }
-            })
-            .expect("traced campaign worker panicked");
-        }
-    }
-    let trials: Vec<TracedTrial> = reports
-        .into_iter()
-        .map(|r| {
-            let r = r.expect("every trial reported");
-            TracedTrial {
-                trial: r.trial,
-                outcome: r.outcome,
-                site: r.site,
-                bit: r.bit,
-                sid: r.sid,
-                report: r.report,
-            }
-        })
-        .collect();
-
-    let mut sdc = 0;
-    let mut crash = 0;
-    let mut hang = 0;
-    let mut benign = 0;
-    for t in &trials {
-        match t.outcome {
-            FaultOutcome::Sdc => sdc += 1,
-            FaultOutcome::Crash => crash += 1,
-            FaultOutcome::Hang => hang += 1,
-            FaultOutcome::Benign => benign += 1,
-        }
-    }
-
-    observer.on_event(&Event::CampaignFinished {
-        trials: cfg.trials,
-        sdc,
-        crash,
-        hang,
-        benign,
-        wall_ns: start.elapsed().as_nanos() as u64,
-    });
-    observer.flush();
-
-    Ok(TracedCampaignResult {
-        campaign: CampaignResult {
-            trials: cfg.trials,
-            sdc,
-            crash,
-            hang,
-            benign,
-            sdc_ci: binomial_ci(sdc as u64, cfg.trials as u64, Z_95),
-            executions: cfg.trials as u64 + 1,
-            golden_dynamic: golden.profile.dynamic,
-        },
-        trials,
-    })
-}
-
-/// A [`TracedCampaignResult`] plus the snapshot engine's accounting.
-#[derive(Debug, Clone)]
-pub struct SnapshottedTracedCampaignResult {
-    pub traced: TracedCampaignResult,
-    pub stats: SnapshotStats,
-}
-
-/// [`run_campaign_traced`] with the golden prefix amortized across
-/// trials — the `--snapshots K --trace-propagation` runner.
-///
-/// Faults are pre-sampled from the same per-trial streams, fork points
-/// are planned exactly as in
-/// [`crate::run_campaign_snapshotted`], and each resumed trial runs
-/// under a [`TaintHook`] rebuilt for the snapshot's frame stack
-/// ([`TaintHook::resumed`]). The skipped prefix carries no taint (the
-/// fault has not been injected yet), so per-trial provenance records are
-/// bit-identical to the full traced runner's. Convergence early-exit is
-/// deliberately disabled: the shadow engine must observe the entire
-/// suffix to report extinction and sink arrivals.
-pub fn run_campaign_snapshotted_traced(
-    module: &Module,
-    inputs: &[f64],
-    limits: ExecLimits,
-    cfg: CampaignConfig,
-    snap: SnapshotConfig,
-) -> Result<SnapshottedTracedCampaignResult, CampaignError> {
-    run_campaign_snapshotted_traced_observed(module, inputs, limits, cfg, snap, &NullObserver)
-}
-
-/// [`run_campaign_snapshotted_traced`] with an [`Observer`] attached.
-/// Event stream: as [`run_campaign_traced_observed`], plus one
-/// `SnapshotCaptured` per fork point after `GoldenRun` and a
-/// `SnapshotStats` immediately before the terminal `CampaignFinished`.
-pub fn run_campaign_snapshotted_traced_observed(
-    module: &Module,
-    inputs: &[f64],
-    limits: ExecLimits,
-    cfg: CampaignConfig,
-    snap: SnapshotConfig,
-    observer: &dyn Observer,
-) -> Result<SnapshottedTracedCampaignResult, CampaignError> {
-    let start = Instant::now();
-    observer.on_event(&Event::CampaignStarted {
-        benchmark: module.name.clone(),
-        trials: cfg.trials,
-        seed: cfg.seed,
-        threads: cfg.threads,
-        engine: cfg.engine.as_str().to_string(),
-    });
-
-    // Lower once per campaign; workers share the read-only bytecode.
-    let code = (cfg.engine == EngineKind::Compiled).then(|| CompiledModule::lower(module));
-
-    let golden = {
-        let _span = Span::enter(observer, "golden");
-        golden_run_on(module, inputs, limits, code.as_ref())?
-    };
-    if golden.profile.value_dynamic == 0 {
-        return Err(CampaignError::NoFaultSites);
-    }
-    // Replay the golden run under the sid-map hook; the hook does not
-    // perturb execution.
-    let bits = encode_inputs(module.entry_func(), inputs);
-    let sid_map = {
-        let eng = Engine::new(module, limits, code.as_ref());
-        let mut hook = SidMapHook { sids: Vec::new() };
-        eng.run_with_hook(&bits, None, &mut hook);
-        hook.sids
-    };
-    debug_assert_eq!(sid_map.len() as u64, golden.profile.value_dynamic);
-    observer.on_event(&Event::GoldenRun {
-        benchmark: module.name.clone(),
-        dynamic: golden.profile.dynamic,
-        value_dynamic: golden.profile.value_dynamic,
-        coverage: golden.profile.coverage(),
-    });
-
-    // Pre-sample, plan, capture — same planning as the untraced
-    // snapshotted runner, so both amortize identically.
-    let injections: Vec<peppa_vm::Injection> = (0..cfg.trials)
-        .map(|t| {
-            let mut rng = Pcg64::new(cfg.seed ^ (t as u64).wrapping_mul(0x9e3779b97f4a7c15));
-            sample_fault_burst(&mut rng, golden.profile.value_dynamic, cfg.burst)
-        })
-        .collect();
-    let sites: Vec<u64> = injections
-        .iter()
-        .map(|inj| match inj.target {
-            InjectionTarget::DynamicIndex(k) => k,
-            InjectionTarget::StaticInstance { instance, .. } => instance,
-        })
-        .collect();
-    let points = plan_fork_points(&sites, snap.snapshots);
-    let snaps = if points.is_empty() {
-        Vec::new()
-    } else {
-        let _span = Span::enter(observer, "capture");
-        let vm = Vm::new(module, limits);
-        let (replay, snaps) = vm.run_with_snapshots(&bits, &points);
-        debug_assert!(replay.status.is_ok());
-        debug_assert_eq!(snaps.len(), points.len());
-        snaps
-    };
-    let snap_bytes: u64 = snaps.iter().map(|s| s.bytes()).sum();
-    for (i, s) in snaps.iter().enumerate() {
-        observer.on_event(&Event::SnapshotCaptured {
-            index: i as u32,
-            value_dynamic: s.value_dynamic(),
-            dynamic: s.dynamic(),
-            bytes: s.bytes(),
-        });
-    }
-
-    let faulty_limits = ExecLimits {
-        max_dynamic: golden
-            .profile
-            .dynamic
-            .saturating_mul(cfg.hang_factor)
-            .saturating_add(10_000),
-        ..limits
-    };
-
-    use std::sync::atomic::{AtomicU64, Ordering};
-    let restores = AtomicU64::new(0);
-    let full_runs = AtomicU64::new(0);
-    let prefix_saved = AtomicU64::new(0);
-
-    let run_trial = |t: u32| -> TracedReport {
-        let inj = injections[t as usize];
-        let site = sites[t as usize];
-        let eng = Engine::new(module, faulty_limits, code.as_ref());
-        let t0 = Instant::now();
-        let (faulty, report) = match fork_point_for(&points, site) {
-            None => {
-                full_runs.fetch_add(1, Ordering::Relaxed);
-                let mut hook = TaintHook::new(module);
-                let faulty = eng.run_with_hook(&bits, Some(inj), &mut hook);
-                (faulty, hook.finish())
-            }
-            Some(i) => {
-                restores.fetch_add(1, Ordering::Relaxed);
-                prefix_saved.fetch_add(snaps[i].dynamic(), Ordering::Relaxed);
-                let mut hook = TaintHook::resumed(module, &snaps[i]);
-                let faulty = eng.resume_from_with_hook(&snaps[i], Some(inj), &mut hook);
-                (faulty, hook.finish())
-            }
-        };
-        TracedReport {
-            trial: t,
-            outcome: classify(&golden, &faulty),
-            site,
-            bit: inj.bit,
-            sid: sid_map[site as usize],
-            latency_ns: t0.elapsed().as_nanos() as u64,
-            report,
-        }
-    };
-
-    let nthreads = effective_threads(cfg.threads, cfg.trials as usize);
-    let mut reports: Vec<Option<TracedReport>> = Vec::with_capacity(cfg.trials as usize);
-    {
-        let _span = Span::enter(observer, "trials");
-        if nthreads <= 1 {
-            for t in 0..cfg.trials {
-                let r = run_trial(t);
-                r.emit(observer);
-                reports.push(Some(r));
-            }
-        } else {
-            reports.resize_with(cfg.trials as usize, || None);
-            let chunk = reports.len().div_ceil(nthreads);
-            let (tx, rx) = std::sync::mpsc::sync_channel::<TracedReport>(1024);
-            crossbeam::thread::scope(|s| {
-                for (ci, _) in (0..cfg.trials as usize).step_by(chunk).enumerate() {
-                    let run_trial = &run_trial;
-                    let tx = tx.clone();
-                    let lo = ci * chunk;
-                    let hi = (lo + chunk).min(cfg.trials as usize);
-                    s.spawn(move |_| {
-                        for t in lo..hi {
-                            // The receiver outlives the scope; send only
-                            // fails if the collector was dropped, in
-                            // which case reporting is moot.
-                            let _ = tx.send(run_trial(t as u32));
-                        }
-                    });
-                }
-                drop(tx);
-                // Drain on the scope's owning thread so the observer
-                // sees a single-threaded event stream.
-                for r in rx.iter() {
-                    r.emit(observer);
-                    let slot = r.trial as usize;
-                    reports[slot] = Some(r);
-                }
-            })
-            .expect("snapshotted traced campaign worker panicked");
-        }
-    }
-    let trials: Vec<TracedTrial> = reports
-        .into_iter()
-        .map(|r| {
-            let r = r.expect("every trial reported");
-            TracedTrial {
-                trial: r.trial,
-                outcome: r.outcome,
-                site: r.site,
-                bit: r.bit,
-                sid: r.sid,
-                report: r.report,
-            }
-        })
-        .collect();
-
-    let mut sdc = 0;
-    let mut crash = 0;
-    let mut hang = 0;
-    let mut benign = 0;
-    for t in &trials {
-        match t.outcome {
-            FaultOutcome::Sdc => sdc += 1,
-            FaultOutcome::Crash => crash += 1,
-            FaultOutcome::Hang => hang += 1,
-            FaultOutcome::Benign => benign += 1,
-        }
-    }
-
-    let stats = SnapshotStats {
-        snapshots: snaps.len() as u32,
-        bytes: snap_bytes,
-        restores: restores.into_inner(),
-        full_runs: full_runs.into_inner(),
-        converged_exits: 0,
-        prefix_instrs_saved: prefix_saved.into_inner(),
-    };
-    observer.on_event(&Event::SnapshotStats {
-        snapshots: stats.snapshots,
-        bytes: stats.bytes,
-        restores: stats.restores,
-        full_runs: stats.full_runs,
-        converged_exits: stats.converged_exits,
-        prefix_instrs_saved: stats.prefix_instrs_saved,
-    });
-    observer.on_event(&Event::CampaignFinished {
-        trials: cfg.trials,
-        sdc,
-        crash,
-        hang,
-        benign,
-        wall_ns: start.elapsed().as_nanos() as u64,
-    });
-    observer.flush();
-
-    Ok(SnapshottedTracedCampaignResult {
-        traced: TracedCampaignResult {
-            campaign: CampaignResult {
-                trials: cfg.trials,
-                sdc,
-                crash,
-                hang,
-                benign,
-                sdc_ci: binomial_ci(sdc as u64, cfg.trials as u64, Z_95),
-                executions: cfg.trials as u64 + 1,
-                golden_dynamic: golden.profile.dynamic,
-            },
-            trials,
-        },
-        stats,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::run_campaign;
-    use peppa_obs::PropagationHeatmap;
+    use crate::campaign::{run_campaign, CampaignConfig};
+    use crate::plan::CampaignPlan;
+    use peppa_ir::Module;
+    use peppa_obs::{Event, NullObserver, Observer, PropagationHeatmap};
+    use peppa_vm::{EngineKind, ExecLimits};
 
     const SRC: &str = r#"
         global float buf[64];
@@ -621,13 +76,19 @@ mod tests {
         }
     }
 
+    /// The traced plan on the default limits.
+    fn traced<'a>(m: &'a Module, inputs: &'a [f64], cfg: CampaignConfig) -> CampaignPlan<'a> {
+        CampaignPlan::new(m, inputs, ExecLimits::default(), cfg).trace(true)
+    }
+
     #[test]
     fn tracing_does_not_perturb_outcomes() {
         let m = module();
         let inputs = [16.0, 0.5];
         let plain = run_campaign(&m, &inputs, ExecLimits::default(), cfg(150, 7, 2)).unwrap();
-        let traced =
-            run_campaign_traced(&m, &inputs, ExecLimits::default(), cfg(150, 7, 2)).unwrap();
+        let traced = traced(&m, &inputs, cfg(150, 7, 2))
+            .run(&NullObserver)
+            .unwrap();
         assert_eq!(
             (plain.sdc, plain.crash, plain.hang, plain.benign),
             (
@@ -642,10 +103,11 @@ mod tests {
     #[test]
     fn every_trial_has_a_provenance_record_in_order() {
         let m = module();
-        let r =
-            run_campaign_traced(&m, &[12.0, 0.25], ExecLimits::default(), cfg(80, 3, 4)).unwrap();
-        assert_eq!(r.trials.len(), 80);
-        for (i, t) in r.trials.iter().enumerate() {
+        let r = traced(&m, &[12.0, 0.25], cfg(80, 3, 4))
+            .run(&NullObserver)
+            .unwrap();
+        assert_eq!(r.traced.len(), 80);
+        for (i, t) in r.traced.iter().enumerate() {
             assert_eq!(t.trial as usize, i);
         }
     }
@@ -656,10 +118,11 @@ mod tests {
         // must have reached a sink — the dynamic half of the containment
         // argument.
         let m = module();
-        let r =
-            run_campaign_traced(&m, &[16.0, 0.5], ExecLimits::default(), cfg(200, 11, 0)).unwrap();
+        let r = traced(&m, &[16.0, 0.5], cfg(200, 11, 0))
+            .run(&NullObserver)
+            .unwrap();
         assert!(r.campaign.sdc > 0, "kernel should produce SDCs");
-        for t in &r.trials {
+        for t in &r.traced {
             if t.outcome == FaultOutcome::Sdc {
                 assert!(t.report.seeded, "SDC without an applied fault: {t:?}");
                 assert!(
@@ -683,10 +146,14 @@ mod tests {
     fn traced_records_identical_across_thread_counts() {
         let m = module();
         let inputs = [14.0, 0.75];
-        let a = run_campaign_traced(&m, &inputs, ExecLimits::default(), cfg(60, 41, 1)).unwrap();
-        let b = run_campaign_traced(&m, &inputs, ExecLimits::default(), cfg(60, 41, 4)).unwrap();
-        assert_eq!(a.trials.len(), b.trials.len());
-        for (x, y) in a.trials.iter().zip(&b.trials) {
+        let a = traced(&m, &inputs, cfg(60, 41, 1))
+            .run(&NullObserver)
+            .unwrap();
+        let b = traced(&m, &inputs, cfg(60, 41, 4))
+            .run(&NullObserver)
+            .unwrap();
+        assert_eq!(a.traced.len(), b.traced.len());
+        for (x, y) in a.traced.iter().zip(&b.traced) {
             assert_eq!(x.trial, y.trial);
             assert_eq!(x.outcome, y.outcome);
             assert_eq!((x.site, x.bit, x.sid), (y.site, y.bit, y.sid));
@@ -705,21 +172,15 @@ mod tests {
     fn snapshotted_traced_records_identical_to_full_traced() {
         let m = module();
         let inputs = [16.0, 0.5];
-        let full =
-            run_campaign_traced(&m, &inputs, ExecLimits::default(), cfg(120, 29, 2)).unwrap();
+        let full = traced(&m, &inputs, cfg(120, 29, 2))
+            .run(&NullObserver)
+            .unwrap();
         for k in [0, 1, 8] {
             for threads in [1, 4] {
-                let snap = run_campaign_snapshotted_traced(
-                    &m,
-                    &inputs,
-                    ExecLimits::default(),
-                    cfg(120, 29, threads),
-                    SnapshotConfig {
-                        snapshots: k,
-                        converge_exit: true,
-                    },
-                )
-                .unwrap();
+                let snap = traced(&m, &inputs, cfg(120, 29, threads))
+                    .snapshots(k)
+                    .run(&NullObserver)
+                    .unwrap();
                 assert_eq!(
                     (
                         full.campaign.sdc,
@@ -728,10 +189,10 @@ mod tests {
                         full.campaign.benign
                     ),
                     (
-                        snap.traced.campaign.sdc,
-                        snap.traced.campaign.crash,
-                        snap.traced.campaign.hang,
-                        snap.traced.campaign.benign
+                        snap.campaign.sdc,
+                        snap.campaign.crash,
+                        snap.campaign.hang,
+                        snap.campaign.benign
                     ),
                     "k={k} threads={threads}"
                 );
@@ -744,7 +205,7 @@ mod tests {
                 if k > 0 {
                     assert!(snap.stats.restores > 0, "k={k}");
                 }
-                for (x, y) in full.trials.iter().zip(&snap.traced.trials) {
+                for (x, y) in full.traced.iter().zip(&snap.traced) {
                     assert_eq!(x.trial, y.trial);
                     assert_eq!(x.outcome, y.outcome, "trial {}", x.trial);
                     assert_eq!((x.site, x.bit, x.sid), (y.site, y.bit, y.sid));
@@ -768,16 +229,18 @@ mod tests {
         // stream bit-for-bit — so every provenance record must match.
         let m = module();
         let inputs = [16.0, 0.5];
-        let a = run_campaign_traced(&m, &inputs, ExecLimits::default(), cfg(80, 13, 2)).unwrap();
-        let b = run_campaign_traced(
+        let a = traced(&m, &inputs, cfg(80, 13, 2))
+            .run(&NullObserver)
+            .unwrap();
+        let b = traced(
             &m,
             &inputs,
-            ExecLimits::default(),
             CampaignConfig {
                 engine: EngineKind::Compiled,
                 ..cfg(80, 13, 2)
             },
         )
+        .run(&NullObserver)
         .unwrap();
         assert_eq!(
             (
@@ -793,7 +256,7 @@ mod tests {
                 b.campaign.benign
             )
         );
-        for (x, y) in a.trials.iter().zip(&b.trials) {
+        for (x, y) in a.traced.iter().zip(&b.traced) {
             assert_eq!(x.trial, y.trial);
             assert_eq!(x.outcome, y.outcome, "trial {}", x.trial);
             assert_eq!((x.site, x.bit, x.sid), (y.site, y.bit, y.sid));
@@ -816,10 +279,8 @@ mod tests {
         let inputs = [16.0, 0.5];
         let h1 = PropagationHeatmap::new();
         let h4 = PropagationHeatmap::new();
-        run_campaign_traced_observed(&m, &inputs, ExecLimits::default(), cfg(100, 23, 1), &h1)
-            .unwrap();
-        run_campaign_traced_observed(&m, &inputs, ExecLimits::default(), cfg(100, 23, 4), &h4)
-            .unwrap();
+        traced(&m, &inputs, cfg(100, 23, 1)).run(&h1).unwrap();
+        traced(&m, &inputs, cfg(100, 23, 4)).run(&h4).unwrap();
         assert_eq!(h1.trials(), 100);
         assert_eq!(h1.trials(), h4.trials());
         assert_eq!(h1.snapshot(), h4.snapshot());
@@ -836,8 +297,7 @@ mod tests {
         }
         let m = module();
         let obs = Collecting(std::sync::Mutex::new(Vec::new()));
-        run_campaign_traced_observed(&m, &[12.0, 0.5], ExecLimits::default(), cfg(40, 5, 3), &obs)
-            .unwrap();
+        traced(&m, &[12.0, 0.5], cfg(40, 5, 3)).run(&obs).unwrap();
         let events = obs.0.into_inner().unwrap();
         let finished = events
             .iter()

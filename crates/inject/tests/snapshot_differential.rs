@@ -1,20 +1,22 @@
 //! Differential test for the snapshot/fork campaign engine: on every
-//! benchmark, for every snapshot count and thread count, the
-//! snapshotted runner must produce outcome counts **bit-identical** to
-//! the classic [`run_campaign`] under the same `CampaignConfig` — the
-//! engine is a pure wall-clock optimization, never a measurement
-//! change. The taint-traced composition (`--snapshots
-//! --trace-propagation`) is held to the same bar, down to the
-//! per-trial provenance records.
+//! benchmark, for every snapshot count and thread count, a campaign plan
+//! with snapshots must produce outcome counts **bit-identical** to the
+//! classic [`run_campaign`] under the same `CampaignConfig` — the engine
+//! is a pure wall-clock optimization, never a measurement change. The
+//! taint-traced composition (`--snapshots --trace-propagation`) is held
+//! to the same bar, down to the per-trial provenance records, and so is
+//! the pruned composition (`--snapshots --static-prune`) with the reach
+//! ∪ deviation table.
 //!
 //! CI runs this file by name and fails if it is filtered out — see
 //! `.github/workflows/ci.yml`.
 
+use peppa_analysis::{deviation::combined_skip_cells, FaultReach};
 use peppa_apps::all_benchmarks;
 use peppa_inject::{
-    run_campaign, run_campaign_snapshotted, run_campaign_snapshotted_traced, run_campaign_traced,
-    CampaignConfig, CampaignResult, SnapshotConfig,
+    run_campaign, CampaignConfig, CampaignPlan, CampaignResult, PruneGate, StaticPrune,
 };
+use peppa_obs::NullObserver;
 use peppa_vm::ExecLimits;
 
 const TRIALS: u32 = 16;
@@ -45,19 +47,13 @@ fn snapshotted_outcomes_bit_identical_on_all_benchmarks() {
             .unwrap_or_else(|e| panic!("{}: full campaign failed: {e}", bench.name));
         for k in [0u32, 1, 8, 64] {
             for threads in [1usize, 4] {
-                let snap = run_campaign_snapshotted(
-                    &bench.module,
-                    &bench.reference_input,
-                    limits,
-                    cfg(threads),
-                    SnapshotConfig {
-                        snapshots: k,
-                        converge_exit: true,
-                    },
-                )
-                .unwrap_or_else(|e| {
-                    panic!("{}: snapshotted campaign (k={k}) failed: {e}", bench.name)
-                });
+                let snap =
+                    CampaignPlan::new(&bench.module, &bench.reference_input, limits, cfg(threads))
+                        .snapshots(k)
+                        .run(&NullObserver)
+                        .unwrap_or_else(|e| {
+                            panic!("{}: snapshotted campaign (k={k}) failed: {e}", bench.name)
+                        });
                 assert_eq!(
                     counts(&full),
                     counts(&snap.campaign),
@@ -90,22 +86,18 @@ fn snapshotted_outcomes_bit_identical_on_all_benchmarks() {
 fn snapshotted_traced_composition_bit_identical_on_all_benchmarks() {
     let limits = ExecLimits::default();
     for bench in all_benchmarks() {
-        let traced = run_campaign_traced(&bench.module, &bench.reference_input, limits, cfg(2))
+        let traced = CampaignPlan::new(&bench.module, &bench.reference_input, limits, cfg(2))
+            .trace(true)
+            .run(&NullObserver)
             .unwrap_or_else(|e| panic!("{}: traced campaign failed: {e}", bench.name));
-        let snap = run_campaign_snapshotted_traced(
-            &bench.module,
-            &bench.reference_input,
-            limits,
-            cfg(4),
-            SnapshotConfig {
-                snapshots: 8,
-                converge_exit: true,
-            },
-        )
-        .unwrap_or_else(|e| panic!("{}: snapshotted traced campaign failed: {e}", bench.name));
+        let snap = CampaignPlan::new(&bench.module, &bench.reference_input, limits, cfg(4))
+            .snapshots(8)
+            .trace(true)
+            .run(&NullObserver)
+            .unwrap_or_else(|e| panic!("{}: snapshotted traced campaign failed: {e}", bench.name));
         assert_eq!(
             counts(&traced.campaign),
-            counts(&snap.traced.campaign),
+            counts(&snap.campaign),
             "{}: snapshotted traced counts diverged",
             bench.name
         );
@@ -114,7 +106,7 @@ fn snapshotted_traced_composition_bit_identical_on_all_benchmarks() {
             "{}: tracing must observe the whole suffix",
             bench.name
         );
-        for (x, y) in traced.trials.iter().zip(&snap.traced.trials) {
+        for (x, y) in traced.traced.iter().zip(&snap.traced) {
             assert_eq!(x.outcome, y.outcome, "{} trial {}", bench.name, x.trial);
             assert_eq!(
                 (x.site, x.bit, x.sid),
@@ -141,4 +133,48 @@ fn snapshotted_traced_composition_bit_identical_on_all_benchmarks() {
             assert_eq!(x.report.live_at_end, y.report.live_at_end);
         }
     }
+}
+
+#[test]
+fn snapshotted_pruned_composition_matches_full_on_all_benchmarks() {
+    let limits = ExecLimits::default();
+    let mut skipped = 0;
+    for bench in all_benchmarks() {
+        let full = run_campaign(&bench.module, &bench.reference_input, limits, cfg(2))
+            .unwrap_or_else(|e| panic!("{}: full campaign failed: {e}", bench.name));
+        // The table `repro hybrid` builds: reach ∪ deviation cells for
+        // the campaign's own input.
+        let fr = FaultReach::analyze(&bench.module);
+        let table = StaticPrune {
+            cells: combined_skip_cells(&bench.module, &fr, &bench.reference_input, limits, 0),
+            burst: 0,
+        };
+        assert!(table.masked_cells() > 0, "{}: empty table", bench.name);
+        for k in [0u32, 8] {
+            for threads in [1usize, 4] {
+                let r =
+                    CampaignPlan::new(&bench.module, &bench.reference_input, limits, cfg(threads))
+                        .prune(&table, PruneGate::default())
+                        .snapshots(k)
+                        .run(&NullObserver)
+                        .unwrap_or_else(|e| {
+                            panic!("{}: pruned campaign (k={k}) failed: {e}", bench.name)
+                        });
+                assert_eq!(
+                    counts(&full),
+                    counts(&r.campaign),
+                    "{}: k={k} threads={threads} pruned counts diverged",
+                    bench.name
+                );
+                assert_eq!(
+                    r.stats.restores + r.stats.full_runs + r.skipped,
+                    TRIALS as u64,
+                    "{}: k={k} trials unaccounted",
+                    bench.name
+                );
+                skipped += r.skipped;
+            }
+        }
+    }
+    assert!(skipped > 0, "no benchmark skipped a trial");
 }

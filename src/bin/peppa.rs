@@ -12,7 +12,7 @@
 //!                pass pipeline for the level and exits
 //! peppa run      prog.mc --input 8,2.5 [--profile] golden run + profile
 //!                [--engine interp|compiled] selects the execution
-//!                backend (bit-identical; compiled is ~10x faster)
+//!                backend (bit-identical; compiled is ~3-8x faster)
 //! peppa inject   prog.mc --input 8,2.5 [--trials 1000] [--seed 1]
 //!                [--threads N] [--static-prune] [--trace-propagation]
 //!                [--snapshots K] [--engine interp|compiled]
@@ -20,8 +20,8 @@
 //!                with --static-prune, trials whose sampled fault cell
 //!                the interprocedural reachability analysis proves
 //!                masked are counted Benign without executing them
-//!                (gated: pruning disengages when the table predicts
-//!                too few skips to pay for its bookkeeping);
+//!                (gated: pruning stays off when the table predicts no
+//!                skips at all for this input);
 //!                with --trace-propagation, every trial runs under the
 //!                shadow-taint engine and the campaign reports how far
 //!                each fault travelled (sink reached vs extinguished)
@@ -30,9 +30,11 @@
 //!                up to K stratified fork points and every trial resumes
 //!                from the latest snapshot before its fault site —
 //!                bit-identical outcomes, a fraction of the wall time.
-//!                Composition: --snapshots composes with
-//!                --trace-propagation; --static-prune composes with
-//!                neither (see `peppa_inject::validate_flags`)
+//!                Composition: each flag adds one stage to the same
+//!                campaign plan, so --snapshots composes with both
+//!                other flags; --static-prune --trace-propagation is the
+//!                one refused pair (a skipped trial has no execution to
+//!                trace)
 //! peppa analyze  prog.mc                          pruning report
 //! peppa lint     prog.mc [--deny-warnings] [--json]
 //!                verify + static findings (dead values, unreachable
@@ -70,10 +72,7 @@ use peppa_x::analysis::FaultReach;
 use peppa_x::apps::{ArgSpec, Benchmark};
 use peppa_x::core::{PeppaConfig, PeppaX};
 use peppa_x::inject::{
-    generate_corpus, run_campaign_observed, run_campaign_pruned_gated_observed,
-    run_campaign_snapshotted_observed, run_campaign_snapshotted_traced_observed,
-    run_campaign_traced_observed, trace_propagation, validate_flags, CampaignConfig, InjectMode,
-    PruneGate, SnapshotConfig, StaticPrune,
+    generate_corpus, trace_propagation, CampaignConfig, CampaignPlan, PruneGate, StaticPrune,
 };
 use peppa_x::obs::{
     ChromeTrace, JsonlJournal, MetricsRegistry, MultiObserver, ProgressReporter, PropagationHeatmap,
@@ -421,9 +420,48 @@ fn run(args: Vec<String>) -> Result<ExitCode, String> {
                 engine: o.engine,
                 ..Default::default()
             };
-            let mode = validate_flags(o.snapshots, o.static_prune, o.trace_propagation)
-                .map_err(|e| e.to_string())?;
-            let print_snapshot_stats = |stats: &peppa_x::inject::SnapshotStats| {
+            // Each flag adds one stage to the plan; the plan refuses the
+            // one combination that does not compose.
+            let prune = o.static_prune.then(|| {
+                let fr = FaultReach::analyze(&bench.module);
+                let table = StaticPrune {
+                    cells: fr.skip_cells(cfg.burst),
+                    burst: cfg.burst,
+                };
+                (table, fr.masked_cells(cfg.burst))
+            });
+            let mut plan = CampaignPlan::new(&bench.module, &input, limits, cfg)
+                .snapshots(o.snapshots.unwrap_or(0))
+                .trace(o.trace_propagation);
+            if let Some((table, _)) = &prune {
+                plan = plan.prune(table, PruneGate::default());
+            }
+            let result = plan.run(&observer).map_err(|e| e.to_string())?;
+            if let (Some((_, (masked, total))), Some(d)) = (&prune, &result.decision) {
+                println!(
+                    "static prune: {masked}/{total} cells provably masked, gate {} (predicted skip {:.2}%), {} of {} trials skipped ({:.2}%)",
+                    if d.applied { "engaged" } else { "disengaged" },
+                    d.predicted_skip_ratio * 100.0,
+                    result.skipped,
+                    result.campaign.trials,
+                    result.skip_ratio() * 100.0
+                );
+            }
+            if o.trace_propagation {
+                let seeded = result.traced.iter().filter(|t| t.report.seeded).count();
+                println!(
+                    "propagation: {} seeded faults — {} reached a sink, {} extinguished, {} dormant at exit",
+                    seeded,
+                    result.propagated(),
+                    result.extinguished(),
+                    seeded - result.propagated() - result.extinguished()
+                );
+                if let Some(h) = &heatmap {
+                    print!("{}", h.render(10));
+                }
+            }
+            if o.snapshots.is_some() {
+                let stats = &result.stats;
                 println!(
                     "snapshots: {} captured ({:.1} MiB), {} trials restored, {} full runs, {} converged exits, {} prefix instrs saved",
                     stats.snapshots,
@@ -433,103 +471,8 @@ fn run(args: Vec<String>) -> Result<ExitCode, String> {
                     stats.converged_exits,
                     stats.prefix_instrs_saved
                 );
-            };
-            let r = match mode {
-                InjectMode::Traced => {
-                    let tr =
-                        run_campaign_traced_observed(&bench.module, &input, limits, cfg, &observer)
-                            .map_err(|e| e.to_string())?;
-                    let seeded = tr.trials.iter().filter(|t| t.report.seeded).count();
-                    println!(
-                        "propagation: {} seeded faults — {} reached a sink, {} extinguished, {} dormant at exit",
-                        seeded,
-                        tr.propagated(),
-                        tr.extinguished(),
-                        seeded - tr.propagated() - tr.extinguished()
-                    );
-                    if let Some(h) = &heatmap {
-                        print!("{}", h.render(10));
-                    }
-                    tr.campaign
-                }
-                InjectMode::SnapshottedTraced { snapshots } => {
-                    let snap = SnapshotConfig {
-                        snapshots,
-                        ..Default::default()
-                    };
-                    let st = run_campaign_snapshotted_traced_observed(
-                        &bench.module,
-                        &input,
-                        limits,
-                        cfg,
-                        snap,
-                        &observer,
-                    )
-                    .map_err(|e| e.to_string())?;
-                    let tr = st.traced;
-                    let seeded = tr.trials.iter().filter(|t| t.report.seeded).count();
-                    println!(
-                        "propagation: {} seeded faults — {} reached a sink, {} extinguished, {} dormant at exit",
-                        seeded,
-                        tr.propagated(),
-                        tr.extinguished(),
-                        seeded - tr.propagated() - tr.extinguished()
-                    );
-                    if let Some(h) = &heatmap {
-                        print!("{}", h.render(10));
-                    }
-                    print_snapshot_stats(&st.stats);
-                    tr.campaign
-                }
-                InjectMode::Snapshotted { snapshots } => {
-                    let snap = SnapshotConfig {
-                        snapshots,
-                        ..Default::default()
-                    };
-                    let sr = run_campaign_snapshotted_observed(
-                        &bench.module,
-                        &input,
-                        limits,
-                        cfg,
-                        snap,
-                        &observer,
-                    )
-                    .map_err(|e| e.to_string())?;
-                    print_snapshot_stats(&sr.stats);
-                    sr.campaign
-                }
-                InjectMode::Pruned => {
-                    let fr = FaultReach::analyze(&bench.module);
-                    let prune = StaticPrune {
-                        cells: fr.skip_cells(cfg.burst),
-                        burst: cfg.burst,
-                    };
-                    let (masked, total) = fr.masked_cells(cfg.burst);
-                    let g = run_campaign_pruned_gated_observed(
-                        &bench.module,
-                        &input,
-                        limits,
-                        cfg,
-                        &prune,
-                        PruneGate::default(),
-                        &observer,
-                    )
-                    .map_err(|e| e.to_string())?;
-                    println!(
-                        "static prune: {masked}/{total} cells provably masked, gate {} (predicted skip {:.2}%), {} of {} trials skipped ({:.2}%)",
-                        if g.decision.applied { "engaged" } else { "disengaged" },
-                        g.decision.predicted_skip_ratio * 100.0,
-                        g.result.skipped,
-                        g.result.campaign.trials,
-                        g.result.skip_ratio() * 100.0
-                    );
-                    g.result.campaign
-                }
-                InjectMode::Plain => {
-                    run_campaign_observed(&bench.module, &input, limits, cfg, &observer)
-                        .map_err(|e| e.to_string())?
-                }
-            };
+            }
+            let r = result.campaign;
             println!(
                 "trials {}: SDC {:.2}% (CI ±{:.2}pp)  crash {:.2}%  hang {:.2}%  benign {:.2}%",
                 r.trials,
