@@ -57,6 +57,9 @@
 //! Outcomes are bit-identical either way (the engine differential test
 //! enforces this), so the flag is purely a wall-clock knob — except for
 //! `baseline`, whose per-engine columns always measure both.
+//! Per-instruction measurements (`fig2`/`table3`, `static-rank`,
+//! `table5`, `optstudy`, `fig9`) and the search's preparation and
+//! fitness runs always run compiled.
 
 use peppa_bench::{render, scale::Scale, Ctx};
 use peppa_obs::{

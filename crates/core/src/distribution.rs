@@ -98,10 +98,10 @@ pub fn derive_sdc_scores(
     }
 
     // Cost: each trial re-executes the program on the FI input.
-    let vm = peppa_vm::Vm::new(&bench.module, limits);
-    let golden = vm.run_numeric(fi_input, None);
-    let cost =
-        measured.total_trials.saturating_mul(golden.profile.dynamic) + golden.profile.dynamic;
+    let cost = measured
+        .total_trials
+        .saturating_mul(measured.golden_dynamic)
+        + measured.golden_dynamic;
 
     Ok(SdcScores {
         score: raw,

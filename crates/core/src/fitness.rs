@@ -12,19 +12,25 @@
 
 use crate::distribution::SdcScores;
 use peppa_apps::Benchmark;
-use peppa_vm::{ExecLimits, RunStatus, Vm};
+use peppa_vm::{CompiledModule, Engine, ExecLimits, ResumeScratch, RunOutput, RunStatus, Vm};
 
-/// Computes the fitness of one input: `Σ score_i · N_i / N_total`, or
-/// `None` when the input is invalid (run fails or exceeds the dynamic
-/// cap).
+/// Computes the fitness of one input on the interpreter:
+/// `Σ score_i · N_i / N_total` and `N_total`, or `None` when the input
+/// is invalid (run fails or exceeds the dynamic cap).
 pub fn fitness_of_input(
     bench: &Benchmark,
     scores: &SdcScores,
     input: &[f64],
     limits: ExecLimits,
 ) -> Option<(f64, u64)> {
-    let vm = Vm::new(&bench.module, limits);
-    let out = vm.run_numeric(input, None);
+    potential(
+        scores,
+        &Vm::new(&bench.module, limits).run_numeric(input, None),
+    )
+}
+
+/// Eq. 2 over one run's profile, as [`fitness_of_input`] returns it.
+fn potential(scores: &SdcScores, out: &RunOutput) -> Option<(f64, u64)> {
     if out.status != RunStatus::Ok || out.profile.dynamic == 0 {
         return None;
     }
@@ -46,6 +52,10 @@ pub fn fitness_of_input(
 /// fitness run is deterministic, so a repeat costs a map lookup instead
 /// of a full profiled execution. `cost_dynamic` only grows on real runs,
 /// keeping the reported search budget honest.
+///
+/// Runs are on the compiled engine and reuse one memory image for as
+/// long as the oracle lives; results equal [`fitness_of_input`]'s bit
+/// for bit.
 pub struct FitnessOracle<'a> {
     pub bench: &'a Benchmark,
     pub scores: &'a SdcScores,
@@ -55,6 +65,8 @@ pub struct FitnessOracle<'a> {
     /// Memoized evaluations served without running the VM.
     pub cache_hits: u64,
     cache: std::collections::HashMap<Vec<u64>, Option<f64>>,
+    code: CompiledModule,
+    scratch: ResumeScratch,
 }
 
 impl<'a> FitnessOracle<'a> {
@@ -67,6 +79,8 @@ impl<'a> FitnessOracle<'a> {
             evaluations: 0,
             cache_hits: 0,
             cache: std::collections::HashMap::new(),
+            code: CompiledModule::lower(&bench.module),
+            scratch: ResumeScratch::new(),
         }
     }
 
@@ -83,7 +97,9 @@ impl<'a> FitnessOracle<'a> {
             self.cache_hits += 1;
             return cached;
         }
-        let result = match fitness_of_input(self.bench, self.scores, &clamped, self.limits) {
+        let out = Engine::compiled(&self.bench.module, &self.code, self.limits)
+            .run_numeric_amortized(&mut self.scratch, &clamped, None);
+        let result = match potential(self.scores, &out) {
             Some((f, dynamic)) => {
                 self.cost_dynamic += dynamic;
                 Some(f)

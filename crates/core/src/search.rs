@@ -28,7 +28,9 @@ pub struct PeppaConfig {
     pub limits: ExecLimits,
     /// Worker threads for FI phases; 0 = all cores.
     pub threads: usize,
-    /// Execution backend for the FI phases (outcome-invariant).
+    /// Execution backend for the final FI campaigns (outcome-invariant).
+    /// Preparation (small-input fuzzing, the distribution FI) and the
+    /// GA's fitness runs always run on the compiled engine.
     pub engine: EngineKind,
     pub small_input: SmallInputConfig,
 }
@@ -227,6 +229,10 @@ impl<'b> PeppaX<'b> {
             }
         }
         let ga_evaluations = ga.evaluations();
+        // Free the oracle's memory image before the final FI's golden run
+        // and trial arena come on top of it (perfbench `search` peak RSS
+        // rose in 16 MiB steps when it was kept).
+        drop(oracle);
         observer.on_event(&Event::SearchFinished {
             generations: last,
             evaluations: ga_evaluations,

@@ -8,7 +8,7 @@
 
 use peppa_apps::Benchmark;
 use peppa_stats::Pcg64;
-use peppa_vm::{ExecLimits, RunStatus, Vm};
+use peppa_vm::{CompiledModule, Engine, ExecLimits, ResumeScratch, RunStatus};
 use serde::{Deserialize, Serialize};
 
 /// Configuration of the small-input fuzzing step.
@@ -75,14 +75,19 @@ impl std::fmt::Display for SmallInputError {
 
 impl std::error::Error for SmallInputError {}
 
-/// Runs the fuzzing procedure of §4.2.1.
+/// Runs the fuzzing procedure of §4.2.1. Every run is on the compiled
+/// engine and reuses one memory image; the engines are bit-identical, so
+/// the profiles are the interpreter's.
 pub fn fuzz_small_input(
     bench: &Benchmark,
     limits: ExecLimits,
     cfg: SmallInputConfig,
 ) -> Result<SmallInput, SmallInputError> {
-    let vm = Vm::new(&bench.module, limits);
-    let ref_run = vm.run_numeric(&bench.reference_input, None);
+    let code = CompiledModule::lower(&bench.module);
+    let engine = Engine::compiled(&bench.module, &code, limits);
+    let mut scratch = ResumeScratch::new();
+    let mut run = |input: &[f64]| engine.run_numeric_amortized(&mut scratch, input, None);
+    let ref_run = run(&bench.reference_input);
     if ref_run.status != RunStatus::Ok {
         return Err(SmallInputError::ReferenceRunFailed);
     }
@@ -116,7 +121,7 @@ pub fn fuzz_small_input(
                 .map(|(a, &(lo, hi))| a.clamp(rng.gen_range_f64(lo, hi)))
                 .collect();
             attempts += 1;
-            let out = vm.run_numeric(&candidate, None);
+            let out = run(&candidate);
             cost += out.profile.dynamic;
             if out.status != RunStatus::Ok {
                 continue;

@@ -7,13 +7,19 @@
 //! its result, then classifies the outcome. Instructions that never
 //! execute under the input, or that produce no value (stores, outputs,
 //! void calls), have no measurement.
+//!
+//! Every run is on the compiled engine, each worker reusing one memory
+//! image across its trials: the engines are bit-identical, and on a
+//! short input a fresh interpreter and its 16 MiB image cost far more
+//! than the trial itself. `crates/core/tests/engine_invariance.rs` keeps
+//! a fresh-interpreter-per-trial loop as the oracle.
 
-use crate::campaign::{golden_run, CampaignError};
+use crate::campaign::{check_golden, CampaignError};
 use crate::outcome::{classify, FaultOutcome};
 use crate::plan::fan_out;
 use peppa_ir::{InstrId, Module};
 use peppa_stats::Pcg64;
-use peppa_vm::{ExecLimits, Injection, InjectionTarget, Vm};
+use peppa_vm::{CompiledModule, Engine, ExecLimits, Injection, InjectionTarget, ResumeScratch};
 use serde::{Deserialize, Serialize};
 
 /// Configuration for per-instruction measurement.
@@ -48,6 +54,9 @@ pub struct PerInstrResult {
     pub total_trials: u64,
     /// Program executions consumed (trials + golden).
     pub executions: u64,
+    /// Dynamic instructions of the golden run (each trial re-executes
+    /// about as many).
+    pub golden_dynamic: u64,
 }
 
 impl PerInstrResult {
@@ -79,7 +88,9 @@ pub fn per_instruction_sdc(
     cfg: PerInstrConfig,
     subset: Option<&[InstrId]>,
 ) -> Result<PerInstrResult, CampaignError> {
-    let golden = golden_run(module, inputs, limits)?;
+    // Lower once; workers share the read-only bytecode.
+    let code = CompiledModule::lower(module);
+    let golden = check_golden(Engine::compiled(module, &code, limits).run_numeric(inputs, None))?;
 
     // Which instructions have a result value?
     let mut has_result = vec![false; module.num_instrs];
@@ -104,8 +115,9 @@ pub fn per_instruction_sdc(
             .saturating_add(10_000),
         ..limits
     };
+    let engine = Engine::compiled(module, &code, faulty_limits);
 
-    let measure_one = |sid: InstrId| -> f64 {
+    let measure_one = |sid: InstrId, scratch: &mut ResumeScratch| -> f64 {
         let count = golden.profile.exec_counts[sid.0 as usize];
         let mut sdc = 0u32;
         for t in 0..cfg.trials_per_instr {
@@ -119,8 +131,7 @@ pub fn per_instruction_sdc(
                 bit,
                 burst: 0,
             };
-            let vm = Vm::new(module, faulty_limits);
-            let faulty = vm.run_numeric(inputs, Some(inj));
+            let faulty = engine.run_numeric_amortized(scratch, inputs, Some(inj));
             debug_assert!(
                 faulty.fault_activated,
                 "instance sampled from golden must activate"
@@ -136,7 +147,7 @@ pub fn per_instruction_sdc(
     fan_out(
         work.len() as u32,
         cfg.threads,
-        |i, _| (work[i as usize], measure_one(work[i as usize])),
+        |i, scratch| (work[i as usize], measure_one(work[i as usize], scratch)),
         |(sid, p)| sdc_prob[sid.0 as usize] = Some(p),
     );
     let total_trials = work.len() as u64 * cfg.trials_per_instr as u64;
@@ -144,6 +155,7 @@ pub fn per_instruction_sdc(
         sdc_prob,
         total_trials,
         executions: total_trials + 1,
+        golden_dynamic: golden.profile.dynamic,
     })
 }
 

@@ -124,8 +124,9 @@ pub enum Event {
         wall_ns: u64,
     },
     /// Fault-provenance record of one traced FI trial: where the taint
-    /// seeded at the flipped bit went. Emitted by `run_campaign_traced`
-    /// alongside the trial's `TrialFinished`.
+    /// seeded at the flipped bit went. Emitted by a traced campaign
+    /// plan (`CampaignPlan::trace`) right after the trial's
+    /// `TrialFinished`.
     TrialProvenance {
         /// Trial index in `[0, trials)`.
         trial: u32,

@@ -19,7 +19,8 @@
 //!
 //! Two execution engines sit behind the same observables: the
 //! tree-walking interpreter ([`Vm`], the semantic reference) and the
-//! compiled threaded-bytecode backend ([`CompiledVm`], ~10× faster,
+//! compiled threaded-bytecode backend ([`CompiledVm`], 3.1–7.6× the
+//! interpreter's instructions per second in `BENCH_baseline.json`,
 //! differentially tested bit-exact). [`Engine`] is the seam callers
 //! select one through; [`CompiledModule::lower`] is the one-time
 //! translation.

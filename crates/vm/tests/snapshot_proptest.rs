@@ -5,9 +5,9 @@
 //! that resuming from each one — with and without an injected fault —
 //! reproduces the straight run bit-for-bit: same status, same output,
 //! same return value, same final memory image, same dynamic counters.
-//! This is the determinism contract `run_campaign_snapshotted` rests
-//! on, exercised over arbitrary programs instead of hand-picked
-//! kernels.
+//! This is the determinism contract snapshot-resumed campaign trials
+//! (`CampaignPlan::snapshots` in `peppa-inject`) rest on, exercised
+//! over arbitrary programs instead of hand-picked kernels.
 
 use peppa_vm::{encode_inputs, ExecLimits, Injection, InjectionTarget, RunStatus, Vm};
 use proptest::prelude::*;

@@ -45,6 +45,9 @@
 //! peppa corpus   prog.mc --input 8,2.5 --count 200 > corpus.json
 //! peppa search   prog.mc --spec "n:int:4:64:4:8,s:float:0.1:9:0.1:1" \
 //!                --ref 32,1.0 [--generations 50]  find the SDC-bound input
+//!                [--engine interp|compiled] selects the final FI
+//!                campaign's backend; small-input fuzzing, the
+//!                distribution FI and fitness runs are always compiled
 //! peppa ci       prog.mc --spec ... --ref ... --budget-sdc 0.25
 //!                exits non-zero if the SDC bound exceeds the budget
 //!                (the paper's §7.1.2 continuous-integration use case)
