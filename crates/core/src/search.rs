@@ -5,7 +5,7 @@ use crate::fitness::FitnessOracle;
 use crate::small_input::{fuzz_small_input, SmallInput, SmallInputConfig};
 use peppa_apps::Benchmark;
 use peppa_ga::{ArgBounds, GaConfig, GeneticEngine, Individual};
-use peppa_inject::{CampaignConfig, CampaignPlan, CampaignResult};
+use peppa_inject::{CampaignConfig, CampaignPlan, CampaignResult, DEFAULT_SNAPSHOTS};
 use peppa_obs::{Event, NullObserver, Observer};
 use peppa_vm::{EngineKind, ExecLimits};
 use serde::{Deserialize, Serialize};
@@ -28,9 +28,10 @@ pub struct PeppaConfig {
     pub limits: ExecLimits,
     /// Worker threads for FI phases; 0 = all cores.
     pub threads: usize,
-    /// Execution backend for the final FI campaigns (outcome-invariant).
-    /// Preparation (small-input fuzzing, the distribution FI) and the
-    /// GA's fitness runs always run on the compiled engine.
+    /// Execution backend for the final FI campaigns (outcome-invariant),
+    /// which resume their trials from golden-prefix snapshots on either
+    /// engine. Preparation (small-input fuzzing, the distribution FI)
+    /// and the GA's fitness runs always run on the compiled engine.
     pub engine: EngineKind,
     pub small_input: SmallInputConfig,
 }
@@ -240,7 +241,8 @@ impl<'b> PeppaX<'b> {
         });
 
         // FI-evaluate each checkpoint's best input (§4.1: FI only at the
-        // end of the search).
+        // end of the search), resuming trials from golden-prefix
+        // snapshots.
         let mut results = Vec::with_capacity(pending.len());
         for (generation, input, fitness, search_cost_dynamic) in pending {
             let campaign_cfg = CampaignConfig {
@@ -252,6 +254,7 @@ impl<'b> PeppaX<'b> {
                 engine: self.cfg.engine,
             };
             let sdc = CampaignPlan::new(&self.bench.module, &input, self.cfg.limits, campaign_cfg)
+                .snapshots(DEFAULT_SNAPSHOTS)
                 .run(observer)
                 .expect("GA best input must be valid (oracle rejected invalid genomes)")
                 .campaign;

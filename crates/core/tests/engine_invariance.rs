@@ -1,27 +1,38 @@
 //! Engine invariance of the pipeline's measurements.
 //!
 //! `PeppaX::prepare` and the GA run every execution on the compiled
-//! engine, each worker reusing one memory image. Each test here takes
-//! one of those measurements again on the interpreter, a fresh `Vm` per
-//! run, and requires it bit for bit, on all seven benchmarks at their
-//! fuzzed small inputs:
+//! engine, each worker reusing one memory image, and both FI stages of
+//! a search resume their trials from golden-prefix snapshots. Each test
+//! here takes one of those measurements again on the interpreter, every
+//! run from program entry, and requires it bit for bit, on all seven
+//! benchmarks:
 //!
-//! * `per_instruction_sdc` (the distribution FI) against the loop it ran
-//!   before, one interpreter per `StaticInstance` trial;
+//! * `per_instruction_sdc` (the distribution FI, snapshot-resumed)
+//!   against the loop it ran before, one interpreter per
+//!   `StaticInstance` trial, at the fuzzed small inputs, and on a
+//!   recursive program from snapshots and from entry;
 //! * `fuzz_small_input` against a replay of §4.2.1 on the interpreter;
 //! * `FitnessOracle::eval` against Eq. 2 over an interpreter profile,
-//!   invalid genomes included.
+//!   invalid genomes included;
+//! * each checkpoint of `search_observed` (the final FI,
+//!   snapshot-resumed) against `run_campaign` from entry.
 
 use peppa_analysis::prune_fi_space;
 use peppa_apps::{all_benchmarks, Benchmark};
 use peppa_core::{
-    derive_sdc_scores, fuzz_small_input, FitnessOracle, SdcScores, SmallInput, SmallInputConfig,
+    derive_sdc_scores, fuzz_small_input, FitnessOracle, PeppaConfig, PeppaX, SdcScores, SmallInput,
+    SmallInputConfig,
 };
-use peppa_inject::{classify, per_instruction_sdc, FaultOutcome, PerInstrConfig};
+use peppa_inject::{
+    classify, per_instruction_sdc, run_campaign, CampaignConfig, CampaignPlan, FaultOutcome,
+    PerInstrConfig, DEFAULT_SNAPSHOTS,
+};
 use peppa_ir::Module;
+use peppa_obs::{Event, NullObserver, Observer};
 use peppa_stats::Pcg64;
-use peppa_vm::{ExecLimits, Injection, InjectionTarget, RunStatus, Vm};
+use peppa_vm::{EngineKind, ExecLimits, Injection, InjectionTarget, RunStatus, Vm};
 use std::collections::HashSet;
+use std::sync::Mutex;
 
 /// Few trials per instruction keep the interpreter oracle fast in debug
 /// builds; every measurable instruction of every benchmark still gets
@@ -34,14 +45,14 @@ fn small_input(b: &Benchmark) -> SmallInput {
 }
 
 /// The interpreter loop `per_instruction_sdc` ran before it moved to the
-/// compiled engine: `sdc_prob` per sid and the golden run's dynamic
-/// instruction count.
+/// compiled engine: `sdc_prob` per sid, the golden run's dynamic
+/// instruction count, and how many trials' faults never fired.
 fn interp_per_instruction_sdc(
     module: &Module,
     inputs: &[f64],
     limits: ExecLimits,
     cfg: PerInstrConfig,
-) -> (Vec<Option<f64>>, u64) {
+) -> (Vec<Option<f64>>, u64, u64) {
     let golden = Vm::new(module, limits).run_numeric(inputs, None);
     assert_eq!(golden.status, RunStatus::Ok);
     let faulty_limits = ExecLimits {
@@ -53,6 +64,7 @@ fn interp_per_instruction_sdc(
         ..limits
     };
     let mut sdc_prob = vec![None; module.num_instrs];
+    let mut unfired = 0;
     for (_, ins) in module.all_instrs() {
         let sid = ins.sid;
         let count = golden.profile.exec_counts[sid.0 as usize];
@@ -72,14 +84,14 @@ fn interp_per_instruction_sdc(
                 burst: 0,
             };
             let faulty = Vm::new(module, faulty_limits).run_numeric(inputs, Some(inj));
-            assert!(faulty.fault_activated);
+            unfired += u64::from(!faulty.fault_activated);
             if classify(&golden, &faulty) == FaultOutcome::Sdc {
                 sdc += 1;
             }
         }
         sdc_prob[sid.0 as usize] = Some(sdc as f64 / cfg.trials_per_instr as f64);
     }
-    (sdc_prob, golden.profile.dynamic)
+    (sdc_prob, golden.profile.dynamic, unfired)
 }
 
 #[test]
@@ -96,8 +108,9 @@ fn per_instruction_sdc_matches_a_fresh_interpreter_per_trial() {
             threads: 2,
         };
         let r = per_instruction_sdc(&b.module, &small.input, limits, cfg, None).unwrap();
-        let (oracle, golden_dynamic) =
+        let (oracle, golden_dynamic, unfired) =
             interp_per_instruction_sdc(&b.module, &small.input, limits, cfg);
+        assert_eq!(unfired, 0, "{}: a sampled instance never fired", b.name);
         assert_eq!(r.sdc_prob, oracle, "{}: sdc_prob", b.name);
         assert_eq!(r.golden_dynamic, golden_dynamic, "{}: golden", b.name);
         let measured = oracle.iter().flatten().count() as u64;
@@ -125,6 +138,63 @@ fn per_instruction_sdc_matches_a_fresh_interpreter_per_trial() {
             b.name
         );
     }
+}
+
+/// Recursive calls. The VM counts a call's instance when it dispatches
+/// the call and faults the result when the frame pops, so several
+/// returns of one call instruction see the same instance: some
+/// instances fire at an earlier return than their place among the
+/// results, and some never fire.
+const RECURSIVE: &str = r#"
+    fn fib(n: int) -> int {
+        if (n < 2) { return n; }
+        return fib(n - 1) + fib(n - 2);
+    }
+    fn pow2(n: int) -> int {
+        if (n <= 0) { return 1; }
+        return pow2(n - 1) * 2;
+    }
+    fn main(n: int) { output fib(n) + pow2(n); }
+"#;
+
+#[test]
+fn per_instruction_sdc_matches_a_fresh_interpreter_per_trial_under_recursion() {
+    const PER_INSTR: u32 = 24;
+    let m = peppa_lang::compile(RECURSIVE, "recursive").unwrap();
+    let (limits, input) = (ExecLimits::default(), [12.0]);
+    let cfg = PerInstrConfig {
+        trials_per_instr: PER_INSTR,
+        seed: 0x5eed,
+        hang_factor: 8,
+        threads: 2,
+    };
+    let (oracle, _, unfired) = interp_per_instruction_sdc(&m, &input, limits, cfg);
+    assert!(unfired > 0, "no sampled instance was one that never fires");
+
+    // From `DEFAULT_SNAPSHOTS` snapshots, and from entry.
+    let r = per_instruction_sdc(&m, &input, limits, cfg, None).unwrap();
+    assert_eq!(r.sdc_prob, oracle, "K = {DEFAULT_SNAPSHOTS}");
+    let entry = CampaignPlan::new(
+        &m,
+        &input,
+        limits,
+        CampaignConfig {
+            trials: PER_INSTR,
+            seed: cfg.seed,
+            hang_factor: cfg.hang_factor,
+            burst: 0,
+            threads: 2,
+            engine: EngineKind::Compiled,
+        },
+    )
+    .per_instruction(None)
+    .run(&NullObserver)
+    .unwrap();
+    let mut from_entry = vec![None; m.num_instrs];
+    for &(sid, sdc) in &entry.per_instr {
+        from_entry[sid.0 as usize] = Some(sdc as f64 / PER_INSTR as f64);
+    }
+    assert_eq!(from_entry, oracle, "K = 0");
 }
 
 /// §4.2.1 replayed on the interpreter: the same candidates, drawn from
@@ -283,5 +353,70 @@ fn fitness_oracle_matches_eq2_over_interpreter_profiles() {
         assert!(invalid > 0, "{}: no invalid genome exercised", b.name);
         assert_eq!(oracle.evaluations, genomes.len() as u64, "{}", b.name);
         assert!(oracle.cache_hits >= 1, "{}: repeat not memoized", b.name);
+    }
+}
+
+/// Collects each campaign's `SnapshotStats::restores`.
+struct Restores(Mutex<Vec<u64>>);
+
+impl Observer for Restores {
+    fn on_event(&self, e: &Event) {
+        if let Event::SnapshotStats { restores, .. } = e {
+            self.0.lock().unwrap().push(*restores);
+        }
+    }
+}
+
+#[test]
+fn search_final_fi_matches_interpreter_campaigns_from_entry() {
+    for b in all_benchmarks() {
+        let cfg = PeppaConfig {
+            seed: 0x5eed,
+            population: 4,
+            distribution_trials: TRIALS,
+            final_fi_trials: 40,
+            threads: 2,
+            engine: EngineKind::Compiled,
+            ..Default::default()
+        };
+        let px = PeppaX::prepare(&b, cfg).unwrap_or_else(|e| panic!("{}: {e}", b.name));
+        let restores = Restores(Mutex::new(Vec::new()));
+        let report = px.search_observed(&[1, 2], &restores);
+        assert_eq!(report.checkpoints.len(), 2, "{}", b.name);
+        let restores = restores.0.into_inner().unwrap();
+        assert_eq!(
+            restores.len(),
+            2,
+            "{}: one SnapshotStats per checkpoint",
+            b.name
+        );
+        assert!(restores.iter().all(|&r| r > 0), "{}: {restores:?}", b.name);
+        for cp in &report.checkpoints {
+            let want = run_campaign(
+                &b.module,
+                &cp.input,
+                cfg.limits,
+                CampaignConfig {
+                    trials: cfg.final_fi_trials,
+                    seed: cfg.seed ^ cp.generation,
+                    hang_factor: 8,
+                    burst: 0,
+                    threads: 1,
+                    engine: EngineKind::Interp,
+                },
+            )
+            .unwrap_or_else(|e| panic!("{}: {e}", b.name));
+            let counts = |r: &peppa_inject::CampaignResult| {
+                (r.trials, r.sdc, r.crash, r.hang, r.benign, r.executions)
+            };
+            assert_eq!(
+                counts(&cp.sdc),
+                counts(&want),
+                "{}: generation {} final FI",
+                b.name,
+                cp.generation
+            );
+            assert_eq!(cp.sdc.golden_dynamic, want.golden_dynamic, "{}", b.name);
+        }
     }
 }

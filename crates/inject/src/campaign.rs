@@ -7,7 +7,7 @@
 //! kept with their signatures and result types for existing callers.
 
 use crate::outcome::FaultOutcome;
-use crate::plan::CampaignPlan;
+use crate::plan::{CampaignPlan, DEFAULT_SNAPSHOTS};
 use peppa_ir::Module;
 use peppa_obs::{NullObserver, Observer, Outcome as ObsOutcome};
 use peppa_stats::{BinomialCi, Pcg64};
@@ -229,7 +229,9 @@ pub struct SnapshotConfig {
 
 impl Default for SnapshotConfig {
     fn default() -> Self {
-        SnapshotConfig { snapshots: 16 }
+        SnapshotConfig {
+            snapshots: DEFAULT_SNAPSHOTS,
+        }
     }
 }
 
@@ -273,6 +275,12 @@ pub enum CampaignError {
     /// The plan combines a prune table with tracing: a skipped trial has
     /// no execution to trace.
     PruneWithTrace,
+    /// A per-instruction plan asks for more trials than a campaign can
+    /// index (`u32::MAX`).
+    TooManyTrials {
+        instructions: u64,
+        per_instruction: u32,
+    },
 }
 
 impl std::fmt::Display for CampaignError {
@@ -289,6 +297,15 @@ impl std::fmt::Display for CampaignError {
                 "static pruning (--static-prune) and propagation tracing \
                  (--trace-propagation) do not compose: a skipped trial has \
                  no execution to trace"
+            ),
+            CampaignError::TooManyTrials {
+                instructions,
+                per_instruction,
+            } => write!(
+                f,
+                "{instructions} instructions × {per_instruction} trials each exceeds \
+                 {} trials per campaign",
+                u32::MAX
             ),
         }
     }

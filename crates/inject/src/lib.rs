@@ -39,6 +39,6 @@ pub use campaign::{
 pub use forkpoint::{fork_point_for, plan_fork_points};
 pub use outcome::{classify, FaultOutcome};
 pub use per_instr::{per_instruction_sdc, PerInstrConfig, PerInstrResult};
-pub use plan::{CampaignPlan, PlanResult};
+pub use plan::{CampaignPlan, PlanResult, DEFAULT_SNAPSHOTS};
 pub use propagation::{generate_corpus, trace_propagation, CorpusEntry, PropagationTrace};
 pub use provenance::TracedTrial;

@@ -8,18 +8,24 @@
 //! execute under the input, or that produce no value (stores, outputs,
 //! void calls), have no measurement.
 //!
-//! Every run is on the compiled engine, each worker reusing one memory
-//! image across its trials: the engines are bit-identical, and on a
-//! short input a fresh interpreter and its 16 MiB image cost far more
-//! than the trial itself. `crates/core/tests/engine_invariance.rs` keeps
-//! a fresh-interpreter-per-trial loop as the oracle.
+//! [`per_instruction_sdc`] is one [`CampaignPlan`] with the
+//! per-instruction sampler, on the compiled engine, resuming each trial
+//! from the latest of [`DEFAULT_SNAPSHOTS`] golden-prefix snapshots
+//! before the result its fault corrupts. Under recursion that is not
+//! always the instance's own result, and some instances are never
+//! faulted; the plan places each one where the VM faults it, and runs
+//! the unfaulted ones from entry. The plan's golden run, hang budget,
+//! executor and aggregator are the ones every campaign uses, so
+//! outcomes are bit-identical to running each trial from entry:
+//! `crates/core/tests/engine_invariance.rs` keeps a
+//! fresh-interpreter-per-trial loop as the oracle, on the benchmarks
+//! and on a recursive program.
 
-use crate::campaign::{check_golden, CampaignError};
-use crate::outcome::{classify, FaultOutcome};
-use crate::plan::fan_out;
+use crate::campaign::{CampaignConfig, CampaignError};
+use crate::plan::{CampaignPlan, DEFAULT_SNAPSHOTS};
 use peppa_ir::{InstrId, Module};
-use peppa_stats::Pcg64;
-use peppa_vm::{CompiledModule, Engine, ExecLimits, Injection, InjectionTarget, ResumeScratch};
+use peppa_obs::NullObserver;
+use peppa_vm::{EngineKind, ExecLimits};
 use serde::{Deserialize, Serialize};
 
 /// Configuration for per-instruction measurement.
@@ -88,80 +94,34 @@ pub fn per_instruction_sdc(
     cfg: PerInstrConfig,
     subset: Option<&[InstrId]>,
 ) -> Result<PerInstrResult, CampaignError> {
-    // Lower once; workers share the read-only bytecode.
-    let code = CompiledModule::lower(module);
-    let golden = check_golden(Engine::compiled(module, &code, limits).run_numeric(inputs, None))?;
-
-    // Which instructions have a result value?
-    let mut has_result = vec![false; module.num_instrs];
-    for (_, ins) in module.all_instrs() {
-        has_result[ins.sid.0 as usize] = ins.result.is_some();
-    }
-
-    let targets: Vec<InstrId> = match subset {
-        Some(s) => s.to_vec(),
-        None => (0..module.num_instrs as u32).map(InstrId).collect(),
+    let campaign = CampaignConfig {
+        trials: cfg.trials_per_instr,
+        seed: cfg.seed,
+        hang_factor: cfg.hang_factor,
+        burst: 0,
+        threads: cfg.threads,
+        engine: EngineKind::Compiled,
     };
-    let work: Vec<InstrId> = targets
-        .into_iter()
-        .filter(|sid| has_result[sid.0 as usize] && golden.profile.exec_counts[sid.0 as usize] > 0)
-        .collect();
-
-    let faulty_limits = ExecLimits {
-        max_dynamic: golden
-            .profile
-            .dynamic
-            .saturating_mul(cfg.hang_factor)
-            .saturating_add(10_000),
-        ..limits
-    };
-    let engine = Engine::compiled(module, &code, faulty_limits);
-
-    let measure_one = |sid: InstrId, scratch: &mut ResumeScratch| -> f64 {
-        let count = golden.profile.exec_counts[sid.0 as usize];
-        let mut sdc = 0u32;
-        for t in 0..cfg.trials_per_instr {
-            let mut rng = Pcg64::new(
-                cfg.seed ^ (sid.0 as u64) << 32 ^ (t as u64).wrapping_mul(0x2545f4914f6cdd1d),
-            );
-            let instance = rng.gen_range_u64(count);
-            let bit = rng.gen_range_u64(64) as u32;
-            let inj = Injection {
-                target: InjectionTarget::StaticInstance { sid, instance },
-                bit,
-                burst: 0,
-            };
-            let faulty = engine.run_numeric_amortized(scratch, inputs, Some(inj));
-            debug_assert!(
-                faulty.fault_activated,
-                "instance sampled from golden must activate"
-            );
-            if classify(&golden, &faulty) == FaultOutcome::Sdc {
-                sdc += 1;
-            }
-        }
-        sdc as f64 / cfg.trials_per_instr as f64
-    };
-
+    let r = CampaignPlan::new(module, inputs, limits, campaign)
+        .per_instruction(subset)
+        .snapshots(DEFAULT_SNAPSHOTS)
+        .run(&NullObserver)?;
     let mut sdc_prob = vec![None; module.num_instrs];
-    fan_out(
-        work.len() as u32,
-        cfg.threads,
-        |i, scratch| (work[i as usize], measure_one(work[i as usize], scratch)),
-        |(sid, p)| sdc_prob[sid.0 as usize] = Some(p),
-    );
-    let total_trials = work.len() as u64 * cfg.trials_per_instr as u64;
+    for &(sid, sdc) in &r.per_instr {
+        sdc_prob[sid.0 as usize] = Some(sdc as f64 / cfg.trials_per_instr as f64);
+    }
     Ok(PerInstrResult {
         sdc_prob,
-        total_trials,
-        executions: total_trials + 1,
-        golden_dynamic: golden.profile.dynamic,
+        total_trials: r.campaign.trials as u64,
+        executions: r.campaign.executions,
+        golden_dynamic: r.campaign.golden_dynamic,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use peppa_obs::Observer;
 
     const SRC: &str = r#"
         fn main(n: int) {
@@ -240,6 +200,137 @@ mod tests {
         let a = per_instruction_sdc(&m, &[10.0], ExecLimits::default(), mk(1), None).unwrap();
         let b = per_instruction_sdc(&m, &[10.0], ExecLimits::default(), mk(4), None).unwrap();
         assert_eq!(a.sdc_prob, b.sdc_prob);
+    }
+
+    /// A loop, an instruction that never executes for `n >= 0`, and
+    /// instructions that execute exactly once, after the loop.
+    const ONCE: &str = r#"
+        fn main(n: int) {
+            let acc = 0;
+            for (i = 0; i < n; i = i + 1) {
+                acc = acc + i * 3;
+            }
+            if (n < 0) {
+                acc = acc * 5;
+            }
+            output acc * 7;
+        }
+    "#;
+
+    /// `ONCE`'s value-producing instructions by golden execution count.
+    fn once_sids(m: &Module, count: impl Fn(u64) -> bool) -> Vec<InstrId> {
+        let golden = peppa_vm::Vm::new(m, ExecLimits::default()).run_numeric(&[12.0], None);
+        m.all_instrs()
+            .into_iter()
+            .filter(|(_, i)| {
+                i.result.is_some() && count(golden.profile.exec_counts[i.sid.0 as usize])
+            })
+            .map(|(_, i)| i.sid)
+            .collect()
+    }
+
+    fn plan_cfg(trials: u32) -> CampaignConfig {
+        CampaignConfig {
+            trials,
+            seed: 5,
+            threads: 2,
+            engine: EngineKind::Compiled,
+            ..Default::default()
+        }
+    }
+
+    #[test]
+    fn instruction_executed_once_resumes_from_its_snapshot() {
+        let m = peppa_lang::compile(ONCE, "once").unwrap();
+        let once = once_sids(&m, |n| n == 1);
+        assert!(!once.is_empty());
+        let run = |k| {
+            CampaignPlan::new(&m, &[12.0], ExecLimits::default(), plan_cfg(40))
+                .per_instruction(Some(&once))
+                .snapshots(k)
+                .run(&NullObserver)
+                .unwrap()
+        };
+        let (entry, snap) = (run(0), run(DEFAULT_SNAPSHOTS));
+        assert_eq!(snap.per_instr, entry.per_instr);
+        assert_eq!(snap.per_instr.len(), once.len());
+        // Every trial hits instance 0 and resumes from a snapshot taken
+        // on the way to it.
+        assert_eq!(snap.stats.restores, 40 * once.len() as u64);
+        assert!(snap.stats.prefix_instrs_saved > 0);
+    }
+
+    #[test]
+    fn unmeasurable_subset_stays_unmeasured_without_a_capture() {
+        struct Kinds(std::sync::Mutex<Vec<String>>);
+        impl Observer for Kinds {
+            fn on_event(&self, e: &peppa_obs::Event) {
+                let kind = match e {
+                    peppa_obs::Event::SpanBegin { name, .. } => name.clone(),
+                    e => e.kind().to_string(),
+                };
+                self.0.lock().unwrap().push(kind);
+            }
+        }
+        let m = peppa_lang::compile(ONCE, "once").unwrap();
+        let mut subset = once_sids(&m, |n| n == 0);
+        assert!(
+            !subset.is_empty(),
+            "the `n < 0` branch must stay unexecuted"
+        );
+        // `output` produces no value.
+        let (_, output) = m
+            .all_instrs()
+            .into_iter()
+            .find(|(_, i)| i.result.is_none())
+            .unwrap();
+        subset.push(output.sid);
+
+        let cfg = PerInstrConfig {
+            trials_per_instr: 10,
+            ..Default::default()
+        };
+        let r =
+            per_instruction_sdc(&m, &[12.0], ExecLimits::default(), cfg, Some(&subset)).unwrap();
+        assert!(r.sdc_prob.iter().all(Option::is_none));
+        assert_eq!((r.total_trials, r.executions), (0, 1));
+
+        let kinds = Kinds(std::sync::Mutex::new(Vec::new()));
+        let p = CampaignPlan::new(&m, &[12.0], ExecLimits::default(), plan_cfg(10))
+            .per_instruction(Some(&subset))
+            .snapshots(DEFAULT_SNAPSHOTS)
+            .run(&kinds)
+            .unwrap();
+        assert!(p.per_instr.is_empty());
+        assert_eq!(p.stats.snapshots, 0);
+        let kinds = kinds.0.into_inner().unwrap();
+        assert!(kinds.iter().any(|k| k == "golden"));
+        assert!(
+            !kinds
+                .iter()
+                .any(|k| k == "capture" || k == "snapshot_captured"),
+            "nothing measurable, yet a capture ran: {kinds:?}"
+        );
+    }
+
+    #[test]
+    fn trial_count_overflow_is_a_typed_error() {
+        let m = module();
+        let cfg = PerInstrConfig {
+            trials_per_instr: u32::MAX,
+            ..Default::default()
+        };
+        let e = per_instruction_sdc(&m, &[10.0], ExecLimits::default(), cfg, None).unwrap_err();
+        assert!(
+            matches!(
+                e,
+                CampaignError::TooManyTrials {
+                    instructions,
+                    per_instruction: u32::MAX,
+                } if instructions > 1
+            ),
+            "{e:?}"
+        );
     }
 
     #[test]

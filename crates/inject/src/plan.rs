@@ -4,10 +4,15 @@
 //!
 //! 1. **Golden run** on the selected engine. It records the
 //!    dynamic-index → sid map only when a stage reads sids: a non-empty
-//!    prune table or tracing.
+//!    prune table, tracing or the per-instruction sampler.
 //! 2. **Sampler.** Trial `t` draws its fault from a stream seeded by
 //!    `(seed, t)` alone, so results never depend on scheduling or on
-//!    when a trial is sampled.
+//!    when a trial is sampled. The uniform sampler draws a dynamic
+//!    value site; the per-instruction sampler
+//!    ([`CampaignPlan::per_instruction`]) draws an instance of one static
+//!    instruction and maps it through the sid map to the dynamic site
+//!    where the VM faults it (none, for some instances of a recursive
+//!    call: such a trial runs from entry).
 //! 3. **Filter** (with a prune table). The [`PruneGate`] reads the
 //!    golden run's execution counts; when pruning engages, a trial whose
 //!    sampled cell is provably masked counts Benign without executing.
@@ -40,14 +45,19 @@ use crate::campaign::{
 use crate::forkpoint::{fork_point_for, plan_fork_points};
 use crate::outcome::{classify, FaultOutcome};
 use crate::provenance::TracedTrial;
-use peppa_ir::{Instr, Module};
+use peppa_ir::{FuncId, Instr, InstrId, Module, Op};
 use peppa_obs::{Event, Observer, Span};
 use peppa_stats::{binomial_ci, ci::Z_95, Pcg64};
 use peppa_vm::{
     encode_inputs, CompiledModule, Engine, EngineKind, ExecHook, ExecLimits, Injection,
-    InjectionTarget, ResumeScratch, TaintHook, TaintReport, TrialResume, Vm,
+    InjectionTarget, ResumeScratch, RunOutput, TaintHook, TaintReport, TrialResume, Vm,
 };
 use std::time::Instant;
+
+/// The snapshot count `K` of the configurations that resume trials by
+/// default: `SnapshotConfig::default()` and both FI stages of a search
+/// capture up to this many golden-prefix snapshots.
+pub const DEFAULT_SNAPSHOTS: u32 = 16;
 
 /// One FI campaign: what it measures ([`CampaignConfig`]) and which
 /// optional stages execute it. Built with [`CampaignPlan::new`] and the
@@ -58,6 +68,7 @@ pub struct CampaignPlan<'a> {
     inputs: &'a [f64],
     limits: ExecLimits,
     cfg: CampaignConfig,
+    sampler: Sampler<'a>,
     prune: Option<(&'a StaticPrune, PruneGate)>,
     snapshots: u32,
     trace: bool,
@@ -78,6 +89,10 @@ pub struct PlanResult {
     /// `traced[t]` is trial `t`'s provenance, whatever order trials
     /// finished in. Empty unless tracing.
     pub traced: Vec<TracedTrial>,
+    /// Per-instruction sampler only: each measured instruction, in
+    /// sampling order, with the number of its `cfg.trials` trials that
+    /// ended in an SDC.
+    pub per_instr: Vec<(InstrId, u32)>,
 }
 
 impl PlanResult {
@@ -106,21 +121,191 @@ impl PlanResult {
 /// Records, for every value-producing dynamic instruction of the golden
 /// run, the static instruction it came from: the map that turns a
 /// sampled dynamic site into a prune-table or provenance sid.
-struct SidMapHook(Vec<u32>);
+///
+/// It also records where recursion shifts a call's instances. The VM
+/// counts an instance of a call when it dispatches the call, but writes
+/// (and faults) the call's result when the frame pops. Under recursion
+/// several returns of one call see the same count, so a call's `k`-th
+/// result need not be its instance `k`.
+struct SidMapHook {
+    sids: Vec<u32>,
+    /// Per sid: calls dispatched, and results those calls wrote.
+    calls: Vec<(u64, u64)>,
+    /// `(site, instance)` of each call result whose instance is not its
+    /// index among its instruction's results, in site order.
+    shifted: Vec<(u64, u64)>,
+}
+
+impl SidMapHook {
+    fn new(num_instrs: usize) -> Self {
+        SidMapHook {
+            sids: Vec::new(),
+            calls: vec![(0, 0); num_instrs],
+            shifted: Vec::new(),
+        }
+    }
+}
 
 impl ExecHook for SidMapHook {
     const ENABLED: bool = true;
 
     #[inline]
+    fn call_enter(&mut self, ins: &Instr, _callee: FuncId) {
+        self.calls[ins.sid.0 as usize].0 += 1;
+    }
+
+    #[inline]
     fn def_value(&mut self, ins: &Instr, _bits: u64) {
-        self.0.push(ins.sid.0);
+        if let Op::Call { .. } = ins.op {
+            let (dispatched, written) = &mut self.calls[ins.sid.0 as usize];
+            // The instance `InjectionTarget::StaticInstance` matches here.
+            let instance = *dispatched - 1;
+            if instance != *written {
+                self.shifted.push((self.sids.len() as u64, instance));
+            }
+            *written += 1;
+        }
+        self.sids.push(ins.sid.0);
+    }
+}
+
+/// Which faults a plan's trials measure.
+#[derive(Clone, Copy)]
+enum Sampler<'a> {
+    /// `cfg.trials` sites drawn uniformly over the golden run's
+    /// value-producing dynamic instructions.
+    Uniform,
+    /// `cfg.trials` instances of each of `sids` (of every instruction
+    /// when `None`).
+    PerInstruction(Option<&'a [InstrId]>),
+}
+
+impl Sampler<'_> {
+    /// The trial count `CampaignStarted` announces: `per` in all, or
+    /// `per` for each requested value-producing instruction, which must
+    /// fit a trial index.
+    fn planned(self, module: &Module, per: u32) -> Result<u32, CampaignError> {
+        let Sampler::PerInstruction(sids) = self else {
+            return Ok(per);
+        };
+        let instructions = InstrSampler::valued(module, sids).len() as u64;
+        u32::try_from(instructions * per as u64).map_err(|_| CampaignError::TooManyTrials {
+            instructions,
+            per_instruction: per,
+        })
+    }
+}
+
+/// `InstrSampler::sites` entry of an instance no result carries: a
+/// fault on it never fires.
+const NOWHERE: u64 = u64::MAX;
+
+/// The per-instruction sampler, set up from the golden run.
+struct InstrSampler {
+    /// Trials per instruction.
+    per: u32,
+    /// Measured instructions: the requested value-producing ones the
+    /// golden run executed.
+    work: Vec<InstrId>,
+    /// `sites[first[sid] + i]` is the value-dynamic index of the result
+    /// a fault on instance `i` of `sid` corrupts, or [`NOWHERE`].
+    first: Vec<usize>,
+    sites: Vec<u64>,
+}
+
+impl InstrSampler {
+    /// The value-producing instructions among `sids` (all when `None`).
+    fn valued(module: &Module, sids: Option<&[InstrId]>) -> Vec<InstrId> {
+        let instrs = module.all_instrs();
+        let valued = |s: &InstrId| {
+            instrs
+                .get(s.0 as usize)
+                .is_some_and(|(_, i)| i.result.is_some())
+        };
+        match sids {
+            Some(sids) => sids.iter().copied().filter(valued).collect(),
+            None => instrs.iter().map(|(_, i)| i.sid).filter(valued).collect(),
+        }
+    }
+
+    /// Measures the requested value-producing instructions the golden
+    /// run executed, `per` trials each. Each instance's site comes from
+    /// a counting sort of the golden sid map: a result is the instance
+    /// of its index among its instruction's results, unless recursion
+    /// shifted it, and an instance is faulted at the first result that
+    /// carries it.
+    fn new(module: &Module, sids: Option<&[InstrId]>, per: u32, golden: &SidMapHook) -> Self {
+        let n = module.num_instrs;
+        let mut first = vec![0usize; n + 1];
+        for &sid in &golden.sids {
+            first[sid as usize + 1] += 1;
+        }
+        for i in 0..n {
+            first[i + 1] += first[i];
+        }
+        let mut written = vec![0usize; n];
+        let mut shifted = golden.shifted.iter().peekable();
+        let mut sites = vec![NOWHERE; golden.sids.len()];
+        for (site, &sid) in golden.sids.iter().enumerate() {
+            let sid = sid as usize;
+            let instance = match shifted.next_if(|&&(at, _)| at == site as u64) {
+                Some(&(_, instance)) => instance as usize,
+                None => written[sid],
+            };
+            written[sid] += 1;
+            let slot = &mut sites[first[sid] + instance];
+            if *slot == NOWHERE {
+                *slot = site as u64;
+            }
+        }
+        let work = Self::valued(module, sids)
+            .into_iter()
+            .filter(|s| first[s.0 as usize + 1] > first[s.0 as usize])
+            .collect();
+        InstrSampler {
+            per,
+            work,
+            first,
+            sites,
+        }
+    }
+
+    fn trials(&self) -> u32 {
+        self.work.len() as u32 * self.per
+    }
+
+    /// Index in `work` of the instruction trial `t` measures.
+    fn instr_of(&self, t: u32) -> usize {
+        (t / self.per) as usize
+    }
+
+    /// Trial `t`'s fault, a uniformly drawn instance and bit of its
+    /// instruction from that instruction's stream of trial `t % per`,
+    /// and the site the fault corrupts (`None`: it never fires).
+    fn sample(&self, t: u32, cfg: &CampaignConfig) -> (Injection, Option<u64>) {
+        let sid = self.work[self.instr_of(t)];
+        let k = t % self.per;
+        let sites = &self.sites[self.first[sid.0 as usize]..self.first[sid.0 as usize + 1]];
+        let mut rng = Pcg64::new(
+            cfg.seed ^ ((sid.0 as u64) << 32) ^ (k as u64).wrapping_mul(0x2545f4914f6cdd1d),
+        );
+        let instance = rng.gen_range_u64(sites.len() as u64);
+        let bit = rng.gen_range_u64(64) as u32;
+        let inj = Injection {
+            target: InjectionTarget::StaticInstance { sid, instance },
+            bit,
+            burst: cfg.burst,
+        };
+        let site = sites[instance as usize];
+        (inj, (site != NOWHERE).then_some(site))
     }
 }
 
 /// One trial's sampled fault and the filter's verdict on it.
 struct Fault {
     inj: Injection,
-    site: u64,
+    /// The dynamic site the fault corrupts; `None` if it never fires.
+    site: Option<u64>,
     /// `Some(sid)` when the filter skips the trial.
     skip: Option<u32>,
 }
@@ -199,9 +384,23 @@ impl<'a> CampaignPlan<'a> {
             inputs,
             limits,
             cfg,
+            sampler: Sampler::Uniform,
             prune: None,
             snapshots: 0,
             trace: false,
+        }
+    }
+
+    /// Samples per static instruction (§3.1.4) instead of uniformly:
+    /// each instruction of `sids` (every one when `None`) that produces
+    /// a value and that the golden run executes gets `cfg.trials`
+    /// trials, each flipping a random bit of a random dynamic instance
+    /// of it. `CampaignStarted` announces the trials of every requested
+    /// value-producing instruction; the result counts only those run.
+    pub fn per_instruction(self, sids: Option<&'a [InstrId]>) -> CampaignPlan<'a> {
+        CampaignPlan {
+            sampler: Sampler::PerInstruction(sids),
+            ..self
         }
     }
 
@@ -242,10 +441,11 @@ impl<'a> CampaignPlan<'a> {
                 return Err(CampaignError::PruneWithTrace);
             }
         }
+        let planned = self.sampler.planned(module, cfg.trials)?;
         let start = Instant::now();
         observer.on_event(&Event::CampaignStarted {
             benchmark: module.name.clone(),
-            trials: cfg.trials,
+            trials: planned,
             seed: cfg.seed,
             threads: cfg.threads,
             engine: cfg.engine.as_str().to_string(),
@@ -256,21 +456,30 @@ impl<'a> CampaignPlan<'a> {
 
         // 1. Golden run. The hook does not perturb execution.
         let masked_cells = self.prune.map_or(0, |(table, _)| table.masked_cells());
-        let mut sid_map = SidMapHook(Vec::new());
+        let mut hook = SidMapHook::new(module.num_instrs);
+        let per_instruction = matches!(self.sampler, Sampler::PerInstruction(_));
         let golden = {
             let _span = Span::enter(observer, "golden");
             let eng = Engine::new(module, limits, code.as_ref());
-            check_golden(if self.trace || masked_cells > 0 {
-                eng.run_with_hook(&bits, None, &mut sid_map)
+            check_golden(if per_instruction || self.trace || masked_cells > 0 {
+                eng.run_with_hook(&bits, None, &mut hook)
             } else {
                 eng.run(&bits, None)
             })?
         };
-        let sid_map = sid_map.0;
         let value_dynamic = golden.profile.value_dynamic;
-        if value_dynamic == 0 {
+        let per_instr = match self.sampler {
+            Sampler::Uniform => None,
+            Sampler::PerInstruction(sids) => {
+                Some(InstrSampler::new(module, sids, cfg.trials, &hook))
+            }
+        };
+        let sid_map = hook.sids;
+        if value_dynamic == 0 && per_instr.is_none() {
             return Err(CampaignError::NoFaultSites);
         }
+        // At most `planned`: only executed instructions are measured.
+        let trials = per_instr.as_ref().map_or(cfg.trials, InstrSampler::trials);
         debug_assert!(
             sid_map.is_empty() || sid_map.len() as u64 == value_dynamic,
             "a recorded sid map covers every value-producing dynamic instruction"
@@ -297,6 +506,12 @@ impl<'a> CampaignPlan<'a> {
             _ => None,
         };
 
+        // The static instruction a fault targets; a uniform one's comes
+        // from the sid map, recorded whenever a stage reads it.
+        let sid_of = |inj: &Injection| match inj.target {
+            InjectionTarget::StaticInstance { sid, .. } => sid.0,
+            InjectionTarget::DynamicIndex(k) => sid_map[k as usize],
+        };
         // 2. Sampler, then 3b. the filter's verdict. The fault is sampled
         // before the skip decision, so pruning never changes which fault
         // a trial measures. Each trial is sampled where it runs (and, for
@@ -305,14 +520,20 @@ impl<'a> CampaignPlan<'a> {
         // then takes fresh memory (perfbench `prune` peak RSS rose from 21
         // to 29-36 MB).
         let sample = |t: u32| -> Fault {
-            let mut rng = Pcg64::new(cfg.seed ^ (t as u64).wrapping_mul(0x9e3779b97f4a7c15));
-            let inj = sample_fault_burst(&mut rng, value_dynamic, cfg.burst);
-            let site = match inj.target {
-                InjectionTarget::DynamicIndex(k) => k,
-                InjectionTarget::StaticInstance { instance, .. } => instance,
+            let (inj, site) = match &per_instr {
+                Some(p) => p.sample(t, &cfg),
+                None => {
+                    let mut rng =
+                        Pcg64::new(cfg.seed ^ (t as u64).wrapping_mul(0x9e3779b97f4a7c15));
+                    let inj = sample_fault_burst(&mut rng, value_dynamic, cfg.burst);
+                    let InjectionTarget::DynamicIndex(site) = inj.target else {
+                        unreachable!("the uniform sampler targets dynamic sites")
+                    };
+                    (inj, Some(site))
+                }
             };
             let skip = filter.and_then(|table| {
-                let sid = sid_map[site as usize];
+                let sid = sid_of(&inj);
                 table.is_masked(sid, inj.bit).then_some(sid)
             });
             Fault { inj, site, skip }
@@ -323,10 +544,10 @@ impl<'a> CampaignPlan<'a> {
         let points = match self.snapshots {
             0 => Vec::new(),
             k => {
-                let kept: Vec<u64> = (0..cfg.trials)
+                let kept: Vec<u64> = (0..trials)
                     .map(&sample)
                     .filter(|f| f.skip.is_none())
-                    .map(|f| f.site)
+                    .filter_map(|f| f.site)
                     .collect();
                 plan_fork_points(&kept, k)
             }
@@ -378,13 +599,23 @@ impl<'a> CampaignPlan<'a> {
         };
 
         // 4–5. One trial: skip, run from entry, or resume; traced trials
-        // run under the taint hook on the same engine entry points.
+        // run under the taint hook on the same engine entry points. A
+        // fault that never fires runs from entry and reports the site
+        // past the golden run's last.
         let run_trial = |t: u32, scratch: &mut ResumeScratch| -> TrialReport {
             let Fault { inj, site, skip } = sample(t);
+            let judge = |faulty: &RunOutput| {
+                debug_assert_eq!(
+                    faulty.fault_activated,
+                    site.is_some(),
+                    "trial {t}: a fault fires exactly when it has a site"
+                );
+                classify(&golden, faulty)
+            };
             let mut report = TrialReport {
                 trial: t,
                 outcome: FaultOutcome::Benign,
-                site,
+                site: site.unwrap_or(value_dynamic),
                 bit: inj.bit,
                 latency_ns: 0,
                 exec: Exec::Full,
@@ -395,7 +626,7 @@ impl<'a> CampaignPlan<'a> {
                 return report;
             }
             let eng = Engine::new(module, faulty_limits, code.as_ref());
-            let fork = fork_point_for(&points, site);
+            let fork = site.and_then(|s| fork_point_for(&points, s));
             if let Some(i) = fork {
                 report.exec = Exec::Resumed {
                     prefix: snaps[i].dynamic(),
@@ -412,8 +643,8 @@ impl<'a> CampaignPlan<'a> {
                     None => eng.run_with_hook(&bits, Some(inj), &mut hook),
                     Some(i) => eng.resume_from_with_hook(&snaps[i], Some(inj), &mut hook),
                 };
-                report.taint = Some((sid_map[site as usize], hook.finish()));
-                classify(&golden, &faulty)
+                report.taint = Some((sid_of(&inj), hook.finish()));
+                judge(&faulty)
             } else if let Some(i) = fork {
                 match eng.resume_trial_amortized(
                     scratch,
@@ -423,7 +654,7 @@ impl<'a> CampaignPlan<'a> {
                     masks.as_ref(),
                     read_sets.as_ref(),
                 ) {
-                    TrialResume::Completed(faulty) => classify(&golden, &faulty),
+                    TrialResume::Completed(faulty) => judge(&faulty),
                     TrialResume::Converged {
                         checkpoint_dynamic,
                         dynamic_at_exit,
@@ -450,10 +681,7 @@ impl<'a> CampaignPlan<'a> {
                     }
                 }
             } else {
-                classify(
-                    &golden,
-                    &eng.run_numeric_amortized(scratch, inputs, Some(inj)),
-                )
+                judge(&eng.run_numeric_amortized(scratch, inputs, Some(inj)))
             };
             report.latency_ns = t0.elapsed().as_nanos() as u64;
             report
@@ -469,17 +697,21 @@ impl<'a> CampaignPlan<'a> {
         };
         let mut traced: Vec<Option<TracedTrial>> = Vec::new();
         if self.trace {
-            traced.resize_with(cfg.trials as usize, || None);
+            traced.resize_with(trials as usize, || None);
         }
+        let mut instr_sdc = vec![0u32; per_instr.as_ref().map_or(0, |p| p.work.len())];
         {
             let _span = Span::enter(observer, "trials");
-            fan_out(cfg.trials, cfg.threads, run_trial, |r: TrialReport| {
+            fan_out(trials, cfg.threads, run_trial, |r: TrialReport| {
                 r.emit(observer);
                 match r.outcome {
                     FaultOutcome::Sdc => sdc += 1,
                     FaultOutcome::Crash => crash += 1,
                     FaultOutcome::Hang => hang += 1,
                     FaultOutcome::Benign => benign += 1,
+                }
+                if let (FaultOutcome::Sdc, Some(p)) = (r.outcome, &per_instr) {
+                    instr_sdc[p.instr_of(r.trial)] += 1;
                 }
                 match r.exec {
                     Exec::Skipped(_) => skipped += 1,
@@ -514,7 +746,7 @@ impl<'a> CampaignPlan<'a> {
             });
         }
         observer.on_event(&Event::CampaignFinished {
-            trials: cfg.trials,
+            trials,
             sdc,
             crash,
             hang,
@@ -525,21 +757,23 @@ impl<'a> CampaignPlan<'a> {
 
         Ok(PlanResult {
             campaign: CampaignResult {
-                trials: cfg.trials,
+                trials,
                 sdc,
                 crash,
                 hang,
                 benign,
-                sdc_ci: binomial_ci(sdc as u64, cfg.trials as u64, Z_95),
+                sdc_ci: binomial_ci(sdc as u64, trials as u64, Z_95),
                 // Each executed trial is one (partial) program execution,
                 // plus the golden run.
-                executions: cfg.trials as u64 - skipped + 1,
+                executions: trials as u64 - skipped + 1,
                 golden_dynamic: golden.profile.dynamic,
             },
             skipped,
             decision,
             stats,
             traced: traced.into_iter().flatten().collect(),
+            per_instr: per_instr
+                .map_or(Vec::new(), |p| p.work.into_iter().zip(instr_sdc).collect()),
         })
     }
 }
@@ -591,4 +825,160 @@ fn effective_threads(requested: usize, work_items: usize) -> usize {
         n => n,
     };
     n.clamp(1, work_items.max(1))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `base` is computed once before the loop, the output's sum once
+    /// after it.
+    const SRC: &str = r#"
+        fn main(n: int) {
+            let base = n * 5;
+            let acc = 0;
+            for (i = 0; i < n; i = i + 1) {
+                acc = acc + i * 3;
+            }
+            output acc + base;
+        }
+    "#;
+
+    /// Each recursive call's result is written when its frame pops, but
+    /// its instance is counted when the call is dispatched.
+    const RECURSIVE: &str = r#"
+        fn fib(n: int) -> int {
+            if (n < 2) { return n; }
+            return fib(n - 1) + fib(n - 2);
+        }
+        fn pow2(n: int) -> int {
+            if (n <= 0) { return 1; }
+            return pow2(n - 1) * 2;
+        }
+        fn main(n: int) { output fib(n) + pow2(n); }
+    "#;
+
+    fn golden_hook(m: &Module, inputs: &[f64]) -> SidMapHook {
+        let mut hook = SidMapHook::new(m.num_instrs);
+        let bits = encode_inputs(m.entry_func(), inputs);
+        Vm::new(m, ExecLimits::default()).run_with_hook(&bits, None, &mut hook);
+        hook
+    }
+
+    /// Counts results and notes the one a fault corrupts.
+    #[derive(Default)]
+    struct FaultedSite {
+        results: u64,
+        faulted: Option<u64>,
+    }
+
+    impl ExecHook for FaultedSite {
+        const ENABLED: bool = true;
+
+        fn fault_injected(&mut self, _: &Instr, _: u64) {
+            self.faulted = Some(self.results);
+        }
+
+        fn def_value(&mut self, _: &Instr, _: u64) {
+            self.results += 1;
+        }
+    }
+
+    #[test]
+    fn every_instance_sits_where_the_vm_faults_it() {
+        for (src, input) in [(SRC, 9.0), (RECURSIVE, 6.0)] {
+            let m = peppa_lang::compile(src, "sites").unwrap();
+            let s = InstrSampler::new(&m, None, 1, &golden_hook(&m, &[input]));
+            let bits = encode_inputs(m.entry_func(), &[input]);
+            let mut unfaulted = 0;
+            for &sid in &s.work {
+                let sites = &s.sites[s.first[sid.0 as usize]..s.first[sid.0 as usize + 1]];
+                for (instance, &site) in sites.iter().enumerate() {
+                    let inj = Injection {
+                        target: InjectionTarget::StaticInstance {
+                            sid,
+                            instance: instance as u64,
+                        },
+                        bit: 3,
+                        burst: 0,
+                    };
+                    let mut hook = FaultedSite::default();
+                    Vm::new(&m, ExecLimits::default()).run_with_hook(&bits, Some(inj), &mut hook);
+                    assert_eq!(
+                        hook.faulted.unwrap_or(NOWHERE),
+                        site,
+                        "{sid:?} instance {instance}"
+                    );
+                    unfaulted += (site == NOWHERE) as u32;
+                }
+            }
+            // Recursion leaves some call instances on no result.
+            assert_eq!(unfaulted > 0, src == RECURSIVE, "{unfaulted}");
+        }
+    }
+
+    #[test]
+    fn samples_measure_executed_value_instructions() {
+        let m = peppa_lang::compile(SRC, "sites").unwrap();
+        let hook = golden_hook(&m, &[9.0]);
+        let s = InstrSampler::new(&m, None, 6, &hook);
+        let cfg = CampaignConfig {
+            trials: 6,
+            seed: 3,
+            ..Default::default()
+        };
+        let golden = Vm::new(&m, ExecLimits::default()).run_numeric(&[9.0], None);
+        for sid in &s.work {
+            assert!(golden.profile.exec_counts[sid.0 as usize] > 0);
+        }
+        assert_eq!(s.trials(), s.work.len() as u32 * 6);
+        for t in 0..s.trials() {
+            let (inj, site) = s.sample(t, &cfg);
+            let InjectionTarget::StaticInstance { sid, instance } = inj.target else {
+                panic!("per-instruction trials target an instance");
+            };
+            assert_eq!(sid, s.work[s.instr_of(t)]);
+            let site = site.expect("without recursion every instance has a site");
+            assert_eq!(hook.sids[site as usize], sid.0);
+            let earlier = hook.sids[..site as usize].iter().filter(|&&x| x == sid.0);
+            assert_eq!(earlier.count() as u64, instance, "trial {t}");
+        }
+    }
+
+    #[test]
+    fn instance_before_the_first_fork_point_runs_from_entry() {
+        let m = peppa_lang::compile(SRC, "early").unwrap();
+        let limits = ExecLimits::default();
+        let hook = golden_hook(&m, &[20.0]);
+        let (early, late) = (InstrId(hook.sids[0]), InstrId(*hook.sids.last().unwrap()));
+        let s = InstrSampler::new(&m, Some(&[early, late]), 8, &hook);
+        let cfg = CampaignConfig {
+            trials: 8,
+            seed: 1,
+            ..Default::default()
+        };
+        let golden = Vm::new(&m, limits).run_numeric(&[20.0], None);
+        // Fork points planned over the late instruction's trials alone
+        // all follow every instance of the early one.
+        let late_sites: Vec<u64> = (8..16).filter_map(|t| s.sample(t, &cfg).1).collect();
+        let points = plan_fork_points(&late_sites, DEFAULT_SNAPSHOTS);
+        let bits = encode_inputs(m.entry_func(), &[20.0]);
+        let (_, snaps) = Vm::new(&m, limits).run_with_snapshots(&bits, &points);
+        let code = CompiledModule::lower(&m);
+        let eng = Engine::compiled(&m, &code, limits);
+        let mut scratch = ResumeScratch::new();
+        for t in 0..8 {
+            let (inj, site) = s.sample(t, &cfg);
+            assert_eq!(fork_point_for(&points, site.unwrap()), None, "trial {t}");
+            // A resumed trial leaves the worker's image dirty first.
+            let (late_inj, late_site) = s.sample(8 + t, &cfg);
+            let i = fork_point_for(&points, late_site.unwrap()).unwrap();
+            eng.resume_trial_amortized(&mut scratch, &snaps[i], Some(late_inj), &[], None, None);
+            let faulty = eng.run_numeric_amortized(&mut scratch, &[20.0], Some(inj));
+            let oracle = Vm::new(&m, limits).run_numeric(&[20.0], Some(inj));
+            assert!(faulty.fault_activated, "trial {t}");
+            assert_eq!(classify(&golden, &faulty), classify(&golden, &oracle));
+            assert_eq!(faulty.output, oracle.output, "trial {t}");
+        }
+    }
 }

@@ -6,7 +6,9 @@
 //! taint-traced composition (`--snapshots --trace-propagation`) is held
 //! to the same bar, down to the per-trial provenance records, and so is
 //! the pruned composition (`--snapshots --static-prune`) with the reach
-//! ∪ deviation table.
+//! ∪ deviation table. The per-instruction sampler behind
+//! `per_instruction_sdc` (the search's distribution FI) must measure
+//! the same per-instruction SDC counts from snapshots as from entry.
 //!
 //! CI runs this file by name and fails if it is filtered out — see
 //! `.github/workflows/ci.yml`.
@@ -14,10 +16,11 @@
 use peppa_analysis::{deviation::combined_skip_cells, FaultReach};
 use peppa_apps::all_benchmarks;
 use peppa_inject::{
-    run_campaign, CampaignConfig, CampaignPlan, CampaignResult, PruneGate, StaticPrune,
+    per_instruction_sdc, run_campaign, CampaignConfig, CampaignPlan, CampaignResult,
+    PerInstrConfig, PruneGate, StaticPrune,
 };
 use peppa_obs::NullObserver;
-use peppa_vm::ExecLimits;
+use peppa_vm::{EngineKind, ExecLimits};
 
 const TRIALS: u32 = 16;
 const SEED: u64 = 0xd1ff;
@@ -177,4 +180,103 @@ fn snapshotted_pruned_composition_matches_full_on_all_benchmarks() {
         }
     }
     assert!(skipped > 0, "no benchmark skipped a trial");
+}
+
+/// Recursive calls: a call's instance is counted when it is dispatched,
+/// but its result is written (and faulted) when its frame pops, so
+/// several returns of one call instruction see the same instance and
+/// some instances are never faulted at all.
+const RECURSIVE: &str = r#"
+    fn fib(n: int) -> int {
+        if (n < 2) { return n; }
+        return fib(n - 1) + fib(n - 2);
+    }
+    fn pow2(n: int) -> int {
+        if (n <= 0) { return 1; }
+        return pow2(n - 1) * 2;
+    }
+    fn main(n: int) { output fib(n) + pow2(n); }
+"#;
+
+/// The per-instruction plan on `module` at `input`, `per_instr` trials
+/// per instruction, measures the same per-instruction SDC counts from
+/// any number of snapshots and on any number of workers, and
+/// `per_instruction_sdc` is that plan.
+fn per_instruction_bit_identical(
+    name: &str,
+    module: &peppa_ir::Module,
+    input: &[f64],
+    per_instr: u32,
+) {
+    let limits = ExecLimits::default();
+    let plan = |k: u32, threads: usize| {
+        let cfg = CampaignConfig {
+            trials: per_instr,
+            engine: EngineKind::Compiled,
+            ..cfg(threads)
+        };
+        CampaignPlan::new(module, input, limits, cfg)
+            .per_instruction(None)
+            .snapshots(k)
+            .run(&NullObserver)
+            .unwrap_or_else(|e| panic!("{name}: per-instruction plan (k={k}) failed: {e}"))
+    };
+    let entry = plan(0, 1);
+    assert!(!entry.per_instr.is_empty(), "{name}: nothing measured");
+    let trials = entry.per_instr.len() as u64 * per_instr as u64;
+    assert_eq!(entry.campaign.trials as u64, trials, "{name}");
+    for k in [0u32, 1, 16, 64] {
+        for threads in [1usize, 4] {
+            let r = plan(k, threads);
+            assert_eq!(
+                r.per_instr, entry.per_instr,
+                "{name}: k={k} threads={threads} per-instruction SDC counts diverged"
+            );
+            assert_eq!(
+                counts(&r.campaign),
+                counts(&entry.campaign),
+                "{name}: k={k} threads={threads}"
+            );
+            assert_eq!(
+                r.stats.restores + r.stats.full_runs,
+                trials,
+                "{name}: k={k} trials unaccounted"
+            );
+            if k > 0 {
+                assert!(r.stats.restores > 0, "{name}: k={k}");
+            }
+        }
+    }
+
+    // `per_instruction_sdc` is this plan at its default snapshot count.
+    let pi = PerInstrConfig {
+        trials_per_instr: per_instr,
+        seed: SEED,
+        hang_factor: 8,
+        threads: 2,
+    };
+    let measured = per_instruction_sdc(module, input, limits, pi, None)
+        .unwrap_or_else(|e| panic!("{name}: per_instruction_sdc failed: {e}"));
+    let mut sdc_prob = vec![None; module.num_instrs];
+    for &(sid, sdc) in &entry.per_instr {
+        sdc_prob[sid.0 as usize] = Some(sdc as f64 / per_instr as f64);
+    }
+    assert_eq!(measured.sdc_prob, sdc_prob, "{name}: sdc_prob");
+    assert_eq!(measured.total_trials, trials, "{name}");
+}
+
+#[test]
+fn per_instruction_sampler_bit_identical_from_snapshots_on_all_benchmarks() {
+    for bench in all_benchmarks() {
+        // Each argument at the middle of its small-input window: the
+        // kind of short run the distribution FI measures.
+        let input: Vec<f64> = bench
+            .args
+            .iter()
+            .map(|a| a.clamp((a.small.0 + a.small.1) / 2.0))
+            .collect();
+        per_instruction_bit_identical(bench.name, &bench.module, &input, 2);
+    }
+    let recursive = peppa_lang::compile(RECURSIVE, "recursive").unwrap();
+    per_instruction_bit_identical("recursive", &recursive, &[12.0], 24);
 }

@@ -57,7 +57,9 @@ pub enum Event {
         /// Trial index in `[0, trials)`.
         trial: u32,
         outcome: Outcome,
-        /// Sampled fault site (dynamic value index).
+        /// Sampled fault site (dynamic value index). A per-instruction
+        /// fault that never fires reports the golden run's
+        /// `value_dynamic`, past every site.
         site: u64,
         /// Flipped bit position.
         bit: u32,

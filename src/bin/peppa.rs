@@ -47,10 +47,15 @@
 //!                --ref 32,1.0 [--generations 50]  find the SDC-bound input
 //!                [--engine interp|compiled] selects the final FI
 //!                campaign's backend; small-input fuzzing, the
-//!                distribution FI and fitness runs are always compiled
+//!                distribution FI and fitness runs are always compiled.
+//!                Both FI stages (distribution and final) resume their
+//!                trials from up to 16 golden-prefix snapshots.
+//!                --trials (final FI size) and --generations must be
+//!                at least 1
 //! peppa ci       prog.mc --spec ... --ref ... --budget-sdc 0.25
 //!                exits non-zero if the SDC bound exceeds the budget
-//!                (the paper's §7.1.2 continuous-integration use case)
+//!                (the paper's §7.1.2 continuous-integration use case);
+//!                runs the search exactly as `peppa search` does
 //! ```
 //!
 //! `--spec` entries are `name:int|float:lo:hi:small_lo:small_hi`, one per
@@ -165,13 +170,11 @@ fn parse_opts(rest: &[String]) -> Result<(Option<String>, Opts), String> {
             "--input" => o.input = Some(parse_floats(&val("--input")?)?),
             "--ref" => o.reference = Some(parse_floats(&val("--ref")?)?),
             "--spec" => o.spec = Some(parse_spec(&val("--spec")?)?),
-            "--trials" => o.trials = val("--trials")?.parse().map_err(|_| "bad --trials")?,
+            // A campaign of no trials measures nothing, and a search of no
+            // generations has no input to report.
+            "--trials" => o.trials = positive(&val("--trials")?, "--trials")?,
             "--seed" => o.seed = val("--seed")?.parse().map_err(|_| "bad --seed")?,
-            "--generations" => {
-                o.generations = val("--generations")?
-                    .parse()
-                    .map_err(|_| "bad --generations")?
-            }
+            "--generations" => o.generations = positive(&val("--generations")?, "--generations")?,
             "--site" => o.site = Some(val("--site")?.parse().map_err(|_| "bad --site")?),
             "--bit" => o.bit = val("--bit")?.parse().map_err(|_| "bad --bit")?,
             "--count" => o.count = val("--count")?.parse().map_err(|_| "bad --count")?,
@@ -205,6 +208,15 @@ fn parse_opts(rest: &[String]) -> Result<(Option<String>, Opts), String> {
         }
     }
     Ok((file, o))
+}
+
+/// Parses a count that must be at least 1.
+fn positive<T: std::str::FromStr + Default + PartialEq>(s: &str, name: &str) -> Result<T, String> {
+    match s.parse::<T>() {
+        Ok(n) if n != T::default() => Ok(n),
+        Ok(_) => Err(format!("{name} must be at least 1")),
+        Err(_) => Err(format!("bad {name}")),
+    }
 }
 
 fn parse_floats(s: &str) -> Result<Vec<f64>, String> {
