@@ -1,11 +1,13 @@
 //! Table 6's microbenchmark: the cost of evaluating ONE candidate input
 //! in PEPPA-X (a single profiled run + Eq.-2 weighting) vs the baseline
-//! (a statistical FI campaign).
+//! (a statistical FI campaign), both on the interpreter: the reference
+//! Eq. 2 (`fitness_of_input`) runs there, and `FitnessOracle` memoizes
+//! repeats, so it cannot be timed in a loop.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use peppa_core::{derive_sdc_scores, fitness_of_input, fuzz_small_input, SmallInputConfig};
 use peppa_inject::{run_campaign, CampaignConfig};
-use peppa_vm::ExecLimits;
+use peppa_vm::{EngineKind, ExecLimits};
 
 fn per_input_eval(c: &mut Criterion) {
     let limits = ExecLimits::default();
@@ -43,7 +45,7 @@ fn per_input_eval(c: &mut Criterion) {
                         hang_factor: 8,
                         threads: 1,
                         burst: 0,
-                        ..Default::default()
+                        engine: EngineKind::Interp,
                     },
                 )
                 .unwrap()

@@ -67,7 +67,7 @@ pub struct BaselineRow {
     /// ran with, over the `value sids × 64 bits` fault space.
     pub prune_masked_cells: u64,
     pub prune_total_cells: u64,
-    /// Wall-clock seconds of the same campaign under `--snapshots K`
+    /// Wall-clock seconds of the same campaign from K snapshots
     /// (identical seed/trials; golden prefix amortized across trials).
     pub snapshot_campaign_wall_s: f64,
     /// `campaign_wall_s / snapshot_campaign_wall_s` — the measured
@@ -100,8 +100,8 @@ pub struct BaselineReport {
     pub seed: u64,
     pub threads: usize,
     /// Engine the wall-clock columns (`trials_per_sec`,
-    /// `campaign_wall_s`, prune/snapshot walls) were measured on. The
-    /// per-engine `vm_instrs_per_sec` columns always cover both.
+    /// `campaign_wall_s`, prune/snapshot walls) were measured on: always
+    /// `compiled`. The per-engine `vm_instrs_per_sec` columns cover both.
     pub engine: String,
     pub rows: Vec<BaselineRow>,
 }
@@ -158,9 +158,9 @@ fn instrs_per_sec(trials: u64, golden_dynamic: u64, cpu_ns: u64) -> f64 {
 ///
 /// `observer` additionally receives the full campaign event stream
 /// (journal, progress) alongside the per-benchmark metrics registry the
-/// rates are read from. The wall-clock columns run on `ctx.engine`; the
-/// per-engine `vm_instrs_per_sec` columns always measure both engines on
-/// an identical trial plan (and assert their outcomes agree).
+/// rates are read from. The wall-clock columns run on the compiled
+/// engine; the per-engine `vm_instrs_per_sec` columns measure both
+/// engines on an identical trial plan (and assert their outcomes agree).
 pub fn run_baseline(ctx: &Ctx, observer: Arc<dyn Observer>) -> BaselineReport {
     let mut rows = Vec::new();
     for bench in all_benchmarks() {
@@ -177,7 +177,7 @@ pub fn run_baseline(ctx: &Ctx, observer: Arc<dyn Observer>) -> BaselineReport {
             hang_factor: 8,
             threads: ctx.threads,
             burst: 0,
-            engine: ctx.engine,
+            engine: EngineKind::Compiled,
         };
         let t0 = std::time::Instant::now();
         let plan = CampaignPlan::new(&bench.module, &bench.reference_input, ctx.limits, cfg);
@@ -187,43 +187,30 @@ pub fn run_baseline(ctx: &Ctx, observer: Arc<dyn Observer>) -> BaselineReport {
             .campaign;
         let campaign_wall_s = t0.elapsed().as_secs_f64();
 
-        // The same trial plan on the *other* engine, so both per-engine
-        // columns exist whichever engine the wall columns ran on. This
-        // doubles as a cross-engine differential: the trial RNG streams
-        // depend only on (seed, trial), so the outcome counts must be
-        // bit-identical.
-        let other_engine = match cfg.engine {
-            EngineKind::Interp => EngineKind::Compiled,
-            EngineKind::Compiled => EngineKind::Interp,
-        };
-        let other_samples = LatencySamples::new();
-        let r_other = CampaignPlan::new(
+        // The same trial plan on the interpreter, for the interpreter's
+        // per-engine column. This doubles as a cross-engine
+        // differential: the trial RNG streams depend only on (seed,
+        // trial), so the outcome counts must be bit-identical.
+        let interp_samples = LatencySamples::new();
+        let r_interp = CampaignPlan::new(
             &bench.module,
             &bench.reference_input,
             ctx.limits,
             CampaignConfig {
-                engine: other_engine,
+                engine: EngineKind::Interp,
                 ..cfg
             },
         )
-        .run(&*other_samples)
-        .unwrap_or_else(|e| {
-            panic!(
-                "{}: {other_engine} baseline campaign failed: {e}",
-                bench.name
-            )
-        })
+        .run(&*interp_samples)
+        .unwrap_or_else(|e| panic!("{}: interp baseline campaign failed: {e}", bench.name))
         .campaign;
         assert_eq!(
             (r.sdc, r.crash, r.hang, r.benign),
-            (r_other.sdc, r_other.crash, r_other.hang, r_other.benign),
+            (r_interp.sdc, r_interp.crash, r_interp.hang, r_interp.benign),
             "{}: engines disagreed on campaign outcomes",
             bench.name
         );
-        let (interp_cpu_ns, compiled_cpu_ns) = match cfg.engine {
-            EngineKind::Interp => (samples.sum_ns(), other_samples.sum_ns()),
-            EngineKind::Compiled => (other_samples.sum_ns(), samples.sum_ns()),
-        };
+        let (interp_cpu_ns, compiled_cpu_ns) = (interp_samples.sum_ns(), samples.sum_ns());
 
         // Same campaign with the static prune table: what `--static-prune`
         // buys on this machine. Timed directly, outside the metrics
@@ -342,7 +329,7 @@ pub fn run_baseline(ctx: &Ctx, observer: Arc<dyn Observer>) -> BaselineReport {
         scale: format!("{:?}", ctx.scale),
         seed: ctx.seed,
         threads: ctx.threads,
-        engine: ctx.engine.as_str().to_string(),
+        engine: EngineKind::Compiled.as_str().to_string(),
         rows,
     }
 }
@@ -450,6 +437,7 @@ mod tests {
             trials: 30,
             seed: ctx.seed,
             threads: ctx.threads,
+            engine: EngineKind::Interp,
             ..Default::default()
         };
         CampaignPlan::new(&bench.module, &bench.reference_input, ctx.limits, cfg)

@@ -1,9 +1,9 @@
 //! `repro` — regenerate the PEPPA-X paper's tables and figures.
 //!
 //! ```text
-//! repro <experiment> [--scale quick|paper] [--seed N] [--out DIR]
-//!       [--threads N] [--engine interp|compiled]
-//!       [--trace-out FILE.jsonl] [--metrics-out FILE.json] [--quiet]
+//! repro <experiment>... [--scale quick|paper] [--seed N] [--out DIR]
+//!       [--threads N] [--smoke] [--trace-out FILE.jsonl]
+//!       [--metrics-out FILE.json] [--chrome-trace FILE.json] [--quiet]
 //!
 //! experiments:
 //!   fig1 table2        initial FI study (shared runs)
@@ -38,9 +38,15 @@
 //!                      (results/optstudy.json; exits 1 if the geomean
 //!                      dynamic-instruction reduction falls below 10%;
 //!                      `--smoke` shrinks it to CI size)
+//!   faultmodel         single- vs multi-bit fault models
+//!   ablation           protection ablation on the SDC-bound inputs
 //!   baseline           VM + campaign throughput (BENCH_baseline.json)
 //!   all                everything above
 //! ```
+//!
+//! Every experiment name and option is checked before anything runs: an
+//! unknown one, or a bad or missing value, exits 2 with a `repro:` line
+//! on stderr.
 //!
 //! Each experiment prints a paper-shaped text rendering and, with
 //! `--out`, writes the raw data as JSON for downstream plotting.
@@ -52,146 +58,138 @@
 //! trace-event JSON file (loadable in Perfetto / `chrome://tracing`),
 //! and `--quiet` suppresses the live progress reporter.
 //!
-//! `--engine compiled` runs every FI campaign on the register-allocated
-//! threaded-bytecode engine instead of the tree-walking interpreter.
-//! Outcomes are bit-identical either way (the engine differential test
-//! enforces this), so the flag is purely a wall-clock knob — except for
-//! `baseline`, whose per-engine columns always measure both.
-//! Per-instruction measurements (`fig2`/`table3`, `static-rank`,
-//! `table5`, `optstudy`, `fig9`) and the search's preparation and
-//! fitness runs always run compiled.
+//! Every FI campaign runs on the compiled engine, resuming from
+//! golden-prefix snapshots where an experiment asks for them. Only
+//! `baseline` also runs the interpreter, to measure both engines'
+//! instruction rates on the same trial plan.
 
 use peppa_bench::{render, scale::Scale, Ctx};
 use peppa_obs::{
     ChromeTrace, JsonlJournal, MetricsRegistry, MultiObserver, Observer, ProgressReporter,
 };
-use peppa_vm::EngineKind;
 use std::path::PathBuf;
+use std::process::ExitCode;
 use std::sync::Arc;
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.is_empty() {
-        eprintln!(
-            "usage: repro <fig1|fig2|fig5|fig6|fig7|fig8|fig9|table2..6|static-rank|hybrid|precision|snapshot|optstudy|baseline|all> \
-             [--scale quick|paper] [--seed N] [--out DIR] [--threads N] [--smoke] \
-             [--engine interp|compiled] [--trace-out FILE.jsonl] [--metrics-out FILE.json] \
-             [--chrome-trace FILE.json] [--quiet]"
-        );
-        std::process::exit(2);
-    }
+/// Every experiment `repro` runs, in the order `all` runs them.
+const EXPERIMENTS: [&str; 21] = [
+    "fig1",
+    "table2",
+    "fig2",
+    "table3",
+    "table4",
+    "table5",
+    "fig5",
+    "fig6",
+    "fig7",
+    "fig8",
+    "table6",
+    "fig9",
+    "static-rank",
+    "hybrid",
+    "precision",
+    "provenance",
+    "snapshot",
+    "optstudy",
+    "faultmodel",
+    "ablation",
+    "baseline",
+];
 
-    let mut experiments: Vec<String> = Vec::new();
-    let mut scale = Scale::Quick;
-    let mut seed = 2021u64; // the paper's year, why not
-    let mut out: Option<PathBuf> = None;
-    let mut threads = 0usize;
-    let mut trace_out: Option<PathBuf> = None;
-    let mut metrics_out: Option<PathBuf> = None;
-    let mut chrome_trace: Option<PathBuf> = None;
-    let mut quiet = false;
-    let mut smoke = false;
-    let mut engine = EngineKind::Interp;
+struct Args {
+    experiments: Vec<String>,
+    scale: Scale,
+    seed: u64,
+    out: Option<PathBuf>,
+    threads: usize,
+    trace_out: Option<PathBuf>,
+    metrics_out: Option<PathBuf>,
+    chrome_trace: Option<PathBuf>,
+    quiet: bool,
+    smoke: bool,
+}
 
+/// Parses and checks the whole command line before anything runs.
+fn parse_args(args: Vec<String>) -> Result<Args, String> {
+    let mut a = Args {
+        experiments: Vec::new(),
+        scale: Scale::Quick,
+        seed: 2021, // the paper's year, why not
+        out: None,
+        threads: 0,
+        trace_out: None,
+        metrics_out: None,
+        chrome_trace: None,
+        quiet: false,
+        smoke: false,
+    };
     let mut it = args.into_iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
+    while let Some(arg) = it.next() {
+        let mut val = |name: &str| it.next().ok_or_else(|| format!("{name} needs a value"));
+        match arg.as_str() {
             "--scale" => {
-                let v = it.next().expect("--scale needs a value");
-                scale = Scale::parse(&v).unwrap_or_else(|| panic!("unknown scale `{v}`"));
+                let v = val("--scale")?;
+                a.scale = Scale::parse(&v).ok_or_else(|| format!("unknown scale `{v}`"))?;
             }
-            "--seed" => {
-                seed = it
-                    .next()
-                    .expect("--seed needs a value")
-                    .parse()
-                    .expect("seed must be u64");
-            }
-            "--out" => out = Some(PathBuf::from(it.next().expect("--out needs a dir"))),
-            "--threads" => {
-                threads = it
-                    .next()
-                    .expect("--threads needs a value")
-                    .parse()
-                    .expect("threads must be usize");
-            }
-            "--trace-out" => {
-                trace_out = Some(PathBuf::from(it.next().expect("--trace-out needs a file")));
-            }
-            "--metrics-out" => {
-                metrics_out = Some(PathBuf::from(
-                    it.next().expect("--metrics-out needs a file"),
-                ));
-            }
-            "--chrome-trace" => {
-                chrome_trace = Some(PathBuf::from(
-                    it.next().expect("--chrome-trace needs a file"),
-                ));
-            }
-            "--engine" => {
-                let v = it.next().expect("--engine needs a value");
-                engine = v
-                    .parse()
-                    .unwrap_or_else(|e: String| panic!("--engine: {e}"));
-            }
-            "--quiet" => quiet = true,
-            "--smoke" => smoke = true,
-            other => experiments.push(other.to_string()),
+            "--seed" => a.seed = val("--seed")?.parse().map_err(|_| "bad --seed")?,
+            "--out" => a.out = Some(val("--out")?.into()),
+            "--threads" => a.threads = val("--threads")?.parse().map_err(|_| "bad --threads")?,
+            "--trace-out" => a.trace_out = Some(val("--trace-out")?.into()),
+            "--metrics-out" => a.metrics_out = Some(val("--metrics-out")?.into()),
+            "--chrome-trace" => a.chrome_trace = Some(val("--chrome-trace")?.into()),
+            "--quiet" => a.quiet = true,
+            "--smoke" => a.smoke = true,
+            name if name == "all" || EXPERIMENTS.contains(&name) => a.experiments.push(arg),
+            other if other.starts_with('-') => return Err(format!("unknown option `{other}`")),
+            other => return Err(format!("unknown experiment `{other}`")),
         }
     }
-    if experiments.iter().any(|e| e == "all") {
-        experiments = [
-            "fig1",
-            "table2",
-            "fig2",
-            "table3",
-            "table4",
-            "table5",
-            "fig5",
-            "fig6",
-            "fig7",
-            "fig8",
-            "table6",
-            "fig9",
-            "static-rank",
-            "hybrid",
-            "precision",
-            "provenance",
-            "snapshot",
-            "optstudy",
-            "faultmodel",
-            "ablation",
-            "baseline",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
+    if a.experiments.iter().any(|e| e == "all") {
+        a.experiments = EXPERIMENTS.map(String::from).to_vec();
     }
+    if a.experiments.is_empty() {
+        return Err(format!(
+            "usage: repro <{}|all>... [--scale quick|paper] [--seed N] [--out DIR] \
+             [--threads N] [--smoke] [--trace-out FILE.jsonl] [--metrics-out FILE.json] \
+             [--chrome-trace FILE.json] [--quiet]",
+            EXPERIMENTS.join("|")
+        ));
+    }
+    Ok(a)
+}
 
-    let mut ctx = Ctx::new(scale, seed);
-    ctx.threads = threads;
-    ctx.engine = engine;
-    if let Some(dir) = &out {
+fn main() -> ExitCode {
+    let a = match parse_args(std::env::args().skip(1).collect()) {
+        Ok(a) => a,
+        Err(msg) => {
+            eprintln!("repro: {msg}");
+            return ExitCode::from(2);
+        }
+    };
+
+    let mut ctx = Ctx::new(a.scale, a.seed);
+    ctx.threads = a.threads;
+    if let Some(dir) = &a.out {
         std::fs::create_dir_all(dir).expect("create output dir");
     }
 
     // Observer stack for instrumented experiments (same sinks the
     // `peppa` CLI wires up): journal + metrics registry + progress line.
     let mut multi = MultiObserver::new();
-    if let Some(path) = &trace_out {
+    if let Some(path) = &a.trace_out {
         let journal = JsonlJournal::create(path)
             .unwrap_or_else(|e| panic!("cannot create {}: {e}", path.display()));
         multi.push(Arc::new(journal));
     }
-    let registry: Option<Arc<MetricsRegistry>> = metrics_out.as_ref().map(|_| {
+    let registry: Option<Arc<MetricsRegistry>> = a.metrics_out.as_ref().map(|_| {
         let reg = Arc::new(MetricsRegistry::new());
         multi.push(Arc::clone(&reg) as Arc<dyn Observer>);
         reg
     });
-    if let Some(path) = &chrome_trace {
+    if let Some(path) = &a.chrome_trace {
         multi.push(Arc::new(ChromeTrace::create(path)));
     }
-    if !quiet {
+    if !a.quiet {
         multi.push(Arc::new(ProgressReporter::new(
             std::time::Duration::from_millis(200),
         )));
@@ -199,7 +197,7 @@ fn main() {
     let observer: Arc<dyn Observer> = Arc::new(multi);
 
     let dump = |name: &str, json: String| {
-        if let Some(dir) = &out {
+        if let Some(dir) = &a.out {
             let path = dir.join(format!("{name}.json"));
             std::fs::write(&path, json).expect("write json");
             eprintln!("[repro] wrote {}", path.display());
@@ -212,8 +210,11 @@ fn main() {
     let mut study_report: Option<peppa_bench::study::StudyReport> = None;
     let mut rank_report: Option<peppa_bench::ranks::RankReport> = None;
 
-    for exp in &experiments {
-        eprintln!("[repro] running {exp} at {scale:?} scale (seed {seed})...");
+    for exp in &a.experiments {
+        eprintln!(
+            "[repro] running {exp} at {:?} scale (seed {})...",
+            a.scale, a.seed
+        );
         let t0 = std::time::Instant::now();
         match exp.as_str() {
             "fig1" | "table2" => {
@@ -293,7 +294,7 @@ fn main() {
                 dump("static_rank", serde_json::to_string_pretty(&r).unwrap());
             }
             "hybrid" => {
-                let r = peppa_bench::hybrid::run_hybrid(&ctx, smoke);
+                let r = peppa_bench::hybrid::run_hybrid(&ctx, a.smoke);
                 println!("{}", peppa_bench::hybrid::render_hybrid(&r));
                 dump("hybrid", serde_json::to_string_pretty(&r).unwrap());
                 if !r.sound() {
@@ -305,7 +306,7 @@ fn main() {
                 }
             }
             "precision" => {
-                let r = peppa_bench::precision::run_precision(&ctx, smoke);
+                let r = peppa_bench::precision::run_precision(&ctx, a.smoke);
                 println!("{}", peppa_bench::precision::render_precision(&r));
                 dump("precision", serde_json::to_string_pretty(&r).unwrap());
                 if !r.sound() {
@@ -318,7 +319,7 @@ fn main() {
                 }
             }
             "provenance" => {
-                let r = peppa_bench::provenance::run_provenance(&ctx, smoke, observer.as_ref());
+                let r = peppa_bench::provenance::run_provenance(&ctx, a.smoke, observer.as_ref());
                 println!("{}", peppa_bench::provenance::render_provenance(&r));
                 dump("provenance", serde_json::to_string_pretty(&r).unwrap());
                 if !r.sound() {
@@ -330,7 +331,8 @@ fn main() {
                 }
             }
             "snapshot" => {
-                let r = peppa_bench::snapshot_exp::run_snapshot_exp(&ctx, smoke, observer.as_ref());
+                let r =
+                    peppa_bench::snapshot_exp::run_snapshot_exp(&ctx, a.smoke, observer.as_ref());
                 println!("{}", peppa_bench::snapshot_exp::render_snapshot_exp(&r));
                 dump("snapshot", serde_json::to_string_pretty(&r).unwrap());
                 if !r.sound() {
@@ -342,7 +344,7 @@ fn main() {
                 }
             }
             "optstudy" => {
-                let r = peppa_bench::optstudy::run_optstudy(&ctx, smoke);
+                let r = peppa_bench::optstudy::run_optstudy(&ctx, a.smoke);
                 println!("{}", peppa_bench::optstudy::render_optstudy(&r));
                 dump("optstudy", serde_json::to_string_pretty(&r).unwrap());
                 if !r.sound() {
@@ -360,7 +362,8 @@ fn main() {
                 // The throughput baseline is a checked-in regression
                 // reference, so it keeps a stable name at the top of
                 // the output dir (default: working directory).
-                let path = out
+                let path = a
+                    .out
                     .clone()
                     .unwrap_or_else(|| PathBuf::from("."))
                     .join("BENCH_baseline.json");
@@ -386,20 +389,20 @@ fn main() {
                 println!("{}", render::render_ablation(&r));
                 dump("ablation", serde_json::to_string_pretty(&r).unwrap());
             }
-            other => {
-                eprintln!("[repro] unknown experiment `{other}` — skipping");
-            }
+            other => unreachable!("parse_args admits only known experiments, not `{other}`"),
         }
         eprintln!("[repro] {exp} done in {:.1}s\n", t0.elapsed().as_secs_f64());
     }
 
     observer.flush();
-    if let (Some(path), Some(reg)) = (&metrics_out, &registry) {
+    if let (Some(path), Some(reg)) = (&a.metrics_out, &registry) {
         std::fs::write(path, reg.snapshot_json())
             .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
         eprintln!("[repro] wrote {}", path.display());
     }
     if failed {
-        std::process::exit(1);
+        ExitCode::FAILURE
+    } else {
+        ExitCode::SUCCESS
     }
 }

@@ -56,7 +56,7 @@ pub fn run_fault_models(ctx: &Ctx) -> FaultModelReport {
                     hang_factor: 8,
                     threads: ctx.threads,
                     burst,
-                    engine: ctx.engine,
+                    ..Default::default()
                 };
                 let r = run_campaign(&b.module, &b.reference_input, ctx.limits, cfg)
                     .expect("reference input runs");

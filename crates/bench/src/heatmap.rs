@@ -80,7 +80,7 @@ pub fn heatmap_custom(bench: &Benchmark, ctx: &Ctx, res: usize, trials: u32) -> 
                 hang_factor: 8,
                 threads: ctx.threads,
                 burst: 0,
-                engine: ctx.engine,
+                ..Default::default()
             };
             if let Ok(r) = run_campaign(&bench.module, &input, ctx.limits, cfg) {
                 sdc[yk][xk] = r.sdc_prob();

@@ -28,7 +28,7 @@
 //! `repro provenance` cross-checks the shadow-
 //! taint tracer against the static reach analysis (containment + static-
 //! precision headroom, [`provenance`]), and `repro snapshot` measures
-//! the checkpoint/fork campaign engine behind `--snapshots K` — wall-
+//! the checkpoint/fork campaign engine — wall-
 //! clock speedup plus bit-identity with the classic runner
 //! ([`snapshot_exp`]).
 //!

@@ -116,7 +116,7 @@ fn campaign(module: &Module, input: &[f64], ctx: &Ctx, trials: u32) -> (Campaign
         hang_factor: 8,
         burst: 0,
         threads: ctx.threads,
-        engine: ctx.engine,
+        ..Default::default()
     };
     let t = Instant::now();
     let r = run_campaign(module, input, ctx.limits, cfg).expect("reference input must run");
@@ -200,7 +200,6 @@ fn transfer(
         final_fi_trials: trials,
         limits: ctx.limits,
         threads: ctx.threads,
-        engine: ctx.engine,
         ..Default::default()
     };
     let px = PeppaX::prepare(home, cfg).unwrap_or_else(|e| panic!("{}: {e}", home.name));

@@ -106,7 +106,7 @@ pub fn provenance_benchmark(
         hang_factor: 8,
         threads: ctx.threads,
         burst: 0,
-        engine: ctx.engine,
+        ..Default::default()
     };
     let traced = CampaignPlan::new(&bench.module, &bench.reference_input, ctx.limits, cfg)
         .trace(true)

@@ -1,6 +1,6 @@
 //! Experiment scaling knobs.
 
-use peppa_vm::{EngineKind, ExecLimits};
+use peppa_vm::ExecLimits;
 
 /// Experiment scale: `Quick` for CI-sized runs, `Paper` for the paper's
 /// trial counts.
@@ -27,10 +27,6 @@ pub struct Ctx {
     pub seed: u64,
     pub threads: usize,
     pub limits: ExecLimits,
-    /// Execution backend campaigns run trials on (`--engine`). Outcome-
-    /// invariant: both engines produce bit-identical trial results, so
-    /// this is purely a wall-clock knob.
-    pub engine: EngineKind,
 }
 
 impl Ctx {
@@ -40,7 +36,6 @@ impl Ctx {
             seed,
             threads: 0,
             limits: ExecLimits::default(),
-            engine: EngineKind::Interp,
         }
     }
 
@@ -63,8 +58,8 @@ impl Ctx {
         }
     }
 
-    /// Snapshots per snapshotted campaign (the `--snapshots K` knob the
-    /// baseline and snapshot experiments measure at).
+    /// Snapshots per snapshotted campaign (the K the baseline and
+    /// snapshot experiments measure at).
     pub fn campaign_snapshots(&self) -> u32 {
         match self.scale {
             Scale::Quick => 64,

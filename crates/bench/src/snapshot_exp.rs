@@ -30,7 +30,7 @@ pub struct SnapshotExpRow {
     pub golden_dynamic: u64,
     /// Campaign size both runners executed.
     pub trials: u32,
-    /// Fork points requested (`--snapshots K`).
+    /// Fork points requested (K).
     pub snapshots_requested: u32,
     /// Fork points actually captured (≤ requested; bounded by the
     /// number of distinct sampled sites).
@@ -93,7 +93,7 @@ pub fn snapshot_benchmark(
         hang_factor: 8,
         threads: ctx.threads,
         burst: 0,
-        engine: ctx.engine,
+        ..Default::default()
     };
 
     let t0 = std::time::Instant::now();

@@ -86,7 +86,7 @@ fn measure_input(bench: &Benchmark, input: &[f64], ctx: &Ctx, seed: u64) -> Inpu
         hang_factor: 8,
         threads: ctx.threads,
         burst: 0,
-        engine: ctx.engine,
+        ..Default::default()
     };
     let r = run_campaign(&bench.module, input, ctx.limits, cfg)
         .unwrap_or_else(|e| panic!("{}: campaign failed on validated input: {e}", bench.name));

@@ -5,7 +5,7 @@
 use peppa_apps::{sample_input, Benchmark};
 use peppa_inject::{run_campaign, CampaignConfig};
 use peppa_stats::Pcg64;
-use peppa_vm::{EngineKind, ExecLimits};
+use peppa_vm::ExecLimits;
 use serde::{Deserialize, Serialize};
 
 /// Baseline configuration.
@@ -18,8 +18,6 @@ pub struct BaselineConfig {
     pub threads: usize,
     /// Safety cap on evaluated inputs regardless of budget.
     pub max_inputs: usize,
-    /// Execution backend for the FI campaigns (outcome-invariant).
-    pub engine: EngineKind,
 }
 
 impl Default for BaselineConfig {
@@ -30,7 +28,6 @@ impl Default for BaselineConfig {
             limits: ExecLimits::default(),
             threads: 0,
             max_inputs: 10_000,
-            engine: EngineKind::Interp,
         }
     }
 }
@@ -88,7 +85,7 @@ pub fn baseline_search(
             hang_factor: 8,
             threads: cfg.threads,
             burst: 0,
-            engine: cfg.engine,
+            ..Default::default()
         };
         match run_campaign(&bench.module, &input, cfg.limits, campaign_cfg) {
             Ok(r) => {

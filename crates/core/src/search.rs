@@ -28,10 +28,11 @@ pub struct PeppaConfig {
     pub limits: ExecLimits,
     /// Worker threads for FI phases; 0 = all cores.
     pub threads: usize,
-    /// Execution backend for the final FI campaigns (outcome-invariant),
-    /// which resume their trials from golden-prefix snapshots on either
-    /// engine. Preparation (small-input fuzzing, the distribution FI)
-    /// and the GA's fitness runs always run on the compiled engine.
+    /// Execution backend for the final FI campaigns, which resume their
+    /// trials from golden-prefix snapshots. Every command runs the
+    /// compiled default; the field stays only because `perfbench` sets
+    /// it. Preparation (small-input fuzzing, the distribution FI) and
+    /// the GA's fitness runs always run on the compiled engine.
     pub engine: EngineKind,
     pub small_input: SmallInputConfig,
 }
@@ -47,7 +48,7 @@ impl Default for PeppaConfig {
             final_fi_trials: 1000,
             limits: ExecLimits::default(),
             threads: 0,
-            engine: EngineKind::Interp,
+            engine: EngineKind::Compiled,
             small_input: SmallInputConfig::default(),
         }
     }

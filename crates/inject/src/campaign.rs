@@ -31,10 +31,11 @@ pub struct CampaignConfig {
     pub burst: u8,
     /// Number of worker threads; 0 means use all available cores.
     pub threads: usize,
-    /// Execution backend trials run on. The engines are observably
-    /// bit-identical (see `crates/vm/tests/engine_differential.rs`),
-    /// so this is a pure wall-clock knob: outcome counts do not depend
-    /// on it.
+    /// Execution backend trials run on: the oracle switch. Every
+    /// command runs the compiled default; the differential suites and
+    /// the perfbench gate set [`EngineKind::Interp`] to compare against
+    /// the interpreter, which must give bit-identical outcome counts
+    /// (see `crates/vm/tests/engine_differential.rs`).
     pub engine: EngineKind,
 }
 
@@ -46,7 +47,7 @@ impl Default for CampaignConfig {
             hang_factor: 8,
             threads: 0,
             burst: 0,
-            engine: EngineKind::Interp,
+            engine: EngineKind::Compiled,
         }
     }
 }
@@ -221,9 +222,8 @@ pub struct GatedPrunedCampaignResult {
 /// [`run_campaign_snapshotted_observed`].
 #[derive(Debug, Clone, Copy)]
 pub struct SnapshotConfig {
-    /// Maximum golden-prefix snapshots to capture (the `--snapshots K`
-    /// knob). `0` degenerates to the plain campaign: every trial
-    /// executes from program entry.
+    /// Maximum golden-prefix snapshots to capture. `0` degenerates to
+    /// the plain campaign: every trial executes from program entry.
     pub snapshots: u32,
 }
 
@@ -700,7 +700,16 @@ mod tests {
             threads: 2,
             ..Default::default()
         };
-        let full = run_campaign(&m, &[16.0, 0.5], ExecLimits::default(), cfg).unwrap();
+        let full = run_campaign(
+            &m,
+            &[16.0, 0.5],
+            ExecLimits::default(),
+            CampaignConfig {
+                engine: EngineKind::Interp,
+                ..cfg
+            },
+        )
+        .unwrap();
         let none = StaticPrune {
             cells: vec![0; m.num_instrs],
             burst: 0,
@@ -991,7 +1000,16 @@ mod tests {
         assert_eq!(g.decision.predicted_skip_ratio, 0.0);
         assert_eq!(g.result.skipped, 0);
         // Disengaged gate still measures the same campaign.
-        let full = run_campaign(&m, &[16.0, 0.5], ExecLimits::default(), cfg).unwrap();
+        let full = run_campaign(
+            &m,
+            &[16.0, 0.5],
+            ExecLimits::default(),
+            CampaignConfig {
+                engine: EngineKind::Interp,
+                ..cfg
+            },
+        )
+        .unwrap();
         assert_eq!(
             (full.sdc, full.crash, full.hang, full.benign),
             (
@@ -1107,22 +1125,21 @@ mod tests {
             threads: 1,
             ..Default::default()
         };
-        let plan = |threads, k| {
-            CampaignPlan::new(
-                &m,
-                &[12.0, 0.25],
-                ExecLimits::default(),
-                CampaignConfig { threads, ..cfg },
-            )
-            .prune(&table, PruneGate::default())
-            .snapshots(k)
-            .run(&NullObserver)
-            .unwrap()
+        let plan = |cfg, k| {
+            CampaignPlan::new(&m, &[12.0, 0.25], ExecLimits::default(), cfg)
+                .prune(&table, PruneGate::default())
+                .snapshots(k)
+                .run(&NullObserver)
+                .unwrap()
         };
-        let pruned = plan(1, 0);
+        let interp = CampaignConfig {
+            engine: EngineKind::Interp,
+            ..cfg
+        };
+        let pruned = plan(interp, 0);
         assert!(pruned.skipped > 0, "the table must skip some trials");
         for (k, threads) in [(8, 1), (8, 4), (64, 4)] {
-            let r = plan(threads, k);
+            let r = plan(CampaignConfig { threads, ..cfg }, k);
             // Same skipped trials, and the kept ones resume to the same
             // outcomes they reach from entry.
             assert_eq!(r.skipped, pruned.skipped, "k={k}");
@@ -1191,8 +1208,8 @@ mod tests {
         );
         assert_eq!(interp.golden_dynamic, compiled.golden_dynamic);
 
-        // `--engine compiled` composes with `--snapshots K`: fork points
-        // land on the same value-dynamic boundaries in both backends.
+        // The compiled engine composes with snapshots: fork points land
+        // on the same value-dynamic boundaries in both backends.
         for k in [0, 8] {
             let r = CampaignPlan::new(
                 &m,
@@ -1214,7 +1231,7 @@ mod tests {
                     r.campaign.hang,
                     r.campaign.benign
                 ),
-                "compiled engine with --snapshots {k} diverged from interpreter"
+                "compiled engine with {k} snapshots diverged from interpreter"
             );
             if k > 0 {
                 assert!(r.stats.restores > 0, "k={k}: some trial must restore");

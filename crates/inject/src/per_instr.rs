@@ -25,7 +25,7 @@ use crate::campaign::{CampaignConfig, CampaignError};
 use crate::plan::{CampaignPlan, DEFAULT_SNAPSHOTS};
 use peppa_ir::{InstrId, Module};
 use peppa_obs::NullObserver;
-use peppa_vm::{EngineKind, ExecLimits};
+use peppa_vm::ExecLimits;
 use serde::{Deserialize, Serialize};
 
 /// Configuration for per-instruction measurement.
@@ -100,7 +100,7 @@ pub fn per_instruction_sdc(
         hang_factor: cfg.hang_factor,
         burst: 0,
         threads: cfg.threads,
-        engine: EngineKind::Compiled,
+        ..Default::default()
     };
     let r = CampaignPlan::new(module, inputs, limits, campaign)
         .per_instruction(subset)
@@ -234,7 +234,6 @@ mod tests {
             trials,
             seed: 5,
             threads: 2,
-            engine: EngineKind::Compiled,
             ..Default::default()
         }
     }

@@ -54,8 +54,8 @@ use peppa_vm::{
 };
 use std::time::Instant;
 
-/// The snapshot count `K` of the configurations that resume trials by
-/// default: `SnapshotConfig::default()` and both FI stages of a search
+/// The snapshot count `K` every command resumes trials at: `peppa
+/// inject`, both FI stages of a search and `SnapshotConfig::default()`
 /// capture up to this many golden-prefix snapshots.
 pub const DEFAULT_SNAPSHOTS: u32 = 16;
 

@@ -1,14 +1,16 @@
 //! Differential test for the snapshot/fork campaign engine: on every
-//! benchmark, for every snapshot count and thread count, a campaign plan
-//! with snapshots must produce outcome counts **bit-identical** to the
-//! classic [`run_campaign`] under the same `CampaignConfig` — the engine
-//! is a pure wall-clock optimization, never a measurement change. The
-//! taint-traced composition (`--snapshots --trace-propagation`) is held
-//! to the same bar, down to the per-trial provenance records, and so is
-//! the pruned composition (`--snapshots --static-prune`) with the reach
-//! ∪ deviation table. The per-instruction sampler behind
-//! `per_instruction_sdc` (the search's distribution FI) must measure
-//! the same per-instruction SDC counts from snapshots as from entry.
+//! benchmark, for every snapshot count and thread count, on both
+//! engines, a campaign plan with snapshots must produce outcome counts
+//! **bit-identical** to the oracle, the interpreter running every trial
+//! from program entry ([`run_campaign`] with [`EngineKind::Interp`])
+//! under the same seed — snapshots are a pure wall-clock optimization,
+//! never a measurement change. The taint-traced composition
+//! (`--trace-propagation`) is held to the same bar, down to the
+//! per-trial provenance records, and so is the pruned composition
+//! (`--static-prune`) with the reach ∪ deviation table. The
+//! per-instruction sampler behind `per_instruction_sdc` (the search's
+//! distribution FI) must measure the same per-instruction SDC counts
+//! from snapshots as the interpreter does from entry.
 //!
 //! CI runs this file by name and fails if it is filtered out — see
 //! `.github/workflows/ci.yml`.
@@ -24,15 +26,16 @@ use peppa_vm::{EngineKind, ExecLimits};
 
 const TRIALS: u32 = 16;
 const SEED: u64 = 0xd1ff;
+const ENGINES: [EngineKind; 2] = [EngineKind::Interp, EngineKind::Compiled];
 
-fn cfg(threads: usize) -> CampaignConfig {
+fn cfg(engine: EngineKind, threads: usize) -> CampaignConfig {
     CampaignConfig {
         trials: TRIALS,
         seed: SEED,
         hang_factor: 8,
         threads,
         burst: 0,
-        ..Default::default()
+        engine,
     }
 }
 
@@ -40,46 +43,60 @@ fn counts(r: &CampaignResult) -> (u32, u32, u32, u32) {
     (r.sdc, r.crash, r.hang, r.benign)
 }
 
+/// Every `(engine, k, threads)` plan for the snapshot counts `ks`, on one
+/// and on four workers.
+fn plans<const N: usize>(ks: [u32; N]) -> impl Iterator<Item = (EngineKind, u32, usize)> {
+    ENGINES.into_iter().flat_map(move |engine| {
+        ks.into_iter()
+            .flat_map(move |k| [1usize, 4].map(|threads| (engine, k, threads)))
+    })
+}
+
 #[test]
 fn snapshotted_outcomes_bit_identical_on_all_benchmarks() {
     let limits = ExecLimits::default();
     for bench in all_benchmarks() {
-        // One cached full-campaign reference per benchmark; every
-        // snapshotted variant must match it exactly.
-        let full = run_campaign(&bench.module, &bench.reference_input, limits, cfg(2))
-            .unwrap_or_else(|e| panic!("{}: full campaign failed: {e}", bench.name));
-        for k in [0u32, 1, 8, 64] {
-            for threads in [1usize, 4] {
-                let snap =
-                    CampaignPlan::new(&bench.module, &bench.reference_input, limits, cfg(threads))
-                        .snapshots(k)
-                        .run(&NullObserver)
-                        .unwrap_or_else(|e| {
-                            panic!("{}: snapshotted campaign (k={k}) failed: {e}", bench.name)
-                        });
-                assert_eq!(
-                    counts(&full),
-                    counts(&snap.campaign),
-                    "{}: k={k} threads={threads} diverged from the full campaign",
-                    bench.name
+        // One cached oracle per benchmark; every plan must match it
+        // exactly.
+        let full = run_campaign(
+            &bench.module,
+            &bench.reference_input,
+            limits,
+            cfg(EngineKind::Interp, 2),
+        )
+        .unwrap_or_else(|e| panic!("{}: full campaign failed: {e}", bench.name));
+        for (engine, k, threads) in plans([0, 1, 8, 64]) {
+            let snap = CampaignPlan::new(
+                &bench.module,
+                &bench.reference_input,
+                limits,
+                cfg(engine, threads),
+            )
+            .snapshots(k)
+            .run(&NullObserver)
+            .unwrap_or_else(|e| panic!("{}: {engine} campaign (k={k}) failed: {e}", bench.name));
+            assert_eq!(
+                counts(&full),
+                counts(&snap.campaign),
+                "{}: {engine} k={k} threads={threads} diverged from the oracle",
+                bench.name
+            );
+            assert_eq!(
+                snap.stats.restores + snap.stats.full_runs,
+                TRIALS as u64,
+                "{}: {engine} k={k} trials unaccounted",
+                bench.name
+            );
+            if k == 0 {
+                assert_eq!(snap.stats.snapshots, 0, "{}", bench.name);
+            } else {
+                assert!(
+                    snap.stats.snapshots >= 1 && snap.stats.snapshots <= k,
+                    "{}: k={k} captured {}",
+                    bench.name,
+                    snap.stats.snapshots
                 );
-                assert_eq!(
-                    snap.stats.restores + snap.stats.full_runs,
-                    TRIALS as u64,
-                    "{}: k={k} trials unaccounted",
-                    bench.name
-                );
-                if k == 0 {
-                    assert_eq!(snap.stats.snapshots, 0, "{}", bench.name);
-                } else {
-                    assert!(
-                        snap.stats.snapshots >= 1 && snap.stats.snapshots <= k,
-                        "{}: k={k} captured {}",
-                        bench.name,
-                        snap.stats.snapshots
-                    );
-                    assert!(snap.stats.restores > 0, "{}: k={k}", bench.name);
-                }
+                assert!(snap.stats.restores > 0, "{}: {engine} k={k}", bench.name);
             }
         }
     }
@@ -89,51 +106,48 @@ fn snapshotted_outcomes_bit_identical_on_all_benchmarks() {
 fn snapshotted_traced_composition_bit_identical_on_all_benchmarks() {
     let limits = ExecLimits::default();
     for bench in all_benchmarks() {
-        let traced = CampaignPlan::new(&bench.module, &bench.reference_input, limits, cfg(2))
-            .trace(true)
+        let plan =
+            |cfg| CampaignPlan::new(&bench.module, &bench.reference_input, limits, cfg).trace(true);
+        let traced = plan(cfg(EngineKind::Interp, 2))
             .run(&NullObserver)
             .unwrap_or_else(|e| panic!("{}: traced campaign failed: {e}", bench.name));
-        let snap = CampaignPlan::new(&bench.module, &bench.reference_input, limits, cfg(4))
-            .snapshots(8)
-            .trace(true)
-            .run(&NullObserver)
-            .unwrap_or_else(|e| panic!("{}: snapshotted traced campaign failed: {e}", bench.name));
-        assert_eq!(
-            counts(&traced.campaign),
-            counts(&snap.campaign),
-            "{}: snapshotted traced counts diverged",
-            bench.name
-        );
-        assert_eq!(
-            snap.stats.converged_exits, 0,
-            "{}: tracing must observe the whole suffix",
-            bench.name
-        );
-        for (x, y) in traced.traced.iter().zip(&snap.traced) {
-            assert_eq!(x.outcome, y.outcome, "{} trial {}", bench.name, x.trial);
+        for engine in ENGINES {
+            let snap = plan(cfg(engine, 4))
+                .snapshots(8)
+                .run(&NullObserver)
+                .unwrap_or_else(|e| {
+                    panic!(
+                        "{}: {engine} snapshotted traced campaign failed: {e}",
+                        bench.name
+                    )
+                });
             assert_eq!(
-                (x.site, x.bit, x.sid),
-                (y.site, y.bit, y.sid),
-                "{} trial {}",
-                bench.name,
-                x.trial
-            );
-            assert_eq!(x.report.seeded, y.report.seeded);
-            assert_eq!(x.report.seed_mask, y.report.seed_mask);
-            assert_eq!(x.report.seed_dynamic, y.report.seed_dynamic);
-            assert_eq!(
-                x.report.tainted_defs, y.report.tainted_defs,
-                "{} trial {}",
-                bench.name, x.trial
+                counts(&traced.campaign),
+                counts(&snap.campaign),
+                "{}: {engine} snapshotted traced counts diverged",
+                bench.name
             );
             assert_eq!(
-                x.report.sid_hits, y.report.sid_hits,
-                "{} trial {}",
-                bench.name, x.trial
+                snap.stats.converged_exits, 0,
+                "{}: tracing must observe the whole suffix",
+                bench.name
             );
-            assert_eq!(x.report.first_sink, y.report.first_sink);
-            assert_eq!(x.report.extinction_dynamic, y.report.extinction_dynamic);
-            assert_eq!(x.report.live_at_end, y.report.live_at_end);
+            for (x, y) in traced.traced.iter().zip(&snap.traced) {
+                let at = format!("{} {engine} trial {}", bench.name, x.trial);
+                assert_eq!(x.outcome, y.outcome, "{at}");
+                assert_eq!((x.site, x.bit, x.sid), (y.site, y.bit, y.sid), "{at}");
+                assert_eq!(x.report.seeded, y.report.seeded, "{at}");
+                assert_eq!(x.report.seed_mask, y.report.seed_mask, "{at}");
+                assert_eq!(x.report.seed_dynamic, y.report.seed_dynamic, "{at}");
+                assert_eq!(x.report.tainted_defs, y.report.tainted_defs, "{at}");
+                assert_eq!(x.report.sid_hits, y.report.sid_hits, "{at}");
+                assert_eq!(x.report.first_sink, y.report.first_sink, "{at}");
+                assert_eq!(
+                    x.report.extinction_dynamic, y.report.extinction_dynamic,
+                    "{at}"
+                );
+                assert_eq!(x.report.live_at_end, y.report.live_at_end, "{at}");
+            }
         }
     }
 }
@@ -143,8 +157,13 @@ fn snapshotted_pruned_composition_matches_full_on_all_benchmarks() {
     let limits = ExecLimits::default();
     let mut skipped = 0;
     for bench in all_benchmarks() {
-        let full = run_campaign(&bench.module, &bench.reference_input, limits, cfg(2))
-            .unwrap_or_else(|e| panic!("{}: full campaign failed: {e}", bench.name));
+        let full = run_campaign(
+            &bench.module,
+            &bench.reference_input,
+            limits,
+            cfg(EngineKind::Interp, 2),
+        )
+        .unwrap_or_else(|e| panic!("{}: full campaign failed: {e}", bench.name));
         // The table `repro hybrid` builds: reach ∪ deviation cells for
         // the campaign's own input.
         let fr = FaultReach::analyze(&bench.module);
@@ -153,30 +172,35 @@ fn snapshotted_pruned_composition_matches_full_on_all_benchmarks() {
             burst: 0,
         };
         assert!(table.masked_cells() > 0, "{}: empty table", bench.name);
-        for k in [0u32, 8] {
-            for threads in [1usize, 4] {
-                let r =
-                    CampaignPlan::new(&bench.module, &bench.reference_input, limits, cfg(threads))
-                        .prune(&table, PruneGate::default())
-                        .snapshots(k)
-                        .run(&NullObserver)
-                        .unwrap_or_else(|e| {
-                            panic!("{}: pruned campaign (k={k}) failed: {e}", bench.name)
-                        });
-                assert_eq!(
-                    counts(&full),
-                    counts(&r.campaign),
-                    "{}: k={k} threads={threads} pruned counts diverged",
+        for (engine, k, threads) in plans([0, 8]) {
+            let r = CampaignPlan::new(
+                &bench.module,
+                &bench.reference_input,
+                limits,
+                cfg(engine, threads),
+            )
+            .prune(&table, PruneGate::default())
+            .snapshots(k)
+            .run(&NullObserver)
+            .unwrap_or_else(|e| {
+                panic!(
+                    "{}: {engine} pruned campaign (k={k}) failed: {e}",
                     bench.name
-                );
-                assert_eq!(
-                    r.stats.restores + r.stats.full_runs + r.skipped,
-                    TRIALS as u64,
-                    "{}: k={k} trials unaccounted",
-                    bench.name
-                );
-                skipped += r.skipped;
-            }
+                )
+            });
+            assert_eq!(
+                counts(&full),
+                counts(&r.campaign),
+                "{}: {engine} k={k} threads={threads} pruned counts diverged",
+                bench.name
+            );
+            assert_eq!(
+                r.stats.restores + r.stats.full_runs + r.skipped,
+                TRIALS as u64,
+                "{}: {engine} k={k} trials unaccounted",
+                bench.name
+            );
+            skipped += r.skipped;
         }
     }
     assert!(skipped > 0, "no benchmark skipped a trial");
@@ -200,8 +224,9 @@ const RECURSIVE: &str = r#"
 
 /// The per-instruction plan on `module` at `input`, `per_instr` trials
 /// per instruction, measures the same per-instruction SDC counts from
-/// any number of snapshots and on any number of workers, and
-/// `per_instruction_sdc` is that plan.
+/// any number of snapshots, on any number of workers and on either
+/// engine as the interpreter does from entry, and `per_instruction_sdc`
+/// is that plan.
 fn per_instruction_bit_identical(
     name: &str,
     module: &peppa_ir::Module,
@@ -209,42 +234,39 @@ fn per_instruction_bit_identical(
     per_instr: u32,
 ) {
     let limits = ExecLimits::default();
-    let plan = |k: u32, threads: usize| {
+    let plan = |engine, k: u32, threads: usize| {
         let cfg = CampaignConfig {
             trials: per_instr,
-            engine: EngineKind::Compiled,
-            ..cfg(threads)
+            ..cfg(engine, threads)
         };
         CampaignPlan::new(module, input, limits, cfg)
             .per_instruction(None)
             .snapshots(k)
             .run(&NullObserver)
-            .unwrap_or_else(|e| panic!("{name}: per-instruction plan (k={k}) failed: {e}"))
+            .unwrap_or_else(|e| panic!("{name}: {engine} per-instruction plan (k={k}) failed: {e}"))
     };
-    let entry = plan(0, 1);
+    let entry = plan(EngineKind::Interp, 0, 1);
     assert!(!entry.per_instr.is_empty(), "{name}: nothing measured");
     let trials = entry.per_instr.len() as u64 * per_instr as u64;
     assert_eq!(entry.campaign.trials as u64, trials, "{name}");
-    for k in [0u32, 1, 16, 64] {
-        for threads in [1usize, 4] {
-            let r = plan(k, threads);
-            assert_eq!(
-                r.per_instr, entry.per_instr,
-                "{name}: k={k} threads={threads} per-instruction SDC counts diverged"
-            );
-            assert_eq!(
-                counts(&r.campaign),
-                counts(&entry.campaign),
-                "{name}: k={k} threads={threads}"
-            );
-            assert_eq!(
-                r.stats.restores + r.stats.full_runs,
-                trials,
-                "{name}: k={k} trials unaccounted"
-            );
-            if k > 0 {
-                assert!(r.stats.restores > 0, "{name}: k={k}");
-            }
+    for (engine, k, threads) in plans([0, 1, 16, 64]) {
+        let r = plan(engine, k, threads);
+        assert_eq!(
+            r.per_instr, entry.per_instr,
+            "{name}: {engine} k={k} threads={threads} per-instruction SDC counts diverged"
+        );
+        assert_eq!(
+            counts(&r.campaign),
+            counts(&entry.campaign),
+            "{name}: {engine} k={k} threads={threads}"
+        );
+        assert_eq!(
+            r.stats.restores + r.stats.full_runs,
+            trials,
+            "{name}: {engine} k={k} trials unaccounted"
+        );
+        if k > 0 {
+            assert!(r.stats.restores > 0, "{name}: {engine} k={k}");
         }
     }
 

@@ -170,7 +170,7 @@ pub enum Event {
         /// Approximate heap bytes held by the snapshot.
         bytes: u64,
     },
-    /// End-of-campaign accounting for a `--snapshots K` run, emitted
+    /// End-of-campaign accounting for a run with snapshots (K > 0), emitted
     /// just before its `CampaignFinished`.
     SnapshotStats {
         /// Snapshots captured along the golden run.

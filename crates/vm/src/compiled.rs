@@ -1444,16 +1444,8 @@ impl<'m> CompiledVm<'m> {
         }
     }
 
-    pub fn resume_trial(
-        &self,
-        snap: &VmSnapshot,
-        injection: Option<Injection>,
-        checkpoints: &[VmSnapshot],
-    ) -> TrialResume {
-        let mut hook = NoHook;
-        self.resume_impl(snap, injection, &mut hook, checkpoints, None, None, None)
-    }
-
+    /// [`crate::Vm::resume_trial`] reusing `scratch`'s memory buffer
+    /// across trials, as [`run_amortized`](Self::run_amortized) does.
     #[allow(clippy::too_many_arguments)]
     pub fn resume_trial_amortized(
         &self,

@@ -3,10 +3,12 @@
 //! the tree-walking interpreter ([`crate::Vm`]) or the compiled
 //! threaded-bytecode backend ([`CompiledVm`]).
 //!
-//! The two engines are observably bit-identical (see the
-//! engine-equivalence contract in DESIGN.md and
-//! `crates/vm/tests/engine_differential.rs`), so selecting one is a
-//! pure performance decision. Snapshot *capture* always runs on the
+//! Every command runs on the compiled engine. The interpreter is the
+//! semantic reference that the differential suites and the perfbench
+//! gate compare it against: the two engines are observably
+//! bit-identical (see the engine-equivalence contract in DESIGN.md and
+//! `crates/vm/tests/engine_differential.rs`). Snapshot *capture*
+//! ([`crate::Vm::run_with_snapshots_read_sets`]) runs on the
 //! interpreter — it is a once-per-campaign fault-free run, and the
 //! resulting [`VmSnapshot`]s are engine-independent data that either
 //! engine resumes from.
@@ -19,11 +21,10 @@ use crate::snapshot::{ConvergeMasks, ReadSets, TrialResume, VmSnapshot};
 use peppa_ir::Module;
 
 /// Which execution backend to run trials on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineKind {
     /// The tree-walking interpreter in `exec.rs` — the semantic
     /// reference.
-    #[default]
     Interp,
     /// The register-allocated threaded-bytecode backend in
     /// `compiled.rs`, lowered once per module by
@@ -173,32 +174,6 @@ impl<'m> Engine<'m> {
         }
     }
 
-    /// Snapshot capture — always the interpreter (see module docs);
-    /// the snapshots resume on either engine.
-    pub fn run_with_snapshots(
-        &self,
-        input_bits: &[u64],
-        points: &[u64],
-    ) -> (RunOutput, Vec<VmSnapshot>) {
-        self.vm().run_with_snapshots(input_bits, points)
-    }
-
-    /// Snapshot + read-set capture — always the interpreter.
-    pub fn run_with_snapshots_read_sets(
-        &self,
-        input_bits: &[u64],
-        points: &[u64],
-    ) -> (RunOutput, Vec<VmSnapshot>, ReadSets) {
-        self.vm().run_with_snapshots_read_sets(input_bits, points)
-    }
-
-    pub fn resume_from(&self, snap: &VmSnapshot, injection: Option<Injection>) -> RunOutput {
-        match self.cvm() {
-            Some(c) => c.resume_from(snap, injection),
-            None => self.vm().resume_from(snap, injection),
-        }
-    }
-
     pub fn resume_from_with_hook<H: ExecHook>(
         &self,
         snap: &VmSnapshot,
@@ -211,18 +186,11 @@ impl<'m> Engine<'m> {
         }
     }
 
-    pub fn resume_trial(
-        &self,
-        snap: &VmSnapshot,
-        injection: Option<Injection>,
-        checkpoints: &[VmSnapshot],
-    ) -> TrialResume {
-        match self.cvm() {
-            Some(c) => c.resume_trial(snap, injection, checkpoints),
-            None => self.vm().resume_trial(snap, injection, checkpoints),
-        }
-    }
-
+    /// Resumes one trial with convergence exits (see
+    /// [`Vm::resume_trial`]). On the compiled backend the memory image
+    /// is reused across trials via `scratch`, as in
+    /// [`Engine::run_numeric_amortized`]; the interpreter leaves it
+    /// unused.
     #[allow(clippy::too_many_arguments)]
     pub fn resume_trial_amortized(
         &self,
@@ -237,14 +205,9 @@ impl<'m> Engine<'m> {
             Some(c) => {
                 c.resume_trial_amortized(scratch, snap, injection, checkpoints, masks, read_sets)
             }
-            None => self.vm().resume_trial_amortized(
-                scratch,
-                snap,
-                injection,
-                checkpoints,
-                masks,
-                read_sets,
-            ),
+            None => self
+                .vm()
+                .resume_trial(snap, injection, checkpoints, masks, read_sets),
         }
     }
 }
@@ -259,6 +222,5 @@ mod tests {
             assert_eq!(k.as_str().parse::<EngineKind>().unwrap(), k);
         }
         assert!("jit".parse::<EngineKind>().is_err());
-        assert_eq!(EngineKind::default(), EngineKind::Interp);
     }
 }

@@ -207,7 +207,9 @@ enum SnapCtl<'a> {
     },
 }
 
-/// Reusable memory arena for the campaign resume path.
+/// Reusable memory arena for the compiled engine's trial runs and
+/// resumes ([`crate::CompiledVm::run_amortized`],
+/// [`crate::CompiledVm::resume_trial_amortized`]).
 ///
 /// Every run needs a zeroed `memory_words`-sized image; allocating and
 /// zeroing one per trial dominates short resumed trials (the default
@@ -380,7 +382,7 @@ impl<'m> Vm<'m> {
     /// the run's memory accesses and derives each checkpoint's *future
     /// read set* — the words the golden continuation loads after the
     /// checkpoint before overwriting them (see [`ReadSets`]). The sets
-    /// let [`resume_trial_amortized`](Self::resume_trial_amortized)
+    /// let [`resume_trial`](Self::resume_trial)
     /// detect convergence on observable state rather than bit-identical
     /// memory.
     pub fn run_with_snapshots_read_sets(
@@ -416,7 +418,7 @@ impl<'m> Vm<'m> {
     /// [`value_dynamic`](VmSnapshot::value_dynamic), the result is
     /// bit-identical to a full run with the same injection.
     pub fn resume_from(&self, snap: &VmSnapshot, injection: Option<Injection>) -> RunOutput {
-        match self.resume_impl(snap, injection, false, NoHook, &[], None, None, None) {
+        match self.resume_impl(snap, injection, false, NoHook, &[], None, None) {
             TrialResume::Completed(out) => out,
             TrialResume::Converged { .. } => unreachable!("no checkpoints supplied"),
         }
@@ -425,7 +427,7 @@ impl<'m> Vm<'m> {
     /// Like [`resume_from`](Self::resume_from), capturing the final
     /// memory image in [`RunOutput::memory`].
     pub fn resume_capture(&self, snap: &VmSnapshot, injection: Option<Injection>) -> RunOutput {
-        match self.resume_impl(snap, injection, true, NoHook, &[], None, None, None) {
+        match self.resume_impl(snap, injection, true, NoHook, &[], None, None) {
             TrialResume::Completed(out) => out,
             TrialResume::Converged { .. } => unreachable!("no checkpoints supplied"),
         }
@@ -442,48 +444,23 @@ impl<'m> Vm<'m> {
         injection: Option<Injection>,
         hook: &mut H,
     ) -> RunOutput {
-        match self.resume_impl(snap, injection, false, hook, &[], None, None, None) {
+        match self.resume_impl(snap, injection, false, hook, &[], None, None) {
             TrialResume::Completed(out) => out,
             TrialResume::Converged { .. } => unreachable!("no checkpoints supplied"),
         }
     }
 
-    /// Campaign fast path: resumes from `snap` and, once the fault has
-    /// activated, compares machine state against each later golden
-    /// `checkpoint` as its fork point is reached. On a match the run
-    /// stops early ([`TrialResume::Converged`]) — determinism pins the
-    /// continuation to golden's, so the final outcome is already known.
+    /// Resumes from `snap` and, once the fault has activated, compares
+    /// machine state against each later golden `checkpoint` as its fork
+    /// point is reached. On a match the run stops early
+    /// ([`TrialResume::Converged`]) — determinism pins the continuation
+    /// to golden's, so the final outcome is already known. Optional
+    /// static live-register masks ([`ConvergeMasks`]) and golden future
+    /// read sets ([`ReadSets`]) widen the comparison to the state the
+    /// continuation can observe: a masked register is never read before
+    /// being overwritten, so its value cannot change the continuation.
     pub fn resume_trial(
         &self,
-        snap: &VmSnapshot,
-        injection: Option<Injection>,
-        checkpoints: &[VmSnapshot],
-    ) -> TrialResume {
-        self.resume_impl(
-            snap,
-            injection,
-            false,
-            NoHook,
-            checkpoints,
-            None,
-            None,
-            None,
-        )
-    }
-
-    /// [`resume_trial`](Self::resume_trial) with the campaign-loop
-    /// amortizations: a reusable memory arena ([`ResumeScratch`]) that
-    /// skips the per-trial zeroed-image allocation, and optional static
-    /// live-register masks ([`ConvergeMasks`]) that let the convergence
-    /// check ignore registers that are provably dead at the checkpoint.
-    /// Outcome-equivalent to `resume_trial`: the arena restores the
-    /// exact `zeros ++ prefix` image a fresh allocation would produce,
-    /// and a masked register is never read before being overwritten, so
-    /// its value cannot change the continuation.
-    #[allow(clippy::too_many_arguments)]
-    pub fn resume_trial_amortized(
-        &self,
-        scratch: &mut ResumeScratch,
         snap: &VmSnapshot,
         injection: Option<Injection>,
         checkpoints: &[VmSnapshot],
@@ -498,7 +475,6 @@ impl<'m> Vm<'m> {
             checkpoints,
             masks,
             read_sets,
-            Some(scratch),
         )
     }
 
@@ -576,21 +552,14 @@ impl<'m> Vm<'m> {
         checkpoints: &[VmSnapshot],
         masks: Option<&ConvergeMasks>,
         read_sets: Option<&ReadSets>,
-        mut scratch: Option<&mut ResumeScratch>,
     ) -> TrialResume {
         let d = snap.data();
         assert_eq!(
             d.memory_words, self.limits.memory_words,
             "snapshot captured under a different memory size"
         );
-        let memory = match scratch.as_deref_mut() {
-            Some(s) => s.take_restored(self.limits.memory_words, &d.mem),
-            None => {
-                let mut m = vec![0u64; self.limits.memory_words];
-                m[..d.mem.len()].copy_from_slice(&d.mem);
-                m
-            }
-        };
+        let mut memory = vec![0u64; self.limits.memory_words];
+        memory[..d.mem.len()].copy_from_slice(&d.mem);
 
         let mut state = State {
             module: self.module,
@@ -636,14 +605,6 @@ impl<'m> Vm<'m> {
             }
         };
         let end = state.drive(&mut frames, &mut ctl);
-        // Hand the arena back before building the result; a capturing
-        // resume keeps the image instead (it is returned to the caller).
-        if let Some(s) = scratch {
-            if !capture {
-                let hwm = state.hwm;
-                s.put_back(std::mem::take(&mut state.memory), hwm);
-            }
-        }
         let completed = |state: State<'m, H>, status: RunStatus, ret: Option<u64>| {
             TrialResume::Completed(RunOutput {
                 status,
@@ -1744,7 +1705,7 @@ mod tests {
         // loop induction variable's square: sum diverges permanently and
         // the trial must NOT converge-exit as benign.
         let inj = Injection::single(InjectionTarget::DynamicIndex(1), 3);
-        match vm.resume_trial(&snaps[0], Some(inj), &snaps[1..]) {
+        match vm.resume_trial(&snaps[0], Some(inj), &snaps[1..], None, None) {
             TrialResume::Completed(out) => {
                 assert!(out.is_sdc_vs(&golden));
             }

@@ -18,12 +18,12 @@
 
 //!
 //! Two execution engines sit behind the same observables: the
-//! tree-walking interpreter ([`Vm`], the semantic reference) and the
 //! compiled threaded-bytecode backend ([`CompiledVm`], 3.1–7.6× the
-//! interpreter's instructions per second in `BENCH_baseline.json`,
-//! differentially tested bit-exact). [`Engine`] is the seam callers
-//! select one through; [`CompiledModule::lower`] is the one-time
-//! translation.
+//! interpreter's instructions per second in `BENCH_baseline.json`),
+//! which every command runs on, and the tree-walking interpreter
+//! ([`Vm`]), the semantic reference the differential suites compare it
+//! against bit for bit. [`Engine`] is the seam campaigns run through;
+//! [`CompiledModule::lower`] is the one-time translation.
 
 pub mod compiled;
 pub mod engine;

@@ -119,7 +119,7 @@ impl VmSnapshot {
 }
 
 /// Per-boundary live-register masks, consumed by
-/// [`crate::Vm::resume_trial_amortized`] to widen convergence
+/// [`crate::Vm::resume_trial`] to widen convergence
 /// detection: a register that is statically dead at a frame's current
 /// position is never read before being overwritten on any path from
 /// that point, so a corrupted value parked in it cannot influence the

@@ -2,7 +2,7 @@
 //! backend must be observably bit-identical to the interpreter on all
 //! seven benchmarks — golden runs, hooked runs (full `ExecHook` event
 //! streams), injected runs, and snapshot-resumed runs with and
-//! without convergence checkpoints (`--snapshots {0,8}` composition).
+//! without convergence checkpoints (K = 0 and K = 8 campaigns).
 //!
 //! The interpreter is the semantic reference; any mismatch is a
 //! compiled-engine bug by definition (IRFuzzer's lesson: backend
@@ -246,12 +246,12 @@ fn snapshot_resume_bit_identical() {
                 bit: (7 + i as u32 * 11) % 64,
                 burst: 0,
             };
-            // --snapshots 0 composition: full runs.
+            // K = 0: full runs.
             let full_i = vm.run(&bits, Some(inj));
             let full_c = cvm.run(&bits, Some(inj));
             assert_runs_eq(bench.name, &format!("full@{site}"), &full_i, &full_c);
 
-            // --snapshots 8 composition: resume from the last fork
+            // K = 8: resume from the last fork
             // point at or before the site.
             let fork = snaps
                 .iter()
@@ -286,8 +286,7 @@ fn converged_trials_match_across_engines() {
 
         let points = fork_points(vd, 8);
         let (_, snaps) = vm.run_with_snapshots(&bits, &points);
-        let mut scratch_i = peppa_vm::ResumeScratch::new();
-        let mut scratch_c = peppa_vm::ResumeScratch::new();
+        let mut scratch = peppa_vm::ResumeScratch::new();
 
         for (fi, snap) in snaps.iter().enumerate() {
             let site = snap.value_dynamic() + (vd - snap.value_dynamic()) / 7;
@@ -297,8 +296,8 @@ fn converged_trials_match_across_engines() {
                 burst: 0,
             };
             let later = &snaps[fi + 1..];
-            let ti = vm.resume_trial_amortized(&mut scratch_i, snap, Some(inj), later, None, None);
-            let tc = cvm.resume_trial_amortized(&mut scratch_c, snap, Some(inj), later, None, None);
+            let ti = vm.resume_trial(snap, Some(inj), later, None, None);
+            let tc = cvm.resume_trial_amortized(&mut scratch, snap, Some(inj), later, None, None);
             match (&ti, &tc) {
                 (TrialResume::Completed(a), TrialResume::Completed(b)) => {
                     assert_runs_eq(bench.name, &format!("trial@{site}"), a, b);

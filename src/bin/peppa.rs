@@ -11,12 +11,12 @@
 //!                stderr. Defaults to -O2; `--print-pipeline` lists the
 //!                pass pipeline for the level and exits
 //! peppa run      prog.mc --input 8,2.5 [--profile] golden run + profile
-//!                [--engine interp|compiled] selects the execution
-//!                backend (bit-identical; compiled is ~3-8x faster)
 //! peppa inject   prog.mc --input 8,2.5 [--trials 1000] [--seed 1]
 //!                [--threads N] [--static-prune] [--trace-propagation]
-//!                [--snapshots K] [--engine interp|compiled]
 //!                [--trace-out t.jsonl] [--metrics-out m.json] [--quiet]
+//!                the golden prefix is captured at up to 16 stratified
+//!                fork points and every trial resumes from the latest
+//!                snapshot before its fault site;
 //!                with --static-prune, trials whose sampled fault cell
 //!                the interprocedural reachability analysis proves
 //!                masked are counted Benign without executing them
@@ -25,16 +25,10 @@
 //!                with --trace-propagation, every trial runs under the
 //!                shadow-taint engine and the campaign reports how far
 //!                each fault travelled (sink reached vs extinguished)
-//!                plus a per-instruction propagation heatmap;
-//!                with --snapshots K, the golden prefix is captured at
-//!                up to K stratified fork points and every trial resumes
-//!                from the latest snapshot before its fault site —
-//!                bit-identical outcomes, a fraction of the wall time.
-//!                Composition: each flag adds one stage to the same
-//!                campaign plan, so --snapshots composes with both
-//!                other flags; --static-prune --trace-propagation is the
-//!                one refused pair (a skipped trial has no execution to
-//!                trace)
+//!                plus a per-instruction propagation heatmap.
+//!                Each flag adds one stage to the same campaign plan;
+//!                --static-prune --trace-propagation is the one refused
+//!                pair (a skipped trial has no execution to trace)
 //! peppa analyze  prog.mc                          pruning report
 //! peppa lint     prog.mc [--deny-warnings] [--json]
 //!                verify + static findings (dead values, unreachable
@@ -44,11 +38,8 @@
 //! peppa trace    prog.mc --input 8,2.5 --site 12 --bit 40
 //! peppa corpus   prog.mc --input 8,2.5 --count 200 > corpus.json
 //! peppa search   prog.mc --spec "n:int:4:64:4:8,s:float:0.1:9:0.1:1" \
-//!                --ref 32,1.0 [--generations 50]  find the SDC-bound input
-//!                [--engine interp|compiled] selects the final FI
-//!                campaign's backend; small-input fuzzing, the
-//!                distribution FI and fitness runs are always compiled.
-//!                Both FI stages (distribution and final) resume their
+//!                --ref 32,1.0 [--generations 50]  find the SDC-bound input;
+//!                both FI stages (distribution and final) resume their
 //!                trials from up to 16 golden-prefix snapshots.
 //!                --trials (final FI size) and --generations must be
 //!                at least 1
@@ -60,7 +51,11 @@
 //!
 //! `--spec` entries are `name:int|float:lo:hi:small_lo:small_hi`, one per
 //! program input, defining the search space and the small-FI-input
-//! window.
+//! window. `--input` and `--ref` take one value per program input.
+//!
+//! Every command that executes the program runs on the compiled engine,
+//! except `trace` and `corpus`: they diff final memory images, which
+//! only the interpreter captures.
 //!
 //! Observability flags (available on every subcommand that executes the
 //! pipeline): `--trace-out FILE.jsonl` writes a replayable JSONL run
@@ -81,13 +76,12 @@ use peppa_x::apps::{ArgSpec, Benchmark};
 use peppa_x::core::{PeppaConfig, PeppaX};
 use peppa_x::inject::{
     generate_corpus, trace_propagation, CampaignConfig, CampaignPlan, PruneGate, StaticPrune,
+    DEFAULT_SNAPSHOTS,
 };
 use peppa_x::obs::{
     ChromeTrace, JsonlJournal, MetricsRegistry, MultiObserver, ProgressReporter, PropagationHeatmap,
 };
-use peppa_x::vm::{
-    CompiledModule, Engine, EngineKind, ExecLimits, Injection, InjectionTarget, OpcodeProfile,
-};
+use peppa_x::vm::{CompiledModule, Engine, ExecLimits, Injection, InjectionTarget, OpcodeProfile};
 use std::process::ExitCode;
 use std::sync::Arc;
 
@@ -124,8 +118,6 @@ struct Opts {
     json: bool,
     static_prune: bool,
     trace_propagation: bool,
-    snapshots: Option<u32>,
-    engine: EngineKind,
     opt_level: Option<peppa_x::analysis::OptLevel>,
     print_pipeline: bool,
 }
@@ -154,8 +146,6 @@ fn parse_opts(rest: &[String]) -> Result<(Option<String>, Opts), String> {
         json: false,
         static_prune: false,
         trace_propagation: false,
-        snapshots: None,
-        engine: EngineKind::Interp,
         opt_level: None,
         print_pipeline: false,
     };
@@ -194,10 +184,6 @@ fn parse_opts(rest: &[String]) -> Result<(Option<String>, Opts), String> {
             "--json" => o.json = true,
             "--static-prune" => o.static_prune = true,
             "--trace-propagation" => o.trace_propagation = true,
-            "--snapshots" => {
-                o.snapshots = Some(val("--snapshots")?.parse().map_err(|_| "bad --snapshots")?)
-            }
-            "--engine" => o.engine = val("--engine")?.parse()?,
             "--opt-level" => o.opt_level = Some(val("--opt-level")?.parse()?),
             "-O0" | "-O1" | "-O2" => o.opt_level = Some(a.parse()?),
             "--print-pipeline" => o.print_pipeline = true,
@@ -379,6 +365,16 @@ fn run(args: Vec<String>) -> Result<ExitCode, String> {
         bench.module = r.module;
         r.stats
     });
+    let nparams = bench.module.entry_func().params.len();
+    for (flag, values) in [("--input", &o.input), ("--ref", &o.reference)] {
+        if let Some(v) = values.as_ref().filter(|v| v.len() != nparams) {
+            return Err(format!(
+                "{flag} has {} value(s), {} takes {nparams}",
+                v.len(),
+                bench.name
+            ));
+        }
+    }
     let limits = ExecLimits::default();
     let input = o
         .input
@@ -400,9 +396,8 @@ fn run(args: Vec<String>) -> Result<ExitCode, String> {
             }
         }
         "run" => {
-            let code =
-                (o.engine == EngineKind::Compiled).then(|| CompiledModule::lower(&bench.module));
-            let eng = Engine::new(&bench.module, limits, code.as_ref());
+            let code = CompiledModule::lower(&bench.module);
+            let eng = Engine::compiled(&bench.module, &code, limits);
             let out = if o.profile {
                 let bits = peppa_x::vm::encode_inputs(bench.module.entry_func(), &input);
                 let mut prof = OpcodeProfile::new(64);
@@ -412,7 +407,7 @@ fn run(args: Vec<String>) -> Result<ExitCode, String> {
             } else {
                 eng.run_numeric(&input, None)
             };
-            println!("status: {:?} ({} engine)", out.status, o.engine);
+            println!("status: {:?}", out.status);
             for (i, w) in out.output.iter().enumerate() {
                 println!(
                     "output[{i}] = {} (as f64: {})",
@@ -432,7 +427,6 @@ fn run(args: Vec<String>) -> Result<ExitCode, String> {
                 trials: o.trials,
                 seed: o.seed,
                 threads: o.threads,
-                engine: o.engine,
                 ..Default::default()
             };
             // Each flag adds one stage to the plan; the plan refuses the
@@ -446,7 +440,7 @@ fn run(args: Vec<String>) -> Result<ExitCode, String> {
                 (table, fr.masked_cells(cfg.burst))
             });
             let mut plan = CampaignPlan::new(&bench.module, &input, limits, cfg)
-                .snapshots(o.snapshots.unwrap_or(0))
+                .snapshots(DEFAULT_SNAPSHOTS)
                 .trace(o.trace_propagation);
             if let Some((table, _)) = &prune {
                 plan = plan.prune(table, PruneGate::default());
@@ -474,18 +468,6 @@ fn run(args: Vec<String>) -> Result<ExitCode, String> {
                 if let Some(h) = &heatmap {
                     print!("{}", h.render(10));
                 }
-            }
-            if o.snapshots.is_some() {
-                let stats = &result.stats;
-                println!(
-                    "snapshots: {} captured ({:.1} MiB), {} trials restored, {} full runs, {} converged exits, {} prefix instrs saved",
-                    stats.snapshots,
-                    stats.bytes as f64 / (1024.0 * 1024.0),
-                    stats.restores,
-                    stats.full_runs,
-                    stats.converged_exits,
-                    stats.prefix_instrs_saved
-                );
             }
             let r = result.campaign;
             println!(
@@ -570,7 +552,6 @@ fn run(args: Vec<String>) -> Result<ExitCode, String> {
                 seed: o.seed,
                 final_fi_trials: o.trials,
                 threads: o.threads,
-                engine: o.engine,
                 ..Default::default()
             };
             let px = PeppaX::prepare(&bench, cfg).map_err(|e| e.to_string())?;
