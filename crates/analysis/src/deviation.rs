@@ -545,8 +545,6 @@ struct Constraint {
     /// Strict bound: amplitude at `node` (plus rounding slack) must stay
     /// below this. 0 ⇔ the node must be deviation-free.
     bound: f64,
-    /// Debug label for `DeviationAnalysis::explain`.
-    tag: &'static str,
 }
 
 struct Graph {
@@ -575,8 +573,6 @@ pub struct DeviationAnalysis {
     sid_ty: Vec<Option<Ty>>,
     sid_width: Vec<u8>,
     sid_non_finite: Vec<bool>,
-    sid_node: Vec<u32>,
-    graph: Graph,
 }
 
 /// Conservative shave applied to every tolerance and inflation applied to
@@ -721,34 +717,6 @@ impl DeviationAnalysis {
         let reach = fr.skip_cells(burst);
         let dev = self.extra_cells(burst);
         reach.iter().zip(&dev).map(|(&a, &b)| a | b).collect()
-    }
-
-    /// Debug aid: the tightest constraints limiting `sid`'s tolerance,
-    /// as `(tag, node, amplitude, bound, implied tol)` sorted tightest
-    /// first. Empty when the sid has no value or never executed.
-    pub fn explain(&self, sid: usize) -> Vec<(&'static str, u32, f64, f64, f64)> {
-        let node = match self.sid_node.get(sid) {
-            Some(&n) if n != u32::MAX => n,
-            _ => return Vec::new(),
-        };
-        let a = propagate(&self.graph, &[(node, 1.0)]);
-        let mut rows: Vec<(&'static str, u32, f64, f64, f64)> = self
-            .graph
-            .constraints
-            .iter()
-            .filter(|c| a[c.node as usize] > 0.0)
-            .map(|c| {
-                let t = if c.bound <= 0.0 {
-                    0.0
-                } else {
-                    c.bound / a[c.node as usize]
-                };
-                (c.tag, c.node, a[c.node as usize], c.bound, t)
-            })
-            .collect();
-        rows.sort_by(|x, y| x.4.total_cmp(&y.4));
-        rows.truncate(12);
-        rows
     }
 }
 
@@ -969,7 +937,6 @@ impl<'a> GraphBuilder<'a> {
                 self.constraints.push(Constraint {
                     node: n,
                     bound: 0.0,
-                    tag: "kill",
                 });
             }
         }
@@ -986,11 +953,7 @@ impl<'a> GraphBuilder<'a> {
                     return 0.0;
                 }
                 let hb = self.max_abs(n).max(f64::MIN_POSITIVE);
-                self.constraints.push(Constraint {
-                    node: n,
-                    bound: hb,
-                    tag: "headroom",
-                });
+                self.constraints.push(Constraint { node: n, bound: hb });
                 hb
             }
         }
@@ -1059,7 +1022,6 @@ impl<'a> GraphBuilder<'a> {
                                                 self.constraints.push(Constraint {
                                                     node: n,
                                                     bound: dmin / 2.0,
-                                                    tag: "div-domain",
                                                 });
                                             }
                                         }
@@ -1106,7 +1068,6 @@ impl<'a> GraphBuilder<'a> {
                                                 self.constraints.push(Constraint {
                                                     node: n,
                                                     bound: dmin / 2.0,
-                                                    tag: "sqrt-domain",
                                                 });
                                             }
                                         }
@@ -1121,7 +1082,6 @@ impl<'a> GraphBuilder<'a> {
                                             self.constraints.push(Constraint {
                                                 node: n,
                                                 bound: 1.0,
-                                                tag: "exp-domain",
                                             });
                                         }
                                     }
@@ -1144,7 +1104,6 @@ impl<'a> GraphBuilder<'a> {
                                                 self.constraints.push(Constraint {
                                                     node: n,
                                                     bound: dmin / 2.0,
-                                                    tag: "log-domain",
                                                 });
                                             }
                                         }
@@ -1159,7 +1118,6 @@ impl<'a> GraphBuilder<'a> {
                                     self.constraints.push(Constraint {
                                         node: to,
                                         bound: self.stats.floor_margin[sid],
-                                        tag: "floor-margin",
                                     });
                                 }
                             }
@@ -1172,7 +1130,6 @@ impl<'a> GraphBuilder<'a> {
                                 self.constraints.push(Constraint {
                                     node: to,
                                     bound: self.stats.cmp_margin[sid],
-                                    tag: "cmp-margin",
                                 });
                             }
                         }
@@ -1198,7 +1155,6 @@ impl<'a> GraphBuilder<'a> {
                                     self.constraints.push(Constraint {
                                         node: to,
                                         bound: self.stats.floor_margin[sid],
-                                        tag: "floor-margin",
                                     });
                                 }
                                 CastKind::Trunc
@@ -1332,7 +1288,6 @@ impl<'a> GraphBuilder<'a> {
             self.constraints.push(Constraint {
                 node: n,
                 bound: bound.max(0.0),
-                tag: "guard",
             });
         }
     }
@@ -1488,8 +1443,6 @@ impl<'a> GraphBuilder<'a> {
             sid_ty,
             sid_width,
             sid_non_finite,
-            sid_node: self.sid_node,
-            graph,
         }
     }
 }

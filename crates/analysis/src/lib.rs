@@ -13,8 +13,9 @@
 //!   subgroup. Fault injection then only needs one representative per
 //!   subgroup.
 //!
-//! Code-coverage helpers ([`coverage`]) support the small-FI-input fuzzing
-//! step (§4.2.1) and the coverage-vs-SDC correlation study (Table 2).
+//! Code coverage, which the small-FI-input fuzzing step (§4.2.1) and the
+//! coverage-vs-SDC correlation study (Table 2) need, is read straight off
+//! a run's profile (`peppa_vm::Profile::coverage`).
 //!
 //! On top of these sits a reusable dataflow framework:
 //!
@@ -26,8 +27,8 @@
 //!   headers.
 //! * [`knownbits`] / [`range`]: the two bundled value domains — which
 //!   bits are provably 0/1, and signed / float intervals.
-//! * [`liveness`]: backward liveness plus observable-liveness (dead-value
-//!   detection for guaranteed-masked instructions).
+//! * [`liveness`]: backward liveness (the snapshot convergence masks)
+//!   plus observable-liveness (values that never reach an observable).
 //! * [`predict`]: the static SDC-masking predictor built from all of the
 //!   above (scored against FI ground truth by `repro static-rank`).
 //! * [`lint`]: verifier-gated static lints with machine-readable
@@ -38,13 +39,15 @@
 //! * [`callgraph`]: call sites, bottom-up SCC order.
 //! * [`memdep`]: store→load reaching edges from `AbsRange` address
 //!   intervals with may-alias fallback.
-//! * [`reach`]: per-bit fault-propagation reachability — classifies
-//!   every injection site as `ProvablyMasked` or `MayPropagate`, the
-//!   basis of `--static-prune` FI campaigns.
+//! * [`summary`]: per-bit interprocedural transfer summaries and
+//!   interprocedural value facts.
+//! * [`reach`]: per-bit fault-propagation reachability — for every
+//!   injection site, the bits whose flip may reach an observable; a
+//!   fault outside them is provably masked. The basis of
+//!   `--static-prune` FI campaigns.
 
 pub mod callgraph;
 pub mod cfg;
-pub mod coverage;
 pub mod dataflow;
 pub mod defuse;
 pub mod deviation;
@@ -61,7 +64,6 @@ pub mod summary;
 
 pub use callgraph::{CallGraph, CallSite};
 pub use cfg::Cfg;
-pub use coverage::input_coverage;
 pub use dataflow::{
     analyze_module, analyze_values, analyze_values_seeded, solve_blocks, AbstractDomain,
     BlockAnalysis, Direction, ModuleValueFacts, ValueFacts,
@@ -70,15 +72,11 @@ pub use defuse::DefUse;
 pub use deviation::{DeviationAnalysis, GoldenObserver, GoldenStats};
 pub use knownbits::KnownBits;
 pub use lint::{lint_module, Lint, LintReport, Severity};
-pub use liveness::{
-    converge_masks, dead_values, live_at_boundaries, live_in, observable_live, ValueSet,
-};
+pub use liveness::{converge_masks, live_at_boundaries, live_in, observable_live, ValueSet};
 pub use memdep::{MemAccess, MemDepGraph};
 pub use predict::{predict_sdc, SdcPrediction};
 pub use pruning::{prune_fi_space, prune_fi_space_refined, PruningResult};
 pub use range::{AbsRange, FRange, IRange};
-pub use reach::{effective_flip_mask, summarize, FaultReach, FuncSummary, Reach, ReachOpts};
+pub use reach::{effective_flip_mask, FaultReach};
 pub use rewrite::{optimize, OptLevel, OptResult, Pass, PassStats, PipelineStats};
-pub use summary::{
-    analyze_module_interproc, summarize_bits, BitSummary, InterprocFacts, ModuleSummaries,
-};
+pub use summary::{analyze_module_interproc, summarize_bits, BitSummary, InterprocFacts};

@@ -1,21 +1,23 @@
-//! Liveness and dead-value detection.
+//! Liveness and observable-liveness.
 //!
 //! Two related facilities:
 //!
-//! * [`live_in`]: classic backward per-block liveness over [`ValueId`]
-//!   bitsets, the in-tree client of the generic worklist solver in
-//!   [`crate::dataflow`].
-//! * [`observable_live`] / [`dead_values`]: transitive "does this value
-//!   influence observable behaviour" marking — a value is observable-live
-//!   iff it (transitively) feeds a store, an output, a call argument, a
-//!   return value, or a branch condition. A flipped bit in a value that
-//!   is *not* observable-live can never cause an SDC, which is exactly
-//!   the masking fact the static predictor and the `dead-value` lint
-//!   consume.
+//! * [`live_in`] / [`live_at_boundaries`]: classic backward liveness
+//!   over [`ValueId`] bitsets, the in-tree client of the generic
+//!   worklist solver in [`crate::dataflow`], and the source of the VM's
+//!   snapshot convergence masks ([`converge_masks`]).
+//! * [`observable_live`]: transitive "does this value influence
+//!   observable behaviour" marking — a value is observable-live iff it
+//!   (transitively) feeds a store, an output, a call argument, a return
+//!   value, or a branch condition. A flipped bit in a value that is *not*
+//!   observable-live can never cause an SDC, which is the masking fact
+//!   the static predictor, the `dead-value` lint and DCE consume. The
+//!   bit-precise answer to "which faults are masked" is
+//!   [`crate::reach::FaultReach`].
 
 use crate::cfg::Cfg;
 use crate::dataflow::{solve_blocks, BlockAnalysis, Direction};
-use peppa_ir::{Function, InstrId, Module, Op, Operand, Term, ValueId};
+use peppa_ir::{Function, Module, Op, Operand, Term, ValueId};
 
 /// A bitset over the function's values.
 #[derive(Debug, Clone, PartialEq)]
@@ -294,24 +296,6 @@ pub fn observable_live(f: &Function) -> ValueSet {
     live
 }
 
-/// Static instructions whose result value never influences observable
-/// behaviour — bit flips in them are guaranteed-masked. Sorted by sid.
-pub fn dead_values(module: &Module) -> Vec<InstrId> {
-    let mut dead = Vec::new();
-    for f in &module.functions {
-        let live = observable_live(f);
-        for ins in f.instrs() {
-            if let Some(r) = ins.result {
-                if !live.contains(r) {
-                    dead.push(ins.sid);
-                }
-            }
-        }
-    }
-    dead.sort();
-    dead
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -321,6 +305,17 @@ mod tests {
         peppa_lang::compile(src, "live").unwrap()
     }
 
+    /// Whether every value-defining instruction of every function is
+    /// observable-live.
+    fn all_defs_observable(m: &Module) -> bool {
+        m.functions.iter().all(|f| {
+            let live = observable_live(f);
+            f.instrs()
+                .filter_map(|i| i.result)
+                .all(|r| live.contains(r))
+        })
+    }
+
     #[test]
     fn used_values_are_live() {
         let m = compile("fn main(x: int) { let a = x + 1; output a; }");
@@ -328,7 +323,7 @@ mod tests {
         let live = observable_live(f);
         let add = f.instrs().find(|i| i.op.mnemonic() == "add").unwrap();
         assert!(live.contains(add.result.unwrap()));
-        assert!(dead_values(&m).is_empty());
+        assert!(all_defs_observable(&m));
     }
 
     #[test]
@@ -337,7 +332,7 @@ mod tests {
             "fn main(n: int) { let s = 0; for (i = 0; i < n; i = i + 1) { s = s + 2; } output s; }",
         );
         // Every value is live: i feeds the branch condition, s the output.
-        assert!(dead_values(&m).is_empty());
+        assert!(all_defs_observable(&m));
     }
 
     #[test]

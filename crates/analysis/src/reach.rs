@@ -24,9 +24,12 @@
 //! * **memory** — store→load edges from [`crate::memdep::MemDepGraph`];
 //!   a store value's matter is the union of its reachable loads' matter
 //!   (a store no load can see is dead, and its value matter is empty);
-//! * **call** — bottom-up per-function [`FuncSummary`]s describing which
-//!   argument bits can reach a sink, the return value, or stored memory,
-//!   iterated to a fixpoint over the call-graph SCCs for recursion;
+//! * **call** — bottom-up per-function
+//!   [`BitSummary`](crate::summary::BitSummary)s describing which
+//!   argument bits can reach a sink, each return-value bit, or stored
+//!   memory, iterated to a fixpoint over the call-graph SCCs for
+//!   recursion and composed at call sites per result bit; an argument
+//!   that only feeds callee stores no live load reads stays masked;
 //! * **control** — branch conditions, addresses, divisors, allocation
 //!   sizes, and outputs are unconditional full-width sinks.
 //!
@@ -49,12 +52,9 @@
 //! and the final return are unchanged: the trial is Benign.
 
 use crate::callgraph::CallGraph;
-use crate::dataflow::ModuleValueFacts;
-use crate::knownbits::KnownBits;
 use crate::memdep::MemDepGraph;
-use crate::predict::predict_sdc;
 use crate::range::AbsRange;
-use crate::summary::{analyze_module_interproc, compose_ret, summarize_bits, ModuleSummaries};
+use crate::summary::{analyze_module_interproc, compose_ret, summarize_bits};
 use peppa_ir::{
     BinOp, CastKind, FuncId, Function, InstrId, Module, Op, Operand, Term, Ty, UnOp, ValueId,
 };
@@ -63,81 +63,13 @@ use std::collections::HashMap;
 /// All 64 canonical bit positions.
 pub const FULL: u64 = u64::MAX;
 
-/// Classification of one static instruction's injection site.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Reach {
-    /// No bit of this value can influence any observable: every fault
-    /// injected here is provably Benign.
-    ProvablyMasked,
-    /// Some bit may propagate; the payload is the heuristic SDC score
-    /// from [`predict_sdc`] (ranking only — not part of the soundness
-    /// story).
-    MayPropagate(f64),
-}
-
-/// Per-function interprocedural summary: for each parameter, which of
-/// its bits can influence (a) an in-callee sink — branch condition,
-/// address, divisor, allocation size, output — transitively through
-/// nested calls, (b) the callee's return value, (c) any stored-to-memory
-/// value. Callers compose these at call sites instead of reanalyzing the
-/// callee body.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FuncSummary {
-    pub param_sink_bits: Vec<u64>,
-    pub param_ret_bits: Vec<u64>,
-    pub param_mem_bits: Vec<u64>,
-}
-
-/// Which precision layers [`FaultReach::analyze_opts`] enables. The
-/// default (everything on) is the production configuration; `coarse()`
-/// reproduces the legacy three-channel pipeline for before/after
-/// comparisons (`repro precision`).
-#[derive(Debug, Clone, Copy)]
-pub struct ReachOpts {
-    /// Compose call returns per result bit through the transfer rows
-    /// instead of all-or-nothing.
-    pub per_bit_calls: bool,
-    /// Use k=1 const-arg specialized summaries at eligible call sites.
-    pub specialize: bool,
-    /// Refine the call mem channel to stores some live load reads,
-    /// instead of any store in the callee.
-    pub live_mem: bool,
-    /// Tighten memdep address intervals with interprocedural value
-    /// facts instead of per-function ⊤-seeded ones.
-    pub interproc_facts: bool,
-}
-
-impl Default for ReachOpts {
-    fn default() -> Self {
-        ReachOpts {
-            per_bit_calls: true,
-            specialize: true,
-            live_mem: true,
-            interproc_facts: true,
-        }
-    }
-}
-
-impl ReachOpts {
-    /// The pre-BitSummary pipeline: every precision layer off.
-    pub fn coarse() -> Self {
-        ReachOpts {
-            per_bit_calls: false,
-            specialize: false,
-            live_mem: false,
-            interproc_facts: false,
-        }
-    }
-}
-
 /// Module-wide fault-propagation result, indexed by static instruction
 /// id.
 #[derive(Debug, Clone)]
 pub struct FaultReach {
-    /// `class[sid]`: `None` for void instructions (not injectable).
-    pub class: Vec<Option<Reach>>,
     /// `matter_bits[sid]`: canonical bits of the defined value that may
-    /// influence an observable. Zero ⇔ `ProvablyMasked`.
+    /// influence an observable. Zero on a value-producing sid ⇔ every
+    /// fault injected there is provably masked.
     pub matter_bits: Vec<u64>,
     /// `widths[sid]`: bit width of the defined value (0 for void).
     pub widths: Vec<u8>,
@@ -145,68 +77,19 @@ pub struct FaultReach {
 
 impl FaultReach {
     /// Runs the whole stack: call graph, interprocedural range facts,
-    /// memory dependence, per-bit summaries (with k=1 specialization),
-    /// and the global inter-function fixpoint.
+    /// memory dependence, per-bit summaries, and the global
+    /// inter-function fixpoint.
     pub fn analyze(module: &Module) -> FaultReach {
-        FaultReach::analyze_opts(module, ReachOpts::default())
-    }
-
-    /// [`FaultReach::analyze`] with the precision layers individually
-    /// switchable — the `repro precision` before/after comparator. All
-    /// layers on is the production configuration; all off reproduces
-    /// the coarse three-channel pipeline (intraprocedural memdep facts,
-    /// all-or-nothing call-return composition, static mem channel, no
-    /// call-site specialization).
-    pub fn analyze_opts(module: &Module, opts: ReachOpts) -> FaultReach {
         let cg = CallGraph::new(module);
         // Interprocedural intervals tighten store/load address ranges,
         // so memdep draws fewer may-alias store→load edges. Sound for
         // pruning: addresses are FULL sinks, so a fault reaching an
         // address is never skipped, and inside a skipped fault's cone
         // every address stays exactly golden — within its static range.
-        let memdep = if opts.interproc_facts {
-            let ranges = analyze_module_interproc::<AbsRange>(module, &cg);
-            MemDepGraph::with_facts(module, &ranges.facts)
-        } else {
-            MemDepGraph::new(module)
-        };
-        let mut sums = ModuleSummaries::compute(module, &cg);
-        if !opts.specialize {
-            sums.spec.clear();
-        }
-        FaultReach::analyze_with_opts(module, &cg, &memdep, &sums, opts)
-    }
-
-    /// Same as [`FaultReach::analyze`] with the prerequisite analyses
-    /// supplied by the caller (shared with lint / experiments).
-    pub fn analyze_with(
-        module: &Module,
-        cg: &CallGraph,
-        memdep: &MemDepGraph,
-        sums: &ModuleSummaries,
-    ) -> FaultReach {
-        FaultReach::analyze_with_opts(module, cg, memdep, sums, ReachOpts::default())
-    }
-
-    fn analyze_with_opts(
-        module: &Module,
-        cg: &CallGraph,
-        memdep: &MemDepGraph,
-        sums: &ModuleSummaries,
-        opts: ReachOpts,
-    ) -> FaultReach {
+        let ranges = analyze_module_interproc::<AbsRange>(module, &cg);
+        let memdep = MemDepGraph::with_facts(module, &ranges.facts);
+        let sums = summarize_bits(module, &cg);
         let n = module.functions.len();
-        // Call-return composition for one site: per-bit transfer rows,
-        // or the coarse all-or-nothing union of them.
-        let ret_compose = |s: &crate::summary::BitSummary, i: usize, r: u64| -> u64 {
-            if opts.per_bit_calls {
-                compose_ret(s, i, r)
-            } else if r != 0 {
-                s.param_ret_bits(i)
-            } else {
-                0
-            }
-        };
 
         // Cross-function state, all growing monotonically.
         let mut ret_mask = vec![0u64; n];
@@ -233,9 +116,7 @@ impl FaultReach {
         // whose deviation can reach a store some live load actually
         // reads (per `store_matter`) — strictly tighter than the static
         // `mem_bits` channel, which counts *any* store. An argument that
-        // only feeds dead callee stores stays masked. Intersecting with
-        // the (possibly k=1-specialized) `mem_bits` keeps the
-        // const-pinned path refinement too.
+        // only feeds dead callee stores stays masked.
         let mut live_mem: Vec<Vec<u64>> = module
             .functions
             .iter()
@@ -251,9 +132,6 @@ impl FaultReach {
             // `store_matter` and itself; bottom-up so callee masks are
             // fresh when callers compose them).
             loop {
-                if !opts.live_mem {
-                    break;
-                }
                 let mut lm_changed = false;
                 for comp in &cg.sccs {
                     for &fid in comp {
@@ -264,11 +142,10 @@ impl FaultReach {
                             0,
                             false,
                             |sid| store_matter.get(&sid.0).copied().unwrap_or(0),
-                            |sid, g, i, r| {
-                                let s = sums.at_site(sid, g);
-                                (live_mem[g.0 as usize][i] & s.mem_bits[i]) | ret_compose(s, i, r)
+                            |g, i, r| {
+                                let s = &sums[g.0 as usize];
+                                (live_mem[g.0 as usize][i] & s.mem_bits[i]) | compose_ret(s, i, r)
                             },
-                            NO_CENV,
                         );
                         for i in 0..f.params.len() {
                             let cur = live_mem[fi][i];
@@ -289,16 +166,12 @@ impl FaultReach {
                     ret_mask[fi],
                     true,
                     |sid| store_matter.get(&sid.0).copied().unwrap_or(0),
-                    |sid, g, i, r| {
-                        let s = sums.at_site(sid, g);
-                        let mem = if opts.live_mem {
-                            live_mem[g.0 as usize][i] & s.mem_bits[i]
-                        } else {
-                            s.mem_bits[i]
-                        };
-                        s.sink_bits[i] | mem | ret_compose(s, i, r)
+                    |g, i, r| {
+                        let s = &sums[g.0 as usize];
+                        s.sink_bits[i]
+                            | (live_mem[g.0 as usize][i] & s.mem_bits[i])
+                            | compose_ret(s, i, r)
                     },
-                    NO_CENV,
                 );
             }
             let mut changed = false;
@@ -336,27 +209,18 @@ impl FaultReach {
             }
         }
 
-        let pred = predict_sdc(module);
         let mut matter_bits = vec![0u64; module.num_instrs];
         let mut widths = vec![0u8; module.num_instrs];
-        let mut class: Vec<Option<Reach>> = vec![None; module.num_instrs];
         for (fi, f) in module.functions.iter().enumerate() {
             for ins in f.instrs() {
                 if let Some(rv) = ins.result {
                     let sid = ins.sid.0 as usize;
-                    let m = matter[fi][rv.0 as usize];
-                    matter_bits[sid] = m;
+                    matter_bits[sid] = matter[fi][rv.0 as usize];
                     widths[sid] = f.ty_of(rv).bits() as u8;
-                    class[sid] = Some(if m == 0 {
-                        Reach::ProvablyMasked
-                    } else {
-                        Reach::MayPropagate(pred.score[sid].unwrap_or(0.0))
-                    });
                 }
             }
         }
         FaultReach {
-            class,
             matter_bits,
             widths,
         }
@@ -374,30 +238,19 @@ impl FaultReach {
         effective_flip_mask(self.widths[s], bit, burst) & self.matter_bits[s] == 0
     }
 
-    /// Sids whose every possible fault is masked (matter mask empty).
-    pub fn fully_masked_sids(&self) -> Vec<InstrId> {
-        (0..self.widths.len())
-            .filter(|&s| self.widths[s] != 0 && self.matter_bits[s] == 0)
-            .map(|s| InstrId(s as u32))
-            .collect()
-    }
-
-    /// `(masked, total)` cells of the `sid × 64 sampled bit positions`
-    /// fault space (value-producing sids only) for the given burst.
-    pub fn masked_cells(&self, burst: u8) -> (u64, u64) {
-        let mut masked = 0u64;
-        let mut total = 0u64;
-        for s in 0..self.widths.len() {
-            if self.widths[s] == 0 {
-                continue;
-            }
-            total += 64;
-            for bit in 0..64 {
-                if self.is_masked_fault(InstrId(s as u32), bit, burst) {
-                    masked += 1;
-                }
-            }
-        }
+    /// `(masked, total)` cells of the `value sids × 64 sampled bit
+    /// positions` fault space under a per-sid cell table such as
+    /// [`FaultReach::skip_cells`] or its union with deviation cells.
+    /// Void sids count toward neither.
+    pub fn masked_cells(&self, cells: &[u64]) -> (u64, u64) {
+        let masked = self
+            .widths
+            .iter()
+            .zip(cells)
+            .filter(|(&w, _)| w != 0)
+            .map(|(_, &c)| c.count_ones() as u64)
+            .sum();
+        let total = 64 * self.widths.iter().filter(|&&w| w != 0).count() as u64;
         (masked, total)
     }
 
@@ -509,30 +362,19 @@ fn full_if(r: u64) -> u64 {
 /// Canonical bits of a *constant* operand, if it is one. Only constants
 /// may refine a transfer: they cannot be corrupted by a register fault,
 /// so their value holds in faulty runs too (see module docs).
-fn const_bits(o: &Operand, cenv: ConstEnv) -> Option<u64> {
+fn const_bits(o: &Operand) -> Option<u64> {
     match o {
         Operand::Const(c) => Some(c.bits),
-        Operand::Value(v) => cenv(*v),
+        Operand::Value(_) => None,
     }
 }
 
-/// A "provably constant in every run" environment for values. The only
-/// sound non-empty instance is k=1 call-site specialization: a function
-/// parameter bound to a *literal constant* argument at the specialized
-/// site. Neither the literal operand nor the parameter copy is an
-/// injectable value definition, so the binding survives every
-/// single-fault run of that call site (see [`crate::summary`]).
-pub(crate) type ConstEnv<'a> = &'a dyn Fn(ValueId) -> Option<u64>;
-
-/// The empty const-environment (context-insensitive analysis).
-pub(crate) const NO_CENV: ConstEnv<'static> = &|_| None;
-
 /// Per-bit backward transfer: matter contribution of operand `idx`
 /// given result matter `r`. `w` is the operand/result width in bits.
-fn bin_contribution(op: BinOp, idx: usize, r: u64, w: u32, other: &Operand, cenv: ConstEnv) -> u64 {
+fn bin_contribution(op: BinOp, idx: usize, r: u64, w: u32, other: &Operand) -> u64 {
     match op {
         BinOp::Add | BinOp::Sub => smear_down(r),
-        BinOp::Mul => match const_bits(other, cenv) {
+        BinOp::Mul => match const_bits(other) {
             Some(0) => 0,
             Some(c) => smear_down(r) >> c.trailing_zeros().min(63),
             None => smear_down(r),
@@ -546,7 +388,7 @@ fn bin_contribution(op: BinOp, idx: usize, r: u64, w: u32, other: &Operand, cenv
             } else {
                 // Truncated remainder by ±2^k is a function of the
                 // dividend's low k bits and its sign bit only.
-                match const_bits(other, cenv).map(|c| (c as i64).unsigned_abs()) {
+                match const_bits(other).map(|c| (c as i64).unsigned_abs()) {
                     Some(m) if m.is_power_of_two() => {
                         let k = m.trailing_zeros();
                         if k == 0 {
@@ -560,11 +402,11 @@ fn bin_contribution(op: BinOp, idx: usize, r: u64, w: u32, other: &Operand, cenv
             }
         }
         BinOp::FAdd | BinOp::FSub | BinOp::FMul | BinOp::FDiv => full_if(r),
-        BinOp::And => match const_bits(other, cenv) {
+        BinOp::And => match const_bits(other) {
             Some(c) => r & c,
             None => r,
         },
-        BinOp::Or => match const_bits(other, cenv) {
+        BinOp::Or => match const_bits(other) {
             Some(c) => r & !c,
             None => r,
         },
@@ -580,7 +422,7 @@ fn bin_contribution(op: BinOp, idx: usize, r: u64, w: u32, other: &Operand, cenv
                     0
                 }
             } else {
-                match const_bits(other, cenv).map(|c| (c & amt_mask) as u32) {
+                match const_bits(other).map(|c| (c & amt_mask) as u32) {
                     Some(s) => match op {
                         BinOp::Shl => r >> s,
                         BinOp::LShr => (r << s) & width_mask(w),
@@ -617,19 +459,12 @@ fn bin_contribution(op: BinOp, idx: usize, r: u64, w: u32, other: &Operand, cenv
 
 /// Matter contribution of `ops[idx]` for a value-producing op with
 /// result matter `r`.
-fn operand_contribution(
-    f: &Function,
-    ins_op: &Op,
-    idx: usize,
-    r: u64,
-    ops: &[Operand],
-    cenv: ConstEnv,
-) -> u64 {
+fn operand_contribution(f: &Function, ins_op: &Op, idx: usize, r: u64, ops: &[Operand]) -> u64 {
     match ins_op {
         Op::Bin { op, .. } => {
             let other = &ops[1 - idx];
             let w = f.operand_ty(&ops[idx]).bits();
-            bin_contribution(*op, idx, r, w, other, cenv)
+            bin_contribution(*op, idx, r, w, other)
         }
         Op::Un { op, .. } => match op {
             UnOp::Not => r,
@@ -689,8 +524,7 @@ pub(crate) fn solve_function(
     ret_mask: u64,
     sink_seeds: bool,
     store_value_mask: impl Fn(InstrId) -> u64,
-    call_arg_mask: impl Fn(InstrId, FuncId, usize, u64) -> u64,
-    cenv: ConstEnv,
+    call_arg_mask: impl Fn(FuncId, usize, u64) -> u64,
 ) -> Vec<u64> {
     let nv = f.value_types.len();
     let mut matter = vec![0u64; nv];
@@ -746,7 +580,7 @@ pub(crate) fn solve_function(
                     }
                     Op::Call { func, args } => {
                         for (i, a) in args.iter().enumerate() {
-                            let m = call_arg_mask(ins.sid, *func, i, r);
+                            let m = call_arg_mask(*func, i, r);
                             changed |= bump(f, &mut matter, a, m);
                         }
                     }
@@ -763,7 +597,7 @@ pub(crate) fn solve_function(
                     | Op::Gep { .. } => {
                         let ops = ins.op.operands();
                         for idx in 0..ops.len() {
-                            let c = operand_contribution(f, &ins.op, idx, r, &ops, cenv);
+                            let c = operand_contribution(f, &ins.op, idx, r, &ops);
                             changed |= bump(f, &mut matter, &ops[idx], c);
                         }
                     }
@@ -806,28 +640,6 @@ pub(crate) fn solve_function(
         }
     }
     matter
-}
-
-/// Three-channel [`FuncSummary`] view of the per-bit
-/// [`crate::summary::BitSummary`]s: each parameter's ret channel is the
-/// union of its per-ret-bit transfer rows. Kept as the stable coarse API
-/// (lint, predictor attenuation); the campaign path composes the per-bit
-/// summaries directly.
-pub fn summarize(
-    module: &Module,
-    cg: &CallGraph,
-    _kb: &ModuleValueFacts<KnownBits>,
-) -> Vec<FuncSummary> {
-    summarize_bits(module, cg)
-        .iter()
-        .map(|b| FuncSummary {
-            param_sink_bits: b.sink_bits.clone(),
-            param_ret_bits: (0..b.sink_bits.len())
-                .map(|i| b.param_ret_bits(i))
-                .collect(),
-            param_mem_bits: b.mem_bits.clone(),
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -887,13 +699,10 @@ mod tests {
         // A burst straddling the boundary must not be skipped.
         assert!(!fr.is_masked_fault(add, 29, 2));
         assert!(fr.is_masked_fault(add, 31, 2));
-        // The remainder itself feeds output: fully live.
+        // The remainder itself feeds output: not provably masked.
         let srem = find_sid(&m, "lcg", |op| is_bin(op, BinOp::SRem));
-        assert!(matches!(
-            fr.class[srem.0 as usize],
-            Some(Reach::MayPropagate(_))
-        ));
-        let (masked, total) = fr.masked_cells(0);
+        assert_ne!(fr.matter_bits[srem.0 as usize], 0);
+        let (masked, total) = fr.masked_cells(&fr.skip_cells(0));
         assert!(masked > 0 && masked < total);
     }
 
@@ -908,8 +717,38 @@ mod tests {
         );
         let fr = FaultReach::analyze(&m);
         let mul = find_sid(&m, "main", |op| is_bin(op, BinOp::Mul));
-        assert_eq!(fr.class[mul.0 as usize], Some(Reach::ProvablyMasked));
-        assert!(fr.fully_masked_sids().contains(&mul));
+        assert_eq!(fr.matter_bits[mul.0 as usize], 0);
+        assert_ne!(fr.widths[mul.0 as usize], 0);
+    }
+
+    #[test]
+    fn argument_feeding_only_a_dead_callee_store_is_masked() {
+        // The live-store channel: the callee's store is never loaded, so
+        // the argument is masked even though it reaches memory.
+        let m = compile(
+            r#"global int scratch[1];
+               fn put(v: int) { scratch[0] = v; }
+               fn main(x: int) {
+                   put(x * 3);
+                   output 7;
+               }"#,
+        );
+        let fr = FaultReach::analyze(&m);
+        let mul = find_sid(&m, "main", |op| is_bin(op, BinOp::Mul));
+        assert_eq!(fr.matter_bits[mul.0 as usize], 0);
+    }
+
+    #[test]
+    fn call_results_compose_per_bit() {
+        // Only bit 0 of `id`'s return matters, so only bit 0 of its
+        // argument does (and the add's carries only move upward).
+        let m = compile(
+            r#"fn id(v: int) -> int { return v; }
+               fn main(x: int) { output id(x + 1) & 1; }"#,
+        );
+        let fr = FaultReach::analyze(&m);
+        let add = find_sid(&m, "main", |op| is_bin(op, BinOp::Add));
+        assert_eq!(fr.matter_bits[add.0 as usize], 1);
     }
 
     #[test]
@@ -923,10 +762,7 @@ mod tests {
         );
         let fr = FaultReach::analyze(&m);
         let mul = find_sid(&m, "main", |op| is_bin(op, BinOp::Mul));
-        assert!(matches!(
-            fr.class[mul.0 as usize],
-            Some(Reach::MayPropagate(_))
-        ));
+        assert_ne!(fr.matter_bits[mul.0 as usize], 0);
     }
 
     #[test]
@@ -945,7 +781,7 @@ mod tests {
         let or = find_sid(&m, "main", |op| is_bin(op, BinOp::Or));
         assert_eq!(fr.matter_bits[or.0 as usize], FULL);
         let div = find_sid(&m, "main", |op| is_bin(op, BinOp::SDiv));
-        assert_eq!(fr.class[div.0 as usize], Some(Reach::ProvablyMasked));
+        assert_eq!(fr.matter_bits[div.0 as usize], 0);
     }
 
     #[test]
@@ -987,10 +823,7 @@ mod tests {
         );
         let fr = FaultReach::analyze(&m);
         let mul = find_sid(&m, "main", |op| is_bin(op, BinOp::Mul));
-        assert!(matches!(
-            fr.class[mul.0 as usize],
-            Some(Reach::MayPropagate(_))
-        ));
+        assert_ne!(fr.matter_bits[mul.0 as usize], 0);
     }
 
     #[test]
@@ -1010,17 +843,16 @@ mod tests {
                }"#,
         );
         let cg = CallGraph::new(&m);
-        let kb = crate::dataflow::analyze_module::<KnownBits>(&m);
-        let sums = summarize(&m, &cg, &kb);
+        let sums = summarize_bits(&m, &cg);
         let sid = |n: &str| m.func_by_name(n).unwrap().0 as usize;
         let st = &sums[sid("store_it")];
-        assert_eq!(st.param_mem_bits[0], FULL);
-        assert_eq!(st.param_ret_bits[0], 0);
+        assert_eq!(st.mem_bits[0], FULL);
+        assert_eq!(st.param_ret_bits(0), 0);
         let rt = &sums[sid("ret_it")];
-        assert_eq!(rt.param_ret_bits[0], FULL);
-        assert_eq!(rt.param_mem_bits[0], 0);
+        assert_eq!(rt.param_ret_bits(0), FULL);
+        assert_eq!(rt.mem_bits[0], 0);
         let br = &sums[sid("branch_it")];
-        assert_eq!(br.param_sink_bits[0], FULL, "branch condition is a sink");
+        assert_eq!(br.sink_bits[0], FULL, "branch condition is a sink");
     }
 
     #[test]
@@ -1036,9 +868,6 @@ mod tests {
         // Every arithmetic value inside fib reaches the recursion's
         // branch condition: nothing is masked.
         let sub = find_sid(&m, "fib", |op| is_bin(op, BinOp::Sub));
-        assert!(matches!(
-            fr.class[sub.0 as usize],
-            Some(Reach::MayPropagate(_))
-        ));
+        assert_ne!(fr.matter_bits[sub.0 as usize], 0);
     }
 }

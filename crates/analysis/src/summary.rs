@@ -1,31 +1,16 @@
-//! Context-sensitive interprocedural bit-precision summaries.
+//! Interprocedural bit-precision summaries.
 //!
-//! [`BitSummary`] replaces the coarse three-channel `param → {sink, ret,
-//! mem}` function summaries with a **per-bit transfer relation**: for
-//! every return-value bit we record exactly which bits of each parameter
+//! [`BitSummary`] is a **per-bit transfer relation** per function: for
+//! every return-value bit it records exactly which bits of each parameter
 //! can influence it, alongside per-param-bit sink and memory channels and
 //! a ⊤ *environment* channel for return bits fed by memory rather than
 //! parameters. Summaries are computed bottom-up over the call-graph SCCs
 //! (each SCC iterated to a joint fixpoint — the lattice of bit masks is
 //! finite, so the iteration is its own widening) and composed at call
-//! sites per result bit instead of all-or-nothing:
-//!
-//! * the old composition marked *every* ret-reaching param bit live as
-//!   soon as *any* bit of the call result mattered;
-//! * [`compose_ret`] unions only the transfer rows of the result bits
-//!   that actually matter, so `output f(x) & 1` keeps param bits that
-//!   feed only the high bits of `f`'s return provably masked.
-//!
-//! **k=1 call-site specialization.** For small non-recursive callees
-//! called with at least one *literal constant* argument, the summary is
-//! recomputed per call site with those parameters pinned to their
-//! constants ([`crate::reach`]'s `ConstEnv`). The pinning is sound in
-//! every single-fault run: neither a literal operand nor the callee's
-//! parameter copy is an injectable value definition, so the parameter
-//! holds its literal value whatever single fault is injected elsewhere.
-//! Because constant refinement only ever *shrinks* a transfer
-//! contribution, a specialized summary is never less precise than the
-//! context-insensitive join (property-tested below).
+//! sites per result bit: [`compose_ret`] unions only the transfer rows
+//! of the result bits that actually matter, so `output f(x) & 1` keeps
+//! param bits that feed only the high bits of `f`'s return provably
+//! masked.
 //!
 //! **Interprocedural value facts.** [`analyze_module_interproc`] runs the
 //! per-value abstract-interpretation engine with call boundaries wired
@@ -40,9 +25,8 @@
 use crate::callgraph::CallGraph;
 use crate::cfg::Cfg;
 use crate::dataflow::{analyze_values_ctx, AbstractDomain, ModuleValueFacts, ValueFacts};
-use crate::reach::{solve_function, ConstEnv, FULL, NO_CENV};
-use peppa_ir::{Function, Module, Op, Operand, Term, ValueId};
-use std::collections::HashMap;
+use crate::reach::{solve_function, FULL};
+use peppa_ir::{Function, Module, Op, Term};
 
 /// Per-function, per-bit interprocedural transfer summary.
 #[derive(Debug, Clone, PartialEq)]
@@ -106,11 +90,7 @@ impl BitSummary {
 
     /// Param-`i` bits that can influence anything at all (any channel).
     pub fn param_reach(&self, i: usize) -> u64 {
-        let mut m = self.sink_bits[i] | self.mem_bits[i];
-        for b in 0..64 {
-            m |= self.ret_transfer[i][b];
-        }
-        m
+        self.sink_bits[i] | self.mem_bits[i] | self.param_ret_bits(i)
     }
 
     /// Param-`i` bits that can influence some bit of the return value.
@@ -137,9 +117,8 @@ pub fn compose_ret(s: &BitSummary, i: usize, r: u64) -> u64 {
 }
 
 /// One function's candidate summary given the current table (for callee
-/// composition) and a const-environment (empty for the base summary,
-/// param pins for k=1 specialization).
-fn summarize_one(f: &Function, sums: &[BitSummary], cenv: ConstEnv) -> BitSummary {
+/// composition).
+fn summarize_one(f: &Function, sums: &[BitSummary]) -> BitSummary {
     let np = f.params.len();
     let mut out = BitSummary::empty(np);
 
@@ -148,11 +127,10 @@ fn summarize_one(f: &Function, sums: &[BitSummary], cenv: ConstEnv) -> BitSummar
         0,
         true,
         |_| 0,
-        |_, g, i, r| {
+        |g, i, r| {
             let s = &sums[g.0 as usize];
             s.sink_bits[i] | compose_ret(s, i, r)
         },
-        cenv,
     );
     out.sink_bits.copy_from_slice(&sink[..np]);
 
@@ -161,11 +139,10 @@ fn summarize_one(f: &Function, sums: &[BitSummary], cenv: ConstEnv) -> BitSummar
         0,
         false,
         |_| FULL,
-        |_, g, i, r| {
+        |g, i, r| {
             let s = &sums[g.0 as usize];
             s.mem_bits[i] | compose_ret(s, i, r)
         },
-        cenv,
     );
     out.mem_bits.copy_from_slice(&mem[..np]);
 
@@ -176,8 +153,7 @@ fn summarize_one(f: &Function, sums: &[BitSummary], cenv: ConstEnv) -> BitSummar
             1u64 << b,
             false,
             |_| 0,
-            |_, g, i, r| compose_ret(&sums[g.0 as usize], i, r),
-            cenv,
+            |g, i, r| compose_ret(&sums[g.0 as usize], i, r),
         );
         for (i, &mi) in m.iter().enumerate().take(np) {
             out.ret_transfer[i][b as usize] = mi;
@@ -221,7 +197,7 @@ pub fn summarize_bits(module: &Module, cg: &CallGraph) -> Vec<BitSummary> {
             let mut changed = false;
             for &fid in comp {
                 let fi = fid.0 as usize;
-                let cand = summarize_one(&module.functions[fi], &sums, NO_CENV);
+                let cand = summarize_one(&module.functions[fi], &sums);
                 changed |= sums[fi].merge(&cand);
             }
             if !changed {
@@ -230,85 +206,6 @@ pub fn summarize_bits(module: &Module, cg: &CallGraph) -> Vec<BitSummary> {
         }
     }
     sums
-}
-
-/// Callee-size ceiling for k=1 specialization: beyond this the summary
-/// join is close enough and re-solving per call site stops paying.
-const SPEC_MAX_INSTRS: usize = 64;
-
-/// Total specialization budget per module (deterministic: call sites are
-/// visited in static order).
-const SPEC_MAX_SITES: usize = 256;
-
-/// k=1 call-site specialization: per-site summaries for small
-/// non-recursive callees with at least one literal-constant argument,
-/// keyed by call-site sid. Only strictly-more-precise summaries are
-/// kept; [`ModuleSummaries::at_site`] falls back to the base table.
-pub fn specialize(
-    module: &Module,
-    cg: &CallGraph,
-    base: &[BitSummary],
-) -> HashMap<u32, BitSummary> {
-    let mut spec = HashMap::new();
-    for cs in &cg.call_sites {
-        if spec.len() >= SPEC_MAX_SITES {
-            break;
-        }
-        if cg.is_recursive(cs.callee) {
-            continue;
-        }
-        let gf = module.func(cs.callee);
-        if gf.instrs().count() > SPEC_MAX_INSTRS {
-            continue;
-        }
-        let caller = module.func(cs.caller);
-        let Some(ins) = caller.instrs().find(|i| i.sid == cs.sid) else {
-            continue;
-        };
-        let Op::Call { args, .. } = &ins.op else {
-            continue;
-        };
-        let pins: Vec<Option<u64>> = args
-            .iter()
-            .map(|a| match a {
-                Operand::Const(c) => Some(c.bits),
-                Operand::Value(_) => None,
-            })
-            .collect();
-        if pins.iter().all(|p| p.is_none()) {
-            continue;
-        }
-        let cenv = |v: ValueId| pins.get(v.0 as usize).copied().flatten();
-        let s = summarize_one(gf, base, &cenv);
-        if s != base[cs.callee.0 as usize] {
-            spec.insert(cs.sid.0, s);
-        }
-    }
-    spec
-}
-
-/// Base + specialized summaries for a module.
-#[derive(Debug, Clone)]
-pub struct ModuleSummaries {
-    pub base: Vec<BitSummary>,
-    /// k=1 specialized summaries keyed by call-site sid.
-    pub spec: HashMap<u32, BitSummary>,
-}
-
-impl ModuleSummaries {
-    pub fn compute(module: &Module, cg: &CallGraph) -> ModuleSummaries {
-        let base = summarize_bits(module, cg);
-        let spec = specialize(module, cg, &base);
-        ModuleSummaries { base, spec }
-    }
-
-    /// The summary governing one call site: its specialization when one
-    /// exists, the callee's base summary otherwise.
-    pub fn at_site(&self, sid: peppa_ir::InstrId, callee: peppa_ir::FuncId) -> &BitSummary {
-        self.spec
-            .get(&sid.0)
-            .unwrap_or(&self.base[callee.0 as usize])
-    }
 }
 
 /// Interprocedural per-value facts: the result of
@@ -535,44 +432,6 @@ mod tests {
     }
 
     #[test]
-    fn specialization_is_never_less_precise_and_masks_more() {
-        // `modp(x, m) = x % m`: context-insensitively the divisor is
-        // unknown so every dividend bit may matter; pinned to 2^16 the
-        // dividend's middle bits provably cannot reach the remainder.
-        let m = compile(
-            r#"fn modp(x: int, m: int) -> int { return x % m; }
-               fn main(x: int) { output modp(x, 65536); }"#,
-        );
-        let cg = CallGraph::new(&m);
-        let sums = ModuleSummaries::compute(&m, &cg);
-        let g = fid(&m, "modp");
-        let site = cg.sites_calling(g).next().unwrap();
-        let base = &sums.base[g.0 as usize];
-        let spec = sums.at_site(site.sid, g);
-        assert_ne!(
-            spec as *const _, base as *const _,
-            "const-arg site must specialize"
-        );
-        // ⊆ base on every channel and row.
-        for i in 0..2 {
-            assert_eq!(spec.sink_bits[i] & !base.sink_bits[i], 0);
-            assert_eq!(spec.mem_bits[i] & !base.mem_bits[i], 0);
-            for b in 0..64 {
-                assert_eq!(spec.ret_transfer[i][b] & !base.ret_transfer[i][b], 0);
-            }
-        }
-        // Strictly more precise on the dividend: bits 16..63 except the
-        // sign cannot reach the remainder once m is pinned to 2^16.
-        let base_reach = base.param_ret_bits(0);
-        let spec_reach = spec.param_ret_bits(0);
-        assert!(
-            spec_reach < base_reach,
-            "{spec_reach:#x} !< {base_reach:#x}"
-        );
-        assert_eq!(spec_reach & (1 << 30), 0, "middle bit masked when pinned");
-    }
-
-    #[test]
     fn recursive_and_mutually_recursive_summaries_converge() {
         let m = compile(
             r#"fn even(n: int) -> int {
@@ -596,13 +455,6 @@ mod tests {
         for name in ["even", "odd", "fib"] {
             let s = &sums[fid(&m, name).0 as usize];
             assert_eq!(s.sink_bits[0], FULL, "{name}");
-        }
-        // No specialization for recursive callees even with const args.
-        let spec = specialize(&m, &cg, &sums);
-        for cs in &cg.call_sites {
-            if cg.is_recursive(cs.callee) {
-                assert!(!spec.contains_key(&cs.sid.0));
-            }
         }
     }
 

@@ -311,8 +311,8 @@ fn reference_inputs_are_sound_on_compiled_engine() {
 //
 // The bundled benchmarks exercise a fixed set of interprocedural shapes.
 // This section *generates* MiniC modules — bounded loops, masked global-
-// array indices, a call DAG with recursion, const-arg call sites (the k=1
-// specialization trigger), int and float chains — and checks, per module:
+// array indices, a call DAG with recursion, const-arg call sites, int and
+// float chains — and checks, per module:
 //
 //  (a) every concrete def on the golden run is contained in the
 //      *interprocedural* known-bits and interval abstractions
@@ -412,8 +412,7 @@ fn gen_module_source(seed: u64) -> (String, Vec<f64>) {
     let c1 = g.below(64);
     let c2 = g.below(64);
     // Half the modules call `mix` with a literal second argument inside
-    // the hot loop: that site plus `mix(c1, c2)` below are the k=1
-    // specialization candidates.
+    // the hot loop, as `mix(c1, c2)` below always does.
     let loop_arg = if g.below(2) == 0 {
         format!("{}", g.below(64))
     } else {
@@ -674,62 +673,5 @@ fn check_generated_across_opt_levels(seed: u64) {
 fn generated_modules_agree_across_opt_levels_and_engines() {
     for i in 0..generated_module_count() {
         check_generated_across_opt_levels(0x0c0d_e000 + i);
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// The k=1 specialization containment law, property-tested over
-    /// generated modules: a call-site summary specialized on literal
-    /// const arguments must be contained in the context-insensitive
-    /// base summary on *every* channel — constant refinement can only
-    /// shrink transfers, never grow them. A violation would let a
-    /// specialized site claim masking the general summary denies,
-    /// which is exactly the unsoundness `ModuleSummaries::at_site`
-    /// relies on never happening.
-    #[test]
-    fn specialized_summaries_are_contained_in_base(seed in any::<u32>()) {
-        let (src, _) = gen_module_source(seed as u64);
-        let module = peppa_lang::compile(&src, "spec-prop")
-            .unwrap_or_else(|e| panic!("seed {seed}: compile failed: {e:?}\n{src}"));
-        let cg = CallGraph::new(&module);
-        let sums = peppa_analysis::ModuleSummaries::compute(&module, &cg);
-
-        // Map call-site sid → callee for every call in the module.
-        let mut callee_of = std::collections::HashMap::new();
-        for f in &module.functions {
-            for ins in f.instrs() {
-                if let peppa_ir::Op::Call { func, .. } = &ins.op {
-                    callee_of.insert(ins.sid.0, func.0 as usize);
-                }
-            }
-        }
-
-        for (&sid, spec) in &sums.spec {
-            let callee = callee_of[&sid];
-            let base = &sums.base[callee];
-            for i in 0..spec.sink_bits.len() {
-                prop_assert_eq!(
-                    spec.sink_bits[i] & !base.sink_bits[i], 0,
-                    "seed {}: site {} param {}: spec sink ⊄ base", seed, sid, i
-                );
-                prop_assert_eq!(
-                    spec.mem_bits[i] & !base.mem_bits[i], 0,
-                    "seed {}: site {} param {}: spec mem ⊄ base", seed, sid, i
-                );
-                for b in 0..64 {
-                    prop_assert_eq!(
-                        spec.ret_transfer[i][b] & !base.ret_transfer[i][b], 0,
-                        "seed {}: site {} param {} ret bit {}: spec transfer ⊄ base",
-                        seed, sid, i, b
-                    );
-                }
-            }
-            prop_assert_eq!(
-                spec.env_ret & !base.env_ret, 0,
-                "seed {}: site {}: spec env ⊄ base", seed, sid
-            );
-        }
     }
 }

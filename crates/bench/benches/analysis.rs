@@ -6,7 +6,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use peppa_analysis::deviation::DeviationAnalysis;
-use peppa_analysis::{defuse::def_use, prune_fi_space, CallGraph, FaultReach, ModuleSummaries};
+use peppa_analysis::{defuse::def_use, prune_fi_space, summarize_bits, CallGraph, FaultReach};
 use peppa_ga::{ArgBounds, GaConfig, GeneticEngine};
 use peppa_protect::{knapsack, Item};
 
@@ -25,14 +25,14 @@ fn analysis_benches(c: &mut Criterion) {
             |b, m| b.iter(|| prune_fi_space(std::hint::black_box(m)).groups.len()),
         );
         // The per-bit interprocedural summary pass alone (bottom-up SCC
-        // fixpoint + k=1 call-site specialization)...
+        // fixpoint)...
         group.bench_with_input(
             BenchmarkId::new("summarize_bits", bench.name),
             &bench.module,
             |b, m| {
                 b.iter(|| {
                     let cg = CallGraph::new(std::hint::black_box(m));
-                    ModuleSummaries::compute(m, &cg).base.len()
+                    summarize_bits(m, &cg).len()
                 })
             },
         );

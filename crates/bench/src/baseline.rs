@@ -225,14 +225,7 @@ pub fn run_baseline(ctx: &Ctx, observer: Arc<dyn Observer>) -> BaselineReport {
             ctx.limits,
             cfg.burst,
         );
-        let prune_masked_cells: u64 = fr
-            .widths
-            .iter()
-            .zip(&cells)
-            .filter(|(&w, _)| w != 0)
-            .map(|(_, &c)| c.count_ones() as u64)
-            .sum();
-        let prune_total_cells = 64 * fr.widths.iter().filter(|&&w| w != 0).count() as u64;
+        let (prune_masked_cells, prune_total_cells) = fr.masked_cells(&cells);
         let prune = StaticPrune {
             cells,
             burst: cfg.burst,

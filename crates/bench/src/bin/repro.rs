@@ -18,9 +18,9 @@
 //!   hybrid             static prune table vs FI ground truth
 //!                      (results/hybrid.json; exits 1 on a soundness
 //!                      violation; `--smoke` shrinks it to CI size)
-//!   precision          per-bit interprocedural summaries vs the legacy
-//!                      context-insensitive pipeline: masked-cell and
-//!                      skip-ratio before/after, monotonicity gate,
+//!   precision          per-bit reach analysis vs the frozen table of
+//!                      the retired context-insensitive pipeline: masked
+//!                      cells and skip ratios, per-cell containment gate,
 //!                      median-skip-ratio floor (results/precision.json;
 //!                      exits 1 on a gate violation)
 //!   provenance         shadow-taint traced campaigns vs static reach:
@@ -312,8 +312,8 @@ fn main() -> ExitCode {
                 if !r.sound() {
                     eprintln!(
                         "[repro] FAIL: static-precision gate violated (fine analysis \
-                         dropped a coarse-masked cell, or the median skip ratio fell \
-                         below the floor)"
+                         dropped a cell of the frozen coarse table, the table is stale, \
+                         or the median skip ratio fell below the floor)"
                     );
                     failed = true;
                 }
@@ -325,7 +325,7 @@ fn main() -> ExitCode {
                 if !r.sound() {
                     eprintln!(
                         "[repro] FAIL: provenance containment violated (a dynamically-\
-                         propagating fault was statically classified ProvablyMasked)"
+                         propagating fault was statically provably masked)"
                     );
                     failed = true;
                 }

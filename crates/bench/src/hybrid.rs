@@ -126,14 +126,7 @@ pub fn hybrid_benchmark(bench: &Benchmark, ctx: &Ctx, trials: u32, validate: usi
     // The deviation half of the table is input-specific: it must be
     // computed from the very input the campaigns below inject into.
     let cells = combined_skip_cells(&bench.module, &fr, &input, ctx.limits, burst);
-    let masked_cells: u64 = fr
-        .widths
-        .iter()
-        .zip(&cells)
-        .filter(|(&w, _)| w != 0)
-        .map(|(_, &c)| c.count_ones() as u64)
-        .sum();
-    let total_cells = 64 * fr.widths.iter().filter(|&&w| w != 0).count() as u64;
+    let (masked_cells, total_cells) = fr.masked_cells(&cells);
     let prune = StaticPrune {
         cells: cells.clone(),
         burst,

@@ -22,9 +22,10 @@
 //! fault-reachability analysis behind `--static-prune` campaigns —
 //! exact outcome-count equality plus FI re-injection of provably-masked
 //! cells ([`hybrid`]) — `repro precision` measures how much the
-//! per-bit interprocedural summaries tighten the masked-cell tables
-//! over the legacy context-insensitive pipeline, with a monotonicity
-//! gate and a median-skip-ratio floor ([`precision`]) —
+//! per-bit interprocedural analysis tightens the masked-cell tables
+//! over the frozen table of the retired context-insensitive pipeline,
+//! with a per-cell containment gate and a median-skip-ratio floor
+//! ([`precision`]) —
 //! `repro provenance` cross-checks the shadow-
 //! taint tracer against the static reach analysis (containment + static-
 //! precision headroom, [`provenance`]), and `repro snapshot` measures

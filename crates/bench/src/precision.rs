@@ -1,17 +1,17 @@
 //! Static-precision study — `repro precision`.
 //!
-//! Measures how much the context-sensitive per-bit interprocedural
-//! layer ([`peppa_analysis::BitSummary`], k=1 call-site specialization,
+//! Measures how much the per-bit interprocedural fault-reachability
+//! analysis ([`peppa_analysis::BitSummary`] call composition,
 //! interprocedural value facts, the live-store channel) tightens the
-//! fault-reachability analysis over the legacy context-insensitive
-//! 3-channel pipeline. Per benchmark it computes three masked-cell
-//! tables over the same `value sids × 64 bits` fault space:
+//! masked-cell table over the retired context-insensitive three-channel
+//! pipeline. Per benchmark it reports three masked-cell tables over the
+//! same `value sids × 64 bits` fault space:
 //!
-//! * **coarse** — [`ReachOpts::coarse()`]: whole-param channel
-//!   summaries, no specialization, no interprocedural value facts,
-//!   static (liveness-blind) callee store channel. This reproduces the
-//!   pre-BitSummary pipeline exactly.
-//! * **fine** — [`ReachOpts::default()`]: the full per-bit analysis.
+//! * **coarse** — `FROZEN_COARSE`: every cell the three-channel
+//!   pipeline (whole-param call channels, no interprocedural value
+//!   facts, liveness-blind callee store channel) proved masked, frozen
+//!   as data when that pipeline was deleted.
+//! * **fine** — [`FaultReach::analyze`]: the per-bit analysis.
 //! * **union** — fine ∪ input-specific deviation analysis on the
 //!   benchmark's reference input — the table a `--static-prune`
 //!   campaign actually uses
@@ -25,10 +25,10 @@
 //!
 //! Two gates make this a regression test rather than a scoreboard:
 //!
-//! 1. **Monotonicity** — per cell, `fine ⊇ coarse`. Per-bit transfers
-//!    are always contained in the channel join, specialization only
-//!    shrinks transfers, and the live-store/interproc channels only
-//!    remove live bits, so any violation is an analysis bug.
+//! 1. **Containment** — per cell, fine ⊇ the frozen coarse table. A
+//!    frozen cell fine no longer masks is a precision regression; a
+//!    frozen sid past the module or on a void instruction is a stale
+//!    table. Either fails the gate, naming the entry on stderr.
 //! 2. **Floor** — the median union skip ratio across benchmarks must
 //!    stay ≥ [`SKIP_RATIO_FLOOR`]. The honest measured median is
 //!    ~0.017: the bundled benchmarks' live mass is control flow,
@@ -41,7 +41,7 @@
 
 use crate::scale::Ctx;
 use peppa_analysis::deviation::combined_skip_cells;
-use peppa_analysis::{CallGraph, FaultReach, ModuleSummaries, ReachOpts};
+use peppa_analysis::FaultReach;
 use peppa_apps::{all_benchmarks, Benchmark};
 use peppa_inject::campaign::golden_run;
 use peppa_inject::StaticPrune;
@@ -55,12 +55,29 @@ pub const SKIP_RATIO_FLOOR: f64 = 0.015;
 /// The aspirational target from the issue; reported, not gated.
 pub const SKIP_RATIO_TARGET: f64 = 0.10;
 
+/// The coarse column, frozen: `(benchmark, sid, masked bit positions)`
+/// for every sid on which the three-channel pipeline masked any cell at
+/// burst 0. Hpccg has none.
+const FROZEN_COARSE: [(&str, usize, u64); 11] = [
+    ("Pathfinder", 1, 0x7fff_ffff_8000_0000),
+    ("Needle", 1, 0x7fff_ffff_8000_0000),
+    ("Needle", 5, 0x7fff_ffff_ffff_fffc),
+    ("Needle", 7, 0x7fff_ffff_ffff_fffc),
+    ("Needle", 14, 0x7fff_ffff_ffff_fffc),
+    ("Needle", 16, 0x7fff_ffff_ffff_fffc),
+    ("Particlefilter", 1, 0x7fff_ffff_8000_0000),
+    ("CoMD", 1, 0x7fff_ffff_8000_0000),
+    ("CoMD", 5, 0x7fff_ffff_ffff_fffc),
+    ("Xsbench", 1, 0x7fff_ffff_8000_0000),
+    ("FFT", 1, 0x7fff_ffff_8000_0000),
+];
+
 /// One benchmark's before/after precision row.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PrecisionRow {
     pub benchmark: String,
-    /// Masked cells of the `value sids × 64 bits` space, legacy
-    /// context-insensitive pipeline ([`ReachOpts::coarse`]).
+    /// Masked cells of the `value sids × 64 bits` space in the frozen
+    /// coarse table.
     pub coarse_masked_cells: u64,
     /// Masked cells under the full per-bit interprocedural analysis.
     pub fine_masked_cells: u64,
@@ -72,9 +89,7 @@ pub struct PrecisionRow {
     pub coarse_skip_ratio: f64,
     pub fine_skip_ratio: f64,
     pub union_skip_ratio: f64,
-    /// k=1 specialized call sites whose summary differs from the base.
-    pub spec_sites: usize,
-    /// Per-cell `fine ⊇ coarse` containment (must always hold).
+    /// Per-cell fine ⊇ frozen coarse containment (must always hold).
     pub monotone: bool,
     /// Shortfall against the aspirational target (0 when met).
     pub gap_to_target: f64,
@@ -92,29 +107,26 @@ pub struct PrecisionReport {
 }
 
 impl PrecisionReport {
-    /// CI gate: per-cell monotonicity everywhere and the median
-    /// exec-weighted union skip ratio at or above the floor.
+    /// CI gate: per-cell containment of the frozen coarse table
+    /// everywhere and the median exec-weighted union skip ratio at or
+    /// above the floor.
     pub fn sound(&self) -> bool {
         self.rows.iter().all(|r| r.monotone)
             && self.median_union_skip_ratio >= self.skip_ratio_floor
     }
 }
 
-fn masked_count(widths: &[u8], cells: &[u64]) -> u64 {
-    widths
-        .iter()
-        .zip(cells)
-        .filter(|(&w, _)| w != 0)
-        .map(|(_, &c)| c.count_ones() as u64)
-        .sum()
-}
-
-/// Computes one benchmark's precision row.
-pub fn precision_benchmark(bench: &Benchmark, ctx: &Ctx) -> PrecisionRow {
+/// Computes one benchmark's precision row against the `frozen` coarse
+/// table. A frozen entry whose sid is past the module or on a void
+/// instruction (a stale table), or whose cells fine does not mask,
+/// fails containment and is named on stderr.
+fn precision_benchmark(
+    bench: &Benchmark,
+    ctx: &Ctx,
+    frozen: &[(&str, usize, u64)],
+) -> PrecisionRow {
     let burst = 0u8;
-    let coarse = FaultReach::analyze_opts(&bench.module, ReachOpts::coarse());
     let fine = FaultReach::analyze(&bench.module);
-    let coarse_cells = coarse.skip_cells(burst);
     let fine_cells = fine.skip_cells(burst);
     let union_cells = combined_skip_cells(
         &bench.module,
@@ -123,6 +135,26 @@ pub fn precision_benchmark(bench: &Benchmark, ctx: &Ctx) -> PrecisionRow {
         ctx.limits,
         burst,
     );
+    let mut coarse_cells = vec![0u64; fine.widths.len()];
+    let mut monotone = true;
+    for &(_, sid, mask) in frozen.iter().filter(|e| e.0 == bench.name) {
+        let stale = fine.widths.get(sid).is_none_or(|&w| w == 0);
+        if stale || mask & !fine_cells[sid] != 0 {
+            let why = if stale {
+                "is stale: no value instruction has that sid"
+            } else {
+                "has cells the fine analysis does not mask"
+            };
+            eprintln!(
+                "[precision] frozen coarse entry ({}, sid {sid}, {mask:#x}) {why}",
+                bench.name
+            );
+            monotone = false;
+        }
+        if !stale {
+            coarse_cells[sid] |= mask;
+        }
+    }
 
     let golden = golden_run(&bench.module, &bench.reference_input, ctx.limits).expect("golden run");
     let exec = &golden.profile.exec_counts;
@@ -134,26 +166,18 @@ pub fn precision_benchmark(bench: &Benchmark, ctx: &Ctx) -> PrecisionRow {
         }
         .predicted_skip_ratio(exec, vd)
     };
-
-    let cg = CallGraph::new(&bench.module);
-    let sums = ModuleSummaries::compute(&bench.module, &cg);
-
-    let monotone = coarse_cells
-        .iter()
-        .zip(&fine_cells)
-        .all(|(&c, &f)| c & !f == 0);
+    let (coarse_masked_cells, total_cells) = fine.masked_cells(&coarse_cells);
     let union_skip_ratio = ratio(&union_cells);
 
     PrecisionRow {
         benchmark: bench.name.to_string(),
-        coarse_masked_cells: masked_count(&fine.widths, &coarse_cells),
-        fine_masked_cells: masked_count(&fine.widths, &fine_cells),
-        union_masked_cells: masked_count(&fine.widths, &union_cells),
-        total_cells: 64 * fine.widths.iter().filter(|&&w| w != 0).count() as u64,
+        coarse_masked_cells,
+        fine_masked_cells: fine.masked_cells(&fine_cells).0,
+        union_masked_cells: fine.masked_cells(&union_cells).0,
+        total_cells,
         coarse_skip_ratio: ratio(&coarse_cells),
         fine_skip_ratio: ratio(&fine_cells),
         union_skip_ratio,
-        spec_sites: sums.spec.len(),
         monotone,
         gap_to_target: (SKIP_RATIO_TARGET - union_skip_ratio).max(0.0),
     }
@@ -165,7 +189,7 @@ pub fn precision_benchmark(bench: &Benchmark, ctx: &Ctx) -> PrecisionRow {
 pub fn run_precision(ctx: &Ctx, smoke: bool) -> PrecisionReport {
     let rows: Vec<PrecisionRow> = all_benchmarks()
         .iter()
-        .map(|b| precision_benchmark(b, ctx))
+        .map(|b| precision_benchmark(b, ctx, &FROZEN_COARSE))
         .collect();
     let mut ratios: Vec<f64> = rows.iter().map(|r| r.union_skip_ratio).collect();
     ratios.sort_by(|a, b| a.partial_cmp(b).unwrap());
@@ -188,10 +212,10 @@ pub fn run_precision(ctx: &Ctx, smoke: bool) -> PrecisionReport {
 pub fn render_precision(r: &PrecisionReport) -> String {
     use std::fmt::Write;
     let mut s = String::new();
-    writeln!(s, "Static-precision study: coarse (context-insensitive) vs fine (per-bit interprocedural) vs union (+deviation)").unwrap();
+    writeln!(s, "Static-precision study: coarse (frozen context-insensitive table) vs fine (per-bit interprocedural) vs union (+deviation)").unwrap();
     writeln!(
         s,
-        "{:<16} {:>14} {:>14} {:>14} {:>8} {:>8} {:>8} {:>5} {:>9}",
+        "{:<16} {:>14} {:>14} {:>14} {:>8} {:>8} {:>8} {:>9}",
         "benchmark",
         "coarse cells",
         "fine cells",
@@ -199,14 +223,13 @@ pub fn render_precision(r: &PrecisionReport) -> String {
         "coarse%",
         "fine%",
         "union%",
-        "spec",
         "monotone"
     )
     .unwrap();
     for row in &r.rows {
         writeln!(
             s,
-            "{:<16} {:>7}/{:<6} {:>7}/{:<6} {:>7}/{:<6} {:>7.2}% {:>7.2}% {:>7.2}% {:>5} {:>9}",
+            "{:<16} {:>7}/{:<6} {:>7}/{:<6} {:>7}/{:<6} {:>7.2}% {:>7.2}% {:>7.2}% {:>9}",
             row.benchmark,
             row.coarse_masked_cells,
             row.total_cells,
@@ -217,7 +240,6 @@ pub fn render_precision(r: &PrecisionReport) -> String {
             row.coarse_skip_ratio * 100.0,
             row.fine_skip_ratio * 100.0,
             row.union_skip_ratio * 100.0,
-            row.spec_sites,
             if row.monotone { "ok" } else { "VIOLATED" },
         )
         .unwrap();
@@ -232,7 +254,7 @@ pub fn render_precision(r: &PrecisionReport) -> String {
         s,
         "precision gates: {}",
         if r.sound() {
-            "OK — fine ⊇ coarse per cell on every benchmark; median skip ratio above floor"
+            "OK — fine ⊇ the frozen coarse table per cell on every benchmark; median skip ratio above floor"
         } else {
             "VIOLATED"
         }
@@ -270,5 +292,35 @@ mod tests {
             r.median_union_skip_ratio,
             r.skip_ratio_floor
         );
+    }
+
+    #[test]
+    fn lost_or_stale_frozen_cells_fail_the_gate() {
+        let ctx = Ctx::new(Scale::Quick, 2021);
+        let needle = peppa_apps::benchmark_by_name("needle").unwrap();
+        let sound = |frozen: &[(&str, usize, u64)]| {
+            let row = precision_benchmark(&needle, &ctx, frozen);
+            PrecisionReport {
+                median_union_skip_ratio: row.union_skip_ratio,
+                rows: vec![row],
+                skip_ratio_floor: 0.0,
+                skip_ratio_target: SKIP_RATIO_TARGET,
+                seed: ctx.seed,
+                smoke: true,
+            }
+            .sound()
+        };
+        assert!(sound(&FROZEN_COARSE));
+        // A frozen cell the fine table lacks: fine masks bits 2..62 of
+        // Needle's sid 5, not bit 0.
+        let mut lost = FROZEN_COARSE;
+        lost[2].2 |= 1;
+        assert!(!sound(&lost));
+        // A frozen sid past the module, and one on a void instruction.
+        let past = needle.module.num_instrs;
+        assert!(!sound(&[("Needle", past, 1)]));
+        let fr = FaultReach::analyze(&needle.module);
+        let void = fr.widths.iter().position(|&w| w == 0).unwrap();
+        assert!(!sound(&[("Needle", void, 1)]));
     }
 }

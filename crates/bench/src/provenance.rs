@@ -5,16 +5,16 @@
 //! over-approximations of the same ground truth, built to satisfy a
 //! *containment* contract: the forward taint rules are the adjoint of
 //! the backward matter-mask rules, so any fault whose taint dynamically
-//! reaches an observable sink must sit in a statically `MayPropagate`
-//! cell. This experiment checks that contract per benchmark with a
-//! traced FI campaign:
+//! reaches an observable sink must sit in a cell the static analysis
+//! does not prove masked. This experiment checks that contract per
+//! benchmark with a traced FI campaign:
 //!
 //! 1. **Containment** — for every seeded trial whose taint reached a
-//!    sink, the `(sid, bit)` cell must not be `ProvablyMasked`. A
+//!    sink, the `(sid, bit)` cell must not be provably masked. A
 //!    violation means a soundness bug in one of the two engines; the
 //!    `repro` driver exits 1.
-//! 2. **Static-precision headroom** — of the `MayPropagate` cells the
-//!    campaign sampled, the fraction whose taint *never* reached a sink
+//! 2. **Static-precision headroom** — of the not-provably-masked cells
+//!    the campaign sampled, the fraction whose taint *never* reached a sink
 //!    in any trial: dynamically-dead cells the static analysis failed to
 //!    prove masked, i.e. the refinement room left in `reach.rs`.
 //! 3. **Propagation telemetry** — propagated / extinguished / dormant
@@ -55,12 +55,12 @@ pub struct ProvenanceRow {
     /// Seeded trials ending with live taint but no sink hit — dormant
     /// corruption that never became observable within the run.
     pub dormant: u32,
-    /// Seeded trials sampled in statically `ProvablyMasked` cells.
+    /// Seeded trials sampled in statically provably-masked cells.
     pub masked_sampled: u32,
     /// Containment violations (must be empty for a sound pair of
     /// engines).
     pub violations: Vec<Violation>,
-    /// Distinct `MayPropagate` `(sid, bit)` cells the campaign seeded.
+    /// Distinct not-provably-masked `(sid, bit)` cells seeded.
     pub may_cells_sampled: u64,
     /// Of those, cells where no trial's taint ever reached a sink.
     pub may_cells_never_propagated: u64,
@@ -276,7 +276,7 @@ pub fn render_provenance(r: &ProvenanceReport) -> String {
         s,
         "containment: {}",
         if r.sound() {
-            "OK — every dynamically-propagating fault is statically MayPropagate"
+            "OK — no dynamically-propagating fault is statically provably masked"
         } else {
             "VIOLATED"
         }

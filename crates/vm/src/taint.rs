@@ -18,9 +18,9 @@
 //! `repro provenance` experiment checks: if a traced run's taint reaches
 //! a sink, the executed def-use chain is one of the paths the backward
 //! analysis joined over, so the seed bit is in the static matter mask and
-//! the cell is classified `MayPropagate`. A dynamically-propagating cell
-//! that the static analysis calls `ProvablyMasked` is a soundness bug in
-//! one of the two engines.
+//! the cell is not provably masked. A dynamically-propagating cell that
+//! the static analysis calls provably masked is a soundness bug in one
+//! of the two engines.
 //!
 //! Masks are a *superset* of the bits that actually differ between the
 //! clean and faulty concrete executions (checked differentially by

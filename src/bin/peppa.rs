@@ -437,7 +437,8 @@ fn run(args: Vec<String>) -> Result<ExitCode, String> {
                     cells: fr.skip_cells(cfg.burst),
                     burst: cfg.burst,
                 };
-                (table, fr.masked_cells(cfg.burst))
+                let counts = fr.masked_cells(&table.cells);
+                (table, counts)
             });
             let mut plan = CampaignPlan::new(&bench.module, &input, limits, cfg)
                 .snapshots(DEFAULT_SNAPSHOTS)
