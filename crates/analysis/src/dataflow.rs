@@ -1,4 +1,4 @@
-//! Generic dataflow engines over the [`Cfg`](crate::cfg::Cfg).
+//! Generic dataflow engines over the [`Cfg`].
 //!
 //! Two solvers live here:
 //!
@@ -120,7 +120,8 @@ pub trait AbstractDomain: Clone + PartialEq {
     fn transfer(op: &Op, ty: Ty, args: &[Self], arg_tys: &[Ty]) -> Self;
 }
 
-/// Per-function analysis result: one abstract value per [`ValueId`].
+/// Per-function analysis result: one abstract value per
+/// [`ValueId`](peppa_ir::ValueId).
 #[derive(Debug, Clone)]
 pub struct ValueFacts<D> {
     pub values: Vec<D>,

@@ -19,7 +19,7 @@
 //!
 //! On top of these sits a reusable dataflow framework:
 //!
-//! * [`cfg`]: per-function CFG view — successors/predecessors, reverse
+//! * [`cfg`](mod@cfg): per-function CFG view — successors/predecessors, reverse
 //!   postorder, dominator tree, loop headers.
 //! * [`dataflow`]: generic worklist solver over block facts
 //!   ([`BlockAnalysis`]) and a per-value abstract-interpretation engine

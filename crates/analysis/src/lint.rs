@@ -18,7 +18,8 @@
 //!   out of the address space): executing it always traps.
 //! * `unreachable-block` — a block with no path from the entry. The
 //!   verifier rejects these too, so on verified IR this never fires; it
-//!   is kept for callers linting IR built outside [`ModuleBuilder`].
+//!   is kept for callers linting IR built outside
+//!   [`ModuleBuilder`](peppa_ir::ModuleBuilder).
 //! * `undominated-use` — a cross-block use whose definition block does
 //!   not dominate the use block. Also subsumed by the verifier's
 //!   definite-definition check; kept as a cheap independent oracle.

@@ -238,7 +238,7 @@ const INTERPROC_MAX_ROUNDS: u32 = 64;
 ///    cliques until the monotone return join stabilizes.
 /// 2. **Top-down parameters** — seed each callee's parameters with the
 ///    join of the argument facts over all its call sites, rounds widened
-///    (via [`AbstractDomain::widen`]) after [`INTERPROC_WIDEN_AFTER`] so
+///    (via [`AbstractDomain::widen`]) after `INTERPROC_WIDEN_AFTER` so
 ///    recursive parameter chains converge.
 /// 3. **Final facts** — one pass per function under both refinements.
 pub fn analyze_module_interproc<D: AbstractDomain>(

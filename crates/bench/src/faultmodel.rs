@@ -1,7 +1,7 @@
 //! Fault-model sensitivity: single vs multi-bit flips.
 //!
 //! §3.1.3 justifies the single-bit model by citing Sangchoolie et al.
-//! (DSN'17 [47]): "there is little difference in SDC probabilities
+//! (DSN'17 \[47\]): "there is little difference in SDC probabilities
 //! between the single and multiple bit flips at the application level."
 //! This experiment validates that premise on our substrate by running
 //! identical campaigns under 1-, 2-, and 3-bit burst models.

@@ -21,7 +21,8 @@
 //! table is also reported as the *exec-weighted predicted skip ratio*
 //! ([`StaticPrune::predicted_skip_ratio`]) under the reference input's
 //! golden profile — the exact fraction of uniformly-sampled fault
-//! trials the table would skip.
+//! trials the table would skip. That profile comes from the one golden
+//! run the deviation analysis observes.
 //!
 //! Two gates make this a regression test rather than a scoreboard:
 //!
@@ -40,10 +41,9 @@
 //!    honest rather than inflatable.
 
 use crate::scale::Ctx;
-use peppa_analysis::deviation::combined_skip_cells;
+use peppa_analysis::deviation::DeviationAnalysis;
 use peppa_analysis::FaultReach;
 use peppa_apps::{all_benchmarks, Benchmark};
-use peppa_inject::campaign::golden_run;
 use peppa_inject::StaticPrune;
 use serde::{Deserialize, Serialize};
 
@@ -128,13 +128,10 @@ fn precision_benchmark(
     let burst = 0u8;
     let fine = FaultReach::analyze(&bench.module);
     let fine_cells = fine.skip_cells(burst);
-    let union_cells = combined_skip_cells(
-        &bench.module,
-        &fine,
-        &bench.reference_input,
-        ctx.limits,
-        burst,
-    );
+    let (dev, golden) =
+        DeviationAnalysis::from_run(&bench.module, &bench.reference_input, ctx.limits)
+            .expect("golden run");
+    let union_cells = dev.union_cells(&fine, burst);
     let mut coarse_cells = vec![0u64; fine.widths.len()];
     let mut monotone = true;
     for &(_, sid, mask) in frozen.iter().filter(|e| e.0 == bench.name) {
@@ -156,7 +153,6 @@ fn precision_benchmark(
         }
     }
 
-    let golden = golden_run(&bench.module, &bench.reference_input, ctx.limits).expect("golden run");
     let exec = &golden.profile.exec_counts;
     let vd = golden.profile.value_dynamic;
     let ratio = |cells: &[u64]| {

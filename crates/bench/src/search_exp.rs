@@ -201,7 +201,7 @@ pub fn run_per_input_time(ctx: &Ctx) -> PerInputTimeReport {
         .unwrap();
 
         // Timed as the GA runs it: the oracle's one-time lowering and
-        // its memory image, allocated by its first run (here the small
+        // its memory buffer, sized by its first run (here the small
         // input), are set-up, not per-input cost.
         let mut oracle = FitnessOracle::new(&b, &scores, ctx.limits);
         oracle.eval(&small.input).expect("small input runs");

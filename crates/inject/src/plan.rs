@@ -19,7 +19,8 @@
 //! 4. **Executor.** Kept trials run from program entry or, with `K > 0`
 //!    snapshots, resume from the latest golden-prefix snapshot before
 //!    their fault site. Fork points are planned over the kept trials'
-//!    sites. Convergence exits are on unless tracing.
+//!    sites, and the snapshots are captured on the campaign's engine.
+//!    Convergence exits are on unless tracing.
 //! 5. **Hook** (with tracing). Each executed trial runs under a
 //!    shadow-taint [`TaintHook`] and reports its provenance.
 //! 6. **Aggregator.** Workers report over a bounded channel drained on
@@ -50,7 +51,7 @@ use peppa_obs::{Event, Observer, Span};
 use peppa_stats::{binomial_ci, ci::Z_95, Pcg64};
 use peppa_vm::{
     encode_inputs, CompiledModule, Engine, EngineKind, ExecHook, ExecLimits, Injection,
-    InjectionTarget, ResumeScratch, RunOutput, TaintHook, TaintReport, TrialResume, Vm,
+    InjectionTarget, ResumeScratch, RunOutput, TaintHook, TaintReport, TrialResume,
 };
 use std::time::Instant;
 
@@ -515,10 +516,8 @@ impl<'a> CampaignPlan<'a> {
         // 2. Sampler, then 3b. the filter's verdict. The fault is sampled
         // before the skip decision, so pruning never changes which fault
         // a trial measures. Each trial is sampled where it runs (and, for
-        // fork planning, up front): a per-trial table allocated after the
-        // golden run can split its freed memory image, and the trial arena
-        // then takes fresh memory (perfbench `prune` peak RSS rose from 21
-        // to 29-36 MB).
+        // fork planning, up front): a draw is a few RNG steps, so a
+        // per-trial table would keep nothing worth its memory.
         let sample = |t: u32| -> Fault {
             let (inj, site) = match &per_instr {
                 Some(p) => p.sample(t, &cfg),
@@ -558,14 +557,14 @@ impl<'a> CampaignPlan<'a> {
             (Vec::new(), None, None)
         } else {
             let _span = Span::enter(observer, "capture");
-            let vm = Vm::new(module, limits);
+            let eng = Engine::new(module, limits, code.as_ref());
             // Convergence needs each checkpoint's future read set, from
             // the capture run's memory-access trace.
             let (replay, snaps, read_sets) = if converge {
-                let (replay, snaps, rs) = vm.run_with_snapshots_read_sets(&bits, &points);
+                let (replay, snaps, rs) = eng.run_with_snapshots_read_sets(&bits, &points);
                 (replay, snaps, Some(rs))
             } else {
-                let (replay, snaps) = vm.run_with_snapshots(&bits, &points);
+                let (replay, snaps) = eng.run_with_snapshots(&bits, &points);
                 (replay, snaps, None)
             };
             debug_assert_eq!(replay.output, golden.output);
@@ -830,6 +829,7 @@ fn effective_threads(requested: usize, work_items: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use peppa_vm::Vm;
 
     /// `base` is computed once before the loop, the output's sum once
     /// after it.

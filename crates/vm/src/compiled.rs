@@ -7,12 +7,12 @@
 //! activation, `ExecHook` callback streams, snapshot frame
 //! coordinates, convergence decisions — is produced here in the same
 //! order with the same values. The machine differs only in *how* it
-//! gets there: it dispatches over pre-lowered [`Bc`] ops with all
+//! gets there: it dispatches over pre-lowered bytecode ops with all
 //! operands resolved to flat register indices, executes fused
 //! superinstructions where the lowering found the patterns, and skips
 //! the interpreter's per-instruction operand matching entirely.
 //!
-//! The equivalence argument is structural: each `Bc` handler performs
+//! The equivalence argument is structural: each bytecode handler performs
 //! the exact bookkeeping sequence of the interpreter's driver loop
 //! for the instruction(s) it covers (dynamic count → hang check →
 //! exec count → `begin_instr` → compute → `finish` → `end_instr`),
@@ -26,13 +26,16 @@
 
 use crate::exec::{
     canon, exec_bin, exec_cast, exec_fcmp as fcmp, exec_icmp as icmp, exec_un, flip_bits,
-    ExecLimits, Injection, InjectionTarget, ResumeScratch, RunEnd, RunOutput, RunStatus, Stop,
-    Trap,
+    ExecLimits, Injection, InjectionTarget, RunEnd, RunOutput, RunStatus, Stop, Trap,
 };
 use crate::hooks::{ExecHook, NoHook};
+use crate::image::{Image, ResumeScratch};
 use crate::lower::{Bc, CompiledFunc, CompiledModule, NO_REG};
 use crate::profile::Profile;
-use crate::snapshot::{mask_contains, ConvergeMasks, ReadSets, SnapData, TrialResume, VmSnapshot};
+use crate::snapshot::{
+    mask_contains, AccessEv, AccessLog, ConvergeMasks, FrameSnap, ReadSets, SnapData, TrialResume,
+    VmSnapshot,
+};
 use peppa_ir::{FuncId, Instr, Module, Term};
 use std::time::Instant;
 
@@ -53,7 +56,7 @@ fn wr(regs: &mut [u64], i: u32, v: u64) {
 /// `[base, base + num_regs)`: the interpreter's value registers in
 /// the first `num_values` slots and the function's constant pool
 /// behind them. `pc` replaces the interpreter's `(block, instr)` pair
-/// (recoverable through [`CompiledFunc::meta`]). Keeping frames in
+/// (recoverable through the lowered function's `meta` table). Keeping frames in
 /// one arena makes a call push a bump + one memcpy of the prebuilt
 /// frame image instead of a heap allocation.
 struct CFrame {
@@ -64,31 +67,45 @@ struct CFrame {
     call_timer: Option<Instant>,
 }
 
-/// Convergence checkpoints threaded through a resumed trial; mirrors
-/// the interpreter's `SnapCtl::Converge`.
-struct ConvergeCtl<'a> {
-    checkpoints: &'a [VmSnapshot],
-    next: usize,
-    masks: Option<&'a ConvergeMasks>,
-    read_sets: Option<&'a ReadSets>,
+/// What the driver does when a value-dynamic boundary is due; mirrors
+/// the interpreter's `SnapCtl`.
+enum Ctl<'a> {
+    Off,
+    /// Freeze a [`VmSnapshot`] at each of `points` (sorted, distinct).
+    Capture {
+        points: &'a [u64],
+        next: usize,
+        out: Vec<VmSnapshot>,
+    },
+    /// Compare machine state against later golden checkpoints once the
+    /// fault has fired.
+    Converge {
+        checkpoints: &'a [VmSnapshot],
+        next: usize,
+        masks: Option<&'a ConvergeMasks>,
+        read_sets: Option<&'a ReadSets>,
+    },
 }
 
 /// Why the inner dispatch loop handed control back to the driver.
 enum Exit {
-    /// `frame.pc` is at a [`Bc::Call`]; push the callee frame.
+    /// `frame.pc` is at a call; push the callee frame.
     Call,
-    /// `frame.pc` is at a [`Bc::Ret`]; pop the frame.
+    /// `frame.pc` is at a return; pop the frame.
     Ret,
     /// A snapshot boundary is due at `frame.pc`.
     Boundary,
 }
 
-struct CMachine<'m, H: ExecHook> {
+/// The machine state of one run. `LOG` is on only in a snapshot capture
+/// that derives read sets: both tiers then append every load, store and
+/// zero-fill to `log`, and the tiers of every other run compile without
+/// a trace of it.
+struct CMachine<'m, H: ExecHook, const LOG: bool> {
     module: &'m Module,
     code: &'m CompiledModule,
     limits: ExecLimits,
-    memory: Vec<u64>,
-    hwm: usize,
+    memory: Image,
     stack_ptr: u64,
     profile: Profile,
     output: Vec<u64>,
@@ -100,7 +117,7 @@ struct CMachine<'m, H: ExecHook> {
     /// every def must run the sid/instance check.
     static_pending: bool,
     fault_activated: bool,
-    conv: Option<ConvergeCtl<'m>>,
+    ctl: Ctl<'m>,
     /// Cached `value_dynamic` of the next interesting boundary
     /// (`u64::MAX` when none): the per-def gate is one compare.
     next_vd: u64,
@@ -108,17 +125,20 @@ struct CMachine<'m, H: ExecHook> {
     /// (`pc_base[fid] + segment start pc`). The turbo loop records one
     /// hit per fully executed straight-line segment instead of one
     /// `exec_counts` read-modify-write per instruction;
-    /// [`Self::expand_seg_hits`] folds the hits back into per-sid
-    /// `exec_counts` before the profile is observable. Only the
+    /// [`Self::fold_seg_hits`] folds the hits back into per-sid
+    /// `exec_counts` before the profile is observable (at run end and
+    /// at each snapshot capture). Only the
     /// hook-free, injection-far fast path writes here — every slow-path
     /// instruction still counts directly — so live `exec_counts` reads
     /// (the `StaticInstance` check) always see exact values: a pending
     /// static injection disables the turbo loop outright.
     seg_hits: Vec<u64>,
+    /// Memory-access trace (`LOG` runs only).
+    log: AccessLog,
     hook: H,
 }
 
-impl<'m, H: ExecHook> CMachine<'m, H> {
+impl<'m, H: ExecHook, const LOG: bool> CMachine<'m, H, LOG> {
     #[inline]
     fn instr_at(&self, fid: FuncId, pc: usize) -> &'m Instr {
         let cf = &self.code.funcs[fid.0 as usize];
@@ -210,22 +230,22 @@ impl<'m, H: ExecHook> CMachine<'m, H> {
         flipped
     }
 
+    /// A load through `addr`, traced in `LOG` runs.
     #[inline(always)]
-    fn mem_read(&self, addr: u64) -> Result<u64, Stop> {
-        if addr == 0 || addr >= self.memory.len() as u64 {
-            return Err(Stop::Trap(Trap::OutOfBounds { addr }));
+    fn mem_read(&mut self, addr: u64) -> Result<u64, Stop> {
+        let word = self.memory.read(addr)?;
+        if LOG {
+            self.log.events.push(AccessEv::Load(addr as u32));
         }
-        Ok(unsafe { *self.memory.get_unchecked(addr as usize) })
+        Ok(word)
     }
 
+    /// A store through `addr`, traced in `LOG` runs.
     #[inline(always)]
     fn mem_write(&mut self, addr: u64, value: u64) -> Result<(), Stop> {
-        if addr == 0 || addr >= self.memory.len() as u64 {
-            return Err(Stop::Trap(Trap::OutOfBounds { addr }));
-        }
-        unsafe { *self.memory.get_unchecked_mut(addr as usize) = value };
-        if addr as usize >= self.hwm {
-            self.hwm = addr as usize + 1;
+        self.memory.write(addr, value)?;
+        if LOG {
+            self.log.events.push(AccessEv::Store(addr as u32));
         }
         Ok(())
     }
@@ -260,16 +280,17 @@ impl<'m, H: ExecHook> CMachine<'m, H> {
     }
 
     /// Folds the turbo loop's per-segment hit counters back into
-    /// per-sid `exec_counts`: each completed segment contributes its
-    /// hit count to every instruction it covers, in the same amounts
-    /// per-instruction counting would have produced. Runs once per
-    /// execution, before the profile escapes.
-    fn expand_seg_hits(&mut self) {
+    /// per-sid `exec_counts` and resets them: each completed segment
+    /// contributes its hit count to every instruction it covers, in the
+    /// same amounts per-instruction counting would have produced. Runs
+    /// before the profile escapes — at run end and at each snapshot
+    /// capture — and counts each hit once.
+    fn fold_seg_hits(&mut self) {
         let code = self.code;
         for (fi, cf) in code.funcs.iter().enumerate() {
             let base = code.pc_base[fi] as usize;
             for start in 0..cf.code.len() {
-                let h = self.seg_hits[base + start];
+                let h = std::mem::take(&mut self.seg_hits[base + start]);
                 if h == 0 {
                     continue;
                 }
@@ -346,16 +367,40 @@ impl<'m, H: ExecHook> CMachine<'m, H> {
         }
     }
 
-    /// The interpreter's converge arm of `snapshot_boundary`, verbatim
-    /// over compiled frames.
+    /// The interpreter's `snapshot_boundary`, verbatim over compiled
+    /// frames.
     #[cold]
     fn boundary(&mut self, frames: &[CFrame], arena: &[u64]) -> Option<RunEnd> {
-        let (checkpoints, mut next, masks, read_sets) = match &self.conv {
-            None => {
+        let vd = self.profile.value_dynamic;
+        let (checkpoints, mut next, masks, read_sets) = match &mut self.ctl {
+            Ctl::Off => {
                 self.next_vd = u64::MAX;
                 return None;
             }
-            Some(c) => (c.checkpoints, c.next, c.masks, c.read_sets),
+            Ctl::Capture { points, next, .. } => {
+                let mut due = false;
+                while *next < points.len() && vd >= points[*next] {
+                    due |= vd == points[*next];
+                    *next += 1;
+                }
+                self.next_vd = points.get(*next).copied().unwrap_or(u64::MAX);
+                if due {
+                    let snap = self.snapshot(frames, arena);
+                    if let Ctl::Capture { out, .. } = &mut self.ctl {
+                        out.push(snap);
+                    }
+                    if LOG {
+                        self.log.marks.push((self.log.events.len(), vd));
+                    }
+                }
+                return None;
+            }
+            Ctl::Converge {
+                checkpoints,
+                next,
+                masks,
+                read_sets,
+            } => (*checkpoints, *next, *masks, *read_sets),
         };
         let mut matched = None;
         while next < checkpoints.len() {
@@ -383,14 +428,45 @@ impl<'m, H: ExecHook> CMachine<'m, H> {
         self.next_vd = checkpoints
             .get(next)
             .map_or(u64::MAX, |c| c.data().value_dynamic);
-        if let Some(c) = &mut self.conv {
-            c.next = next;
+        if let Ctl::Converge { next: n, .. } = &mut self.ctl {
+            *n = next;
         }
         matched
     }
 
-    /// `State::state_matches` with frame coordinates recovered through
-    /// [`CompiledFunc::meta`]; only the value registers participate
+    /// Freezes the machine in interpreter coordinates: frame positions
+    /// through `meta`, each frame's value registers (the constant-pool
+    /// tail is engine-private), and exact `exec_counts`, folding the
+    /// turbo tier's segment hits so far.
+    fn snapshot(&mut self, frames: &[CFrame], arena: &[u64]) -> VmSnapshot {
+        self.fold_seg_hits();
+        let code = self.code;
+        let frames = frames
+            .iter()
+            .map(|f| {
+                let cf = &code.funcs[f.fid.0 as usize];
+                let (block, instr) = cf.meta[f.pc as usize];
+                let base = f.base as usize;
+                FrameSnap {
+                    fid: f.fid,
+                    regs: arena[base..base + cf.num_values].to_vec(),
+                    block,
+                    instr,
+                    frame_sp: f.frame_sp,
+                }
+            })
+            .collect();
+        VmSnapshot::freeze(
+            frames,
+            &self.memory,
+            self.stack_ptr,
+            &self.output,
+            &self.profile,
+        )
+    }
+
+    /// The interpreter's `state_matches` with frame coordinates
+    /// recovered through `meta`; only the value registers participate
     /// (the constant-pool tail is immutable and engine-private).
     fn state_matches(
         &self,
@@ -426,17 +502,8 @@ impl<'m, H: ExecHook> CMachine<'m, H> {
                 }
             }
         }
-        if let Some(set) = read_sets.and_then(|r| r.set_at(cp.value_dynamic)) {
-            return set
-                .iter()
-                .all(|&a| self.memory[a as usize] == cp.mem.get(a as usize).copied().unwrap_or(0));
-        }
-        if self.memory[..cp.hwm] != cp.mem[..] {
-            return false;
-        }
-        self.memory[cp.hwm..self.hwm.max(cp.hwm)]
-            .iter()
-            .all(|&w| w == 0)
+        self.memory
+            .matches(cp, read_sets.and_then(|r| r.set_at(cp.value_dynamic)))
     }
 
     /// The driver: outer loop owns frame pushes/pops and the boundary
@@ -453,7 +520,7 @@ impl<'m, H: ExecHook> CMachine<'m, H> {
     /// Under that proof the per-instruction counters collapse to two
     /// local register increments (written back at every exit) and
     /// `exec_counts` collapses to one segment-hit increment, expanded
-    /// exactly at run end by [`Self::expand_seg_hits`]. A trap
+    /// exactly at run end by [`Self::fold_seg_hits`]. A trap
     /// mid-segment reconstructs the exact partial counters the
     /// per-instruction path would have left. Whenever the gate fails,
     /// the **exact** tier — per-instruction dispatch with full
@@ -667,7 +734,7 @@ impl<'m, H: ExecHook> CMachine<'m, H> {
                                     }
                                     Bc::Alloca { dst, words } => {
                                         dynamic += 1;
-                                        match self.alloca(fid, pc, rd(regs, words)) {
+                                        match self.alloca(rd(regs, words)) {
                                             Ok(r) => {
                                                 vd += 1;
                                                 wr(regs, dst, r);
@@ -894,7 +961,7 @@ impl<'m, H: ExecHook> CMachine<'m, H> {
                         }
                         Bc::Alloca { dst, words } => {
                             let timer = self.begin(fid, cf, pc)?;
-                            let r = self.alloca(fid, pc, rd(regs, words))?;
+                            let r = self.alloca(rd(regs, words))?;
                             self.finish(fid, cf, pc, dst, r, regs);
                             self.end(fid, pc, timer);
                             pc += 1;
@@ -1205,7 +1272,13 @@ impl<'m, H: ExecHook> CMachine<'m, H> {
                     let freed = frame_sp as usize..self.stack_ptr as usize;
                     if !freed.is_empty() {
                         let len = (freed.end - freed.start) as u64;
-                        self.memory[freed].fill(0);
+                        self.memory.clear(freed.start, freed.end);
+                        if LOG {
+                            self.log.events.push(AccessEv::Zero {
+                                base: frame_sp as u32,
+                                len: len as u32,
+                            });
+                        }
                         if H::ENABLED {
                             self.hook.mem_clear(frame_sp, len);
                         }
@@ -1243,22 +1316,17 @@ impl<'m, H: ExecHook> CMachine<'m, H> {
     }
 
     /// Alloca with the interpreter's exact trap/high-water semantics.
-    fn alloca(&mut self, _fid: FuncId, _pc: usize, words: u64) -> Result<u64, Stop> {
-        let w = words as i64;
-        if w < 0 {
-            return Err(Stop::Trap(Trap::StackOverflow));
-        }
+    fn alloca(&mut self, words: u64) -> Result<u64, Stop> {
         let base = self.stack_ptr;
-        let end = base
-            .checked_add(w as u64)
-            .ok_or(Stop::Trap(Trap::StackOverflow))?;
-        if end > self.memory.len() as u64 {
-            return Err(Stop::Trap(Trap::StackOverflow));
+        let end = self.memory.alloca(base, words)?;
+        if LOG {
+            self.log.events.push(AccessEv::Zero {
+                base: base as u32,
+                len: (end - base) as u32,
+            });
         }
-        self.memory[base as usize..end as usize].fill(0);
-        self.hwm = self.hwm.max(end as usize);
         if H::ENABLED {
-            self.hook.mem_clear(base, w as u64);
+            self.hook.mem_clear(base, end - base);
         }
         self.stack_ptr = end;
         Ok(base)
@@ -1316,14 +1384,21 @@ fn take_edge(cf: &CompiledFunc, e: u32, regs: &mut [u64], buf: &mut Vec<u64>) ->
 
 /// The compiled engine's public face: same constructor shape and entry
 /// points as [`crate::Vm`], dispatching over a pre-lowered
-/// [`CompiledModule`]. Snapshot *capture* stays on the interpreter
-/// (it is a once-per-campaign, fault-free run); everything else —
-/// full runs, hooked runs, snapshot resume, convergence trials — runs
-/// here.
+/// [`CompiledModule`]. Everything runs here — full runs, hooked runs,
+/// snapshot capture (with future read sets), snapshot resume and
+/// convergence trials; the interpreter is the reference it is compared
+/// against.
 pub struct CompiledVm<'m> {
     module: &'m Module,
     code: &'m CompiledModule,
     limits: ExecLimits,
+}
+
+/// What a run from entry leaves besides its [`RunOutput`]: the snapshots
+/// a capture froze and its memory-access trace.
+struct Captured {
+    snaps: Vec<VmSnapshot>,
+    log: AccessLog,
 }
 
 impl<'m> CompiledVm<'m> {
@@ -1359,13 +1434,13 @@ impl<'m> CompiledVm<'m> {
         injection: Option<Injection>,
         hook: &mut H,
     ) -> RunOutput {
-        self.run_impl(input_bits, injection, hook, None)
+        self.run_impl::<H, false>(input_bits, injection, hook, None, &[])
+            .0
     }
 
-    /// Full run that reuses `scratch`'s memory buffer across trials:
-    /// instead of zero-allocating `memory_words` (the dominant fixed
-    /// cost of a short trial), only the previous run's dirty span is
-    /// zeroed and the prelowered globals image re-copied.
+    /// Full run that starts from `scratch`'s buffer, reused across
+    /// trials: a restore clears it and copies the prelowered globals
+    /// image in, with no allocation once the buffer has grown.
     pub fn run_amortized(
         &self,
         scratch: &mut ResumeScratch,
@@ -1373,29 +1448,72 @@ impl<'m> CompiledVm<'m> {
         injection: Option<Injection>,
     ) -> RunOutput {
         let mut hook = NoHook;
-        self.run_impl(input_bits, injection, &mut hook, Some(scratch))
+        self.run_impl::<NoHook, false>(input_bits, injection, &mut hook, Some(scratch), &[])
+            .0
     }
 
-    fn run_impl<H: ExecHook>(
+    /// Fault-free run that captures a [`VmSnapshot`] at each fork point
+    /// in `points` (sorted, distinct `value_dynamic` coordinates), as
+    /// [`crate::Vm::run_with_snapshots`] does and equal to its
+    /// snapshots. Fork points stop the turbo tier through the boundary
+    /// gate, as convergence checkpoints do; between them the run goes
+    /// at full speed.
+    pub fn run_with_snapshots(
+        &self,
+        input_bits: &[u64],
+        points: &[u64],
+    ) -> (RunOutput, Vec<VmSnapshot>) {
+        let (out, cap) =
+            self.run_impl::<NoHook, false>(input_bits, None, &mut NoHook, None, points);
+        (out, cap.snaps)
+    }
+
+    /// [`run_with_snapshots`](Self::run_with_snapshots) that also traces
+    /// every load, store and zero-fill, in both tiers, and derives each
+    /// checkpoint's future read set, as
+    /// [`crate::Vm::run_with_snapshots_read_sets`] does.
+    pub fn run_with_snapshots_read_sets(
+        &self,
+        input_bits: &[u64],
+        points: &[u64],
+    ) -> (RunOutput, Vec<VmSnapshot>, ReadSets) {
+        assert!(
+            self.limits.memory_words <= u32::MAX as usize,
+            "access tracing addresses memory with u32 word indices"
+        );
+        let (out, cap) = self.run_impl::<NoHook, true>(input_bits, None, &mut NoHook, None, points);
+        (out, cap.snaps, ReadSets::from_log(&cap.log))
+    }
+
+    fn run_impl<H: ExecHook, const LOG: bool>(
         &self,
         input_bits: &[u64],
         injection: Option<Injection>,
         hook: &mut H,
         mut scratch: Option<&mut ResumeScratch>,
-    ) -> RunOutput {
+        points: &[u64],
+    ) -> (RunOutput, Captured) {
         let entry = self.module.entry_func();
         assert_eq!(input_bits.len(), entry.params.len(), "entry arity mismatch");
+        let (globals, limit) = (&self.code.globals_image, self.limits.memory_words);
         let memory = match scratch.as_deref_mut() {
-            Some(s) => s.take_restored(self.limits.memory_words, &self.code.globals_image),
-            None => {
-                let mut mem = vec![0u64; self.limits.memory_words];
-                mem[..self.code.globals_image.len()].copy_from_slice(&self.code.globals_image);
-                mem
-            }
+            Some(s) => s.image(globals, limit),
+            None => Image::new(globals.clone(), limit),
         };
-        let mut m = self.machine(memory, hook, injection);
-        m.hwm = self.module.globals_words() as usize;
+        let mut m = self.machine::<H, LOG>(memory, hook, injection);
         m.stack_ptr = self.module.globals_words();
+        if !points.is_empty() {
+            debug_assert!(
+                points.windows(2).all(|w| w[0] < w[1]),
+                "fork points must be sorted and distinct"
+            );
+            m.next_vd = points[0];
+            m.ctl = Ctl::Capture {
+                points,
+                next: 0,
+                out: Vec::with_capacity(points.len()),
+            };
+        }
         let args: Vec<u64> = input_bits
             .iter()
             .zip(&entry.params)
@@ -1406,10 +1524,9 @@ impl<'m> CompiledVm<'m> {
         let end = m
             .push_cframe(&mut frames, &mut arena, self.module.entry, &args, None)
             .and_then(|()| m.drive(&mut frames, &mut arena));
-        m.expand_seg_hits();
+        m.fold_seg_hits();
         if let Some(s) = scratch {
-            let hwm = m.hwm;
-            s.put_back(std::mem::take(&mut m.memory), hwm);
+            s.put_back(m.memory);
         }
         let (status, ret) = match end {
             Ok(RunEnd::Done(v)) => (RunStatus::Ok, v),
@@ -1417,14 +1534,19 @@ impl<'m> CompiledVm<'m> {
             Err(Stop::Trap(t)) => (RunStatus::Trap(t), None),
             Err(Stop::Hang) => (RunStatus::Hang, None),
         };
-        RunOutput {
+        let snaps = match m.ctl {
+            Ctl::Capture { out, .. } => out,
+            _ => Vec::new(),
+        };
+        let out = RunOutput {
             status,
             output: m.output,
             ret,
             profile: m.profile,
             fault_activated: m.fault_activated,
             memory: None,
-        }
+        };
+        (out, Captured { snaps, log: m.log })
     }
 
     pub fn resume_from(&self, snap: &VmSnapshot, injection: Option<Injection>) -> RunOutput {
@@ -1444,8 +1566,9 @@ impl<'m> CompiledVm<'m> {
         }
     }
 
-    /// [`crate::Vm::resume_trial`] reusing `scratch`'s memory buffer
-    /// across trials, as [`run_amortized`](Self::run_amortized) does.
+    /// [`crate::Vm::resume_trial`] starting from `scratch`'s buffer,
+    /// reused across trials as [`run_amortized`](Self::run_amortized)
+    /// does.
     #[allow(clippy::too_many_arguments)]
     pub fn resume_trial_amortized(
         &self,
@@ -1485,15 +1608,10 @@ impl<'m> CompiledVm<'m> {
             "snapshot captured under a different memory size"
         );
         let memory = match scratch.as_deref_mut() {
-            Some(s) => s.take_restored(self.limits.memory_words, &d.mem),
-            None => {
-                let mut mem = vec![0u64; self.limits.memory_words];
-                mem[..d.mem.len()].copy_from_slice(&d.mem);
-                mem
-            }
+            Some(s) => s.image(&d.mem, self.limits.memory_words),
+            None => Image::new(d.mem.clone(), self.limits.memory_words),
         };
-        let mut m = self.machine(memory, hook, injection);
-        m.hwm = d.hwm;
+        let mut m = self.machine::<H, false>(memory, hook, injection);
         m.stack_ptr = d.stack_ptr;
         m.profile = Profile {
             exec_counts: d.exec_counts.clone(),
@@ -1501,16 +1619,14 @@ impl<'m> CompiledVm<'m> {
             value_dynamic: d.value_dynamic,
         };
         m.output = d.output.clone();
-        if !checkpoints.is_empty() {
-            m.next_vd = checkpoints
-                .first()
-                .map_or(u64::MAX, |c| c.data().value_dynamic);
-            m.conv = Some(ConvergeCtl {
+        if let Some(first) = checkpoints.first() {
+            m.next_vd = first.data().value_dynamic;
+            m.ctl = Ctl::Converge {
                 checkpoints,
                 next: 0,
                 masks,
                 read_sets,
-            });
+            };
         }
         // Interpreter frames map onto pcs through `pc_of`; the register
         // file is widened with the function's constant pool.
@@ -1530,10 +1646,9 @@ impl<'m> CompiledVm<'m> {
             });
         }
         let end = m.drive(&mut frames, &mut arena);
-        m.expand_seg_hits();
+        m.fold_seg_hits();
         if let Some(s) = scratch {
-            let hwm = m.hwm;
-            s.put_back(std::mem::take(&mut m.memory), hwm);
+            s.put_back(m.memory);
         }
         match end {
             Ok(RunEnd::Done(v)) => TrialResume::Completed(RunOutput {
@@ -1569,12 +1684,12 @@ impl<'m> CompiledVm<'m> {
         }
     }
 
-    fn machine<'h, H: ExecHook>(
+    fn machine<'h, H: ExecHook, const LOG: bool>(
         &'h self,
-        memory: Vec<u64>,
+        memory: Image,
         hook: &'h mut H,
         injection: Option<Injection>,
-    ) -> CMachine<'h, &'h mut H> {
+    ) -> CMachine<'h, &'h mut H, LOG> {
         let inj_vd = match injection {
             Some(Injection {
                 target: InjectionTarget::DynamicIndex(k),
@@ -1594,7 +1709,6 @@ impl<'m> CompiledVm<'m> {
             code: self.code,
             limits: self.limits,
             memory,
-            hwm: 0,
             stack_ptr: 0,
             profile: Profile::new(self.module.num_instrs),
             output: Vec::new(),
@@ -1602,9 +1716,10 @@ impl<'m> CompiledVm<'m> {
             inj_vd,
             static_pending,
             fault_activated: false,
-            conv: None,
+            ctl: Ctl::Off,
             next_vd: u64::MAX,
             seg_hits: vec![0u64; self.code.total_pcs],
+            log: AccessLog::default(),
             hook,
         }
     }

@@ -3,19 +3,19 @@
 //! the tree-walking interpreter ([`crate::Vm`]) or the compiled
 //! threaded-bytecode backend ([`CompiledVm`]).
 //!
-//! Every command runs on the compiled engine. The interpreter is the
-//! semantic reference that the differential suites and the perfbench
-//! gate compare it against: the two engines are observably
-//! bit-identical (see the engine-equivalence contract in DESIGN.md and
-//! `crates/vm/tests/engine_differential.rs`). Snapshot *capture*
-//! ([`crate::Vm::run_with_snapshots_read_sets`]) runs on the
-//! interpreter — it is a once-per-campaign fault-free run, and the
-//! resulting [`VmSnapshot`]s are engine-independent data that either
-//! engine resumes from.
+//! Every command runs on the compiled engine, snapshot capture
+//! included. The interpreter is the semantic reference that the
+//! differential suites and the perfbench gate compare it against: the
+//! two engines are observably bit-identical (see the engine-equivalence
+//! contract in DESIGN.md and `crates/vm/tests/engine_differential.rs`),
+//! down to the [`VmSnapshot`]s and [`ReadSets`] a capture produces.
+//! Snapshots are engine-independent data: either engine resumes what
+//! either captured.
 
 use crate::compiled::CompiledVm;
-use crate::exec::{ExecLimits, Injection, ResumeScratch, RunOutput, Vm};
+use crate::exec::{ExecLimits, Injection, RunOutput, Vm};
 use crate::hooks::ExecHook;
+use crate::image::ResumeScratch;
 use crate::lower::CompiledModule;
 use crate::snapshot::{ConvergeMasks, ReadSets, TrialResume, VmSnapshot};
 use peppa_ir::Module;
@@ -140,13 +140,12 @@ impl<'m> Engine<'m> {
         }
     }
 
-    /// Full trial run that amortizes the per-run memory image across
-    /// trials via `scratch` (one per worker thread). On the compiled
-    /// backend this skips the `memory_words` zero-allocation that
-    /// dominates short trials; the interpreter path is identical to
-    /// [`Engine::run_numeric`] (the scratch is simply unused there —
-    /// amortization is a compiled-backend feature, and the engines
-    /// stay observably bit-identical either way).
+    /// Full trial run that reuses `scratch`'s memory buffer (one per
+    /// worker thread) on the compiled backend, so a trial allocates
+    /// nothing once the buffer has grown to what trials touch. The
+    /// interpreter path is [`Engine::run_numeric`] and leaves the
+    /// scratch unused; the engines stay observably bit-identical either
+    /// way.
     pub fn run_numeric_amortized(
         &self,
         scratch: &mut ResumeScratch,
@@ -174,6 +173,33 @@ impl<'m> Engine<'m> {
         }
     }
 
+    /// Fault-free run that captures a [`VmSnapshot`] at each fork point
+    /// in `points` (see [`Vm::run_with_snapshots`]).
+    pub fn run_with_snapshots(
+        &self,
+        input_bits: &[u64],
+        points: &[u64],
+    ) -> (RunOutput, Vec<VmSnapshot>) {
+        match self.cvm() {
+            Some(c) => c.run_with_snapshots(input_bits, points),
+            None => self.vm().run_with_snapshots(input_bits, points),
+        }
+    }
+
+    /// [`run_with_snapshots`](Self::run_with_snapshots) that also derives
+    /// each checkpoint's future read set (see
+    /// [`Vm::run_with_snapshots_read_sets`]).
+    pub fn run_with_snapshots_read_sets(
+        &self,
+        input_bits: &[u64],
+        points: &[u64],
+    ) -> (RunOutput, Vec<VmSnapshot>, ReadSets) {
+        match self.cvm() {
+            Some(c) => c.run_with_snapshots_read_sets(input_bits, points),
+            None => self.vm().run_with_snapshots_read_sets(input_bits, points),
+        }
+    }
+
     pub fn resume_from_with_hook<H: ExecHook>(
         &self,
         snap: &VmSnapshot,
@@ -187,7 +213,7 @@ impl<'m> Engine<'m> {
     }
 
     /// Resumes one trial with convergence exits (see
-    /// [`Vm::resume_trial`]). On the compiled backend the memory image
+    /// [`Vm::resume_trial`]). On the compiled backend the memory buffer
     /// is reused across trials via `scratch`, as in
     /// [`Engine::run_numeric_amortized`]; the interpreter leaves it
     /// unused.

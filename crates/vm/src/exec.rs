@@ -8,13 +8,14 @@
 //! width.
 //!
 //! The machine is an explicit frame-stack interpreter: calls push a
-//! [`Frame`] and returns pop it, with no recursion on the host stack.
+//! frame and returns pop it, with no recursion on the host stack.
 //! That makes the complete execution state a plain value — the frame
-//! vector plus [`State`] — which is what lets [`Vm::run_with_snapshots`]
-//! freeze it at any instruction boundary into a [`VmSnapshot`] and
-//! [`Vm::resume_from`] thaw it later, bit-exactly.
+//! vector plus the machine state — which is what lets
+//! [`Vm::run_with_snapshots`] freeze it at any instruction boundary into
+//! a [`VmSnapshot`] and [`Vm::resume_from`] thaw it later, bit-exactly.
 
 use crate::hooks::{ExecHook, NoHook};
+use crate::image::{globals_image, Image};
 use crate::profile::Profile;
 use crate::snapshot::{
     mask_contains, AccessEv, AccessLog, ConvergeMasks, FrameSnap, ReadSets, SnapData, TrialResume,
@@ -84,7 +85,7 @@ pub enum InjectionTarget {
 /// de-facto standard the paper adopts (§3.1.3). Setting `burst = k`
 /// flips `k` *additional adjacent* bits — the multi-bit model used to
 /// validate that single-bit campaigns do not understate SDC rates
-/// (Sangchoolie et al., DSN'17, cited as [47]).
+/// (Sangchoolie et al., DSN'17, cited as \[47\]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Injection {
     pub target: InjectionTarget,
@@ -111,7 +112,10 @@ pub struct ExecLimits {
     /// Dynamic (non-terminator) instruction budget; exceeding it reports
     /// [`RunStatus::Hang`].
     pub max_dynamic: u64,
-    /// Total memory, in 64-bit words (globals + stack).
+    /// The address space, in 64-bit words (globals + stack): address 0
+    /// and addresses at or past it trap, and an `alloca` ending past it
+    /// overflows the stack. It is a limit, not an allocation: a run holds
+    /// only the words it touches, and words it never wrote read zero.
     pub memory_words: usize,
     /// Maximum call depth.
     pub max_call_depth: usize,
@@ -138,8 +142,9 @@ pub struct RunOutput {
     pub profile: Profile,
     /// Whether the injection target was reached (the fault *activated*).
     pub fault_activated: bool,
-    /// Final memory image, present only for [`Vm::run_capture`] — used
-    /// by error-propagation tracing to diff faulty vs golden state.
+    /// Final memory image, `memory_words` long, present only for
+    /// [`Vm::run_capture`] and [`Vm::resume_capture`] — used by
+    /// error-propagation tracing to diff faulty vs golden state.
     pub memory: Option<Vec<u64>>,
 }
 
@@ -153,6 +158,7 @@ impl RunOutput {
     }
 }
 
+#[derive(Debug, PartialEq, Eq)]
 pub(crate) enum Stop {
     Trap(Trap),
     Hang,
@@ -207,57 +213,6 @@ enum SnapCtl<'a> {
     },
 }
 
-/// Reusable memory arena for the compiled engine's trial runs and
-/// resumes ([`crate::CompiledVm::run_amortized`],
-/// [`crate::CompiledVm::resume_trial_amortized`]).
-///
-/// Every run needs a zeroed `memory_words`-sized image; allocating and
-/// zeroing one per trial dominates short resumed trials (the default
-/// image is 16 MiB while a restored prefix is a few KiB). The scratch
-/// keeps one buffer alive across trials and re-zeroes only the prefix
-/// the previous trial actually dirtied — `memory[hwm..]` is never
-/// written, the same invariant snapshots rest on — so a restore costs
-/// O(high-water mark), not O(memory size). One scratch per worker
-/// thread; the restored image is bit-identical to a fresh allocation.
-pub struct ResumeScratch {
-    buf: Vec<u64>,
-    dirty: usize,
-}
-
-impl ResumeScratch {
-    pub fn new() -> ResumeScratch {
-        ResumeScratch {
-            buf: Vec::new(),
-            dirty: 0,
-        }
-    }
-
-    /// Takes the buffer out, restored to the exact `zeros ++ prefix`
-    /// image a fresh allocation would produce.
-    pub(crate) fn take_restored(&mut self, words: usize, prefix: &[u64]) -> Vec<u64> {
-        if self.buf.len() != words {
-            self.buf = vec![0u64; words];
-            self.dirty = 0;
-        } else {
-            let dirty = self.dirty.min(words);
-            self.buf[..dirty].fill(0);
-        }
-        self.buf[..prefix.len()].copy_from_slice(prefix);
-        std::mem::take(&mut self.buf)
-    }
-
-    pub(crate) fn put_back(&mut self, buf: Vec<u64>, hwm: usize) {
-        self.buf = buf;
-        self.dirty = hwm;
-    }
-}
-
-impl Default for ResumeScratch {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 /// The interpreter. Cheap to construct; holds no run state.
 pub struct Vm<'m> {
     module: &'m Module,
@@ -305,10 +260,7 @@ struct Frame {
 struct State<'m, H: ExecHook> {
     module: &'m Module,
     limits: ExecLimits,
-    memory: Vec<u64>,
-    /// High-water mark: `memory[hwm..]` has never been written and is
-    /// still zero — snapshots only store (and compare) `memory[..hwm]`.
-    hwm: usize,
+    memory: Image,
     stack_ptr: u64,
     profile: Profile,
     output: Vec<u64>,
@@ -333,7 +285,9 @@ impl<'m> Vm<'m> {
 
     /// Like [`run`](Self::run), but the returned [`RunOutput::memory`]
     /// holds the final memory image (even on trap or budget exhaustion),
-    /// enabling state diffing between runs.
+    /// enabling state diffing between runs. The image spans the whole
+    /// address space, `memory_words` long, padded with the zeros the run
+    /// never touched.
     pub fn run_capture(&self, input_bits: &[u64], injection: Option<Injection>) -> RunOutput {
         self.run_impl(input_bits, injection, true, NoHook, &mut SnapCtl::Off)
     }
@@ -409,8 +363,7 @@ impl<'m> Vm<'m> {
             SnapCtl::Capture { out, log, .. } => (out, log.expect("capture returns the log")),
             _ => unreachable!(),
         };
-        let read_sets = ReadSets::from_log(&log, self.limits.memory_words);
-        (out, snaps, read_sets)
+        (out, snaps, ReadSets::from_log(&log))
     }
 
     /// Resumes execution from `snap` to a normal end. With an injection
@@ -425,7 +378,7 @@ impl<'m> Vm<'m> {
     }
 
     /// Like [`resume_from`](Self::resume_from), capturing the final
-    /// memory image in [`RunOutput::memory`].
+    /// memory image, `memory_words` long, in [`RunOutput::memory`].
     pub fn resume_capture(&self, snap: &VmSnapshot, injection: Option<Injection>) -> RunOutput {
         match self.resume_impl(snap, injection, true, NoHook, &[], None, None) {
             TrialResume::Completed(out) => out,
@@ -489,19 +442,11 @@ impl<'m> Vm<'m> {
         let entry = self.module.entry_func();
         assert_eq!(input_bits.len(), entry.params.len(), "entry arity mismatch");
 
-        let mut memory = vec![0u64; self.limits.memory_words];
-        let layout = self.module.global_layout();
-        for (g, base) in self.module.globals.iter().zip(&layout) {
-            let base = *base as usize;
-            memory[base..base + g.init.len()].copy_from_slice(&g.init);
-        }
-
         let mut state = State {
             module: self.module,
             limits: self.limits,
             stack_ptr: self.module.globals_words(),
-            memory,
-            hwm: self.module.globals_words() as usize,
+            memory: Image::new(globals_image(self.module), self.limits.memory_words),
             profile: Profile::new(self.module.num_instrs),
             output: Vec::new(),
             injection,
@@ -538,7 +483,7 @@ impl<'m> Vm<'m> {
             ret,
             profile: state.profile,
             fault_activated: state.fault_activated,
-            memory: if capture { Some(state.memory) } else { None },
+            memory: capture.then(|| state.memory.into_padded()),
         }
     }
 
@@ -558,14 +503,10 @@ impl<'m> Vm<'m> {
             d.memory_words, self.limits.memory_words,
             "snapshot captured under a different memory size"
         );
-        let mut memory = vec![0u64; self.limits.memory_words];
-        memory[..d.mem.len()].copy_from_slice(&d.mem);
-
         let mut state = State {
             module: self.module,
             limits: self.limits,
-            memory,
-            hwm: d.hwm,
+            memory: Image::new(d.mem.clone(), self.limits.memory_words),
             stack_ptr: d.stack_ptr,
             profile: Profile {
                 exec_counts: d.exec_counts.clone(),
@@ -612,7 +553,7 @@ impl<'m> Vm<'m> {
                 ret,
                 profile: state.profile,
                 fault_activated: state.fault_activated,
-                memory: if capture { Some(state.memory) } else { None },
+                memory: capture.then(|| state.memory.into_padded()),
             })
         };
         match end {
@@ -771,7 +712,7 @@ impl<'m, H: ExecHook> State<'m, H> {
                         let freed = frame.frame_sp as usize..self.stack_ptr as usize;
                         if !freed.is_empty() {
                             let len = (freed.end - freed.start) as u64;
-                            self.memory[freed].fill(0);
+                            self.memory.clear(freed.start, freed.end);
                             if let Some(l) = &mut self.access_log {
                                 l.events.push(AccessEv::Zero {
                                     base: frame.frame_sp as u32,
@@ -866,26 +807,23 @@ impl<'m, H: ExecHook> State<'m, H> {
     }
 
     fn capture(&self, frames: &[Frame]) -> VmSnapshot {
-        VmSnapshot::new(SnapData {
-            frames: frames
-                .iter()
-                .map(|f| FrameSnap {
-                    fid: f.fid,
-                    regs: f.regs.clone(),
-                    block: f.block,
-                    instr: f.instr,
-                    frame_sp: f.frame_sp,
-                })
-                .collect(),
-            mem: self.memory[..self.hwm].to_vec(),
-            hwm: self.hwm,
-            memory_words: self.limits.memory_words,
-            stack_ptr: self.stack_ptr,
-            output: self.output.clone(),
-            dynamic: self.profile.dynamic,
-            value_dynamic: self.profile.value_dynamic,
-            exec_counts: self.profile.exec_counts.clone(),
-        })
+        let frames = frames
+            .iter()
+            .map(|f| FrameSnap {
+                fid: f.fid,
+                regs: f.regs.clone(),
+                block: f.block,
+                instr: f.instr,
+                frame_sp: f.frame_sp,
+            })
+            .collect();
+        VmSnapshot::freeze(
+            frames,
+            &self.memory,
+            self.stack_ptr,
+            &self.output,
+            &self.profile,
+        )
     }
 
     /// Machine-state equality against a golden checkpoint. Cheap
@@ -934,19 +872,8 @@ impl<'m, H: ExecHook> State<'m, H> {
                 }
             }
         }
-        if let Some(set) = read_sets.and_then(|r| r.set_at(cp.value_dynamic)) {
-            return set
-                .iter()
-                .all(|&a| self.memory[a as usize] == cp.mem.get(a as usize).copied().unwrap_or(0));
-        }
-        if self.memory[..cp.hwm] != cp.mem[..] {
-            return false;
-        }
-        // Anything the faulty run wrote beyond the golden high-water
-        // mark must have been zeroed again for the states to be equal.
-        self.memory[cp.hwm..self.hwm.max(cp.hwm)]
-            .iter()
-            .all(|&w| w == 0)
+        self.memory
+            .matches(cp, read_sets.and_then(|r| r.set_at(cp.value_dynamic)))
     }
 
     /// Computes one non-call instruction. Returns the value to write to
@@ -980,7 +907,7 @@ impl<'m, H: ExecHook> State<'m, H> {
             }
             Op::Load { addr, ty } => {
                 let p = eval(regs, addr);
-                let word = self.mem_read(p)?;
+                let word = self.memory.read(p)?;
                 if let Some(l) = &mut self.access_log {
                     l.events.push(AccessEv::Load(p as u32));
                 }
@@ -992,7 +919,7 @@ impl<'m, H: ExecHook> State<'m, H> {
             Op::Store { addr, value } => {
                 let p = eval(regs, addr);
                 let v = eval(regs, value);
-                self.mem_write(p, v)?;
+                self.memory.write(p, v)?;
                 if let Some(l) = &mut self.access_log {
                     l.events.push(AccessEv::Store(p as u32));
                 }
@@ -1003,27 +930,16 @@ impl<'m, H: ExecHook> State<'m, H> {
             }
             Op::Gep { base, index } => Some(eval(regs, base).wrapping_add(eval(regs, index))),
             Op::Alloca { words } => {
-                let w = eval(regs, words) as i64;
-                if w < 0 {
-                    return Err(Stop::Trap(Trap::StackOverflow));
-                }
                 let base = self.stack_ptr;
-                let end = base
-                    .checked_add(w as u64)
-                    .ok_or(Stop::Trap(Trap::StackOverflow))?;
-                if end > self.memory.len() as u64 {
-                    return Err(Stop::Trap(Trap::StackOverflow));
-                }
-                self.memory[base as usize..end as usize].fill(0);
-                self.hwm = self.hwm.max(end as usize);
+                let end = self.memory.alloca(base, eval(regs, words))?;
                 if let Some(l) = &mut self.access_log {
                     l.events.push(AccessEv::Zero {
                         base: base as u32,
-                        len: w as u32,
+                        len: (end - base) as u32,
                     });
                 }
                 if H::ENABLED {
-                    self.hook.mem_clear(base, w as u64);
+                    self.hook.mem_clear(base, end - base);
                 }
                 self.stack_ptr = end;
                 Some(base)
@@ -1078,26 +994,6 @@ impl<'m, H: ExecHook> State<'m, H> {
                 ins.sid == sid && self.profile.exec_counts[sid.0 as usize] - 1 == instance
             }
         }
-    }
-
-    #[inline]
-    fn mem_read(&self, addr: u64) -> Result<u64, Stop> {
-        if addr == 0 || addr >= self.memory.len() as u64 {
-            return Err(Stop::Trap(Trap::OutOfBounds { addr }));
-        }
-        Ok(self.memory[addr as usize])
-    }
-
-    #[inline]
-    fn mem_write(&mut self, addr: u64, value: u64) -> Result<(), Stop> {
-        if addr == 0 || addr >= self.memory.len() as u64 {
-            return Err(Stop::Trap(Trap::OutOfBounds { addr }));
-        }
-        self.memory[addr as usize] = value;
-        if addr as usize >= self.hwm {
-            self.hwm = addr as usize + 1;
-        }
-        Ok(())
     }
 }
 

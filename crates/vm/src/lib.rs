@@ -29,6 +29,7 @@ pub mod compiled;
 pub mod engine;
 pub mod exec;
 pub mod hooks;
+mod image;
 pub mod inputs;
 pub mod lower;
 pub mod profile;
@@ -39,9 +40,10 @@ pub use compiled::CompiledVm;
 pub use engine::{Engine, EngineKind};
 pub use exec::{
     canon, exec_bin_checked, exec_cast, exec_fcmp, exec_icmp, exec_un, ExecLimits, Injection,
-    InjectionTarget, ResumeScratch, RunOutput, RunStatus, Trap, Vm,
+    InjectionTarget, RunOutput, RunStatus, Trap, Vm,
 };
 pub use hooks::{ExecHook, NoHook, OpcodeProfile};
+pub use image::ResumeScratch;
 pub use inputs::encode_inputs;
 pub use lower::CompiledModule;
 pub use profile::Profile;

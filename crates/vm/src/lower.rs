@@ -2,7 +2,7 @@
 //! bytecode — the compiled execution backend's front half.
 //!
 //! [`CompiledModule::lower`] translates every function into a flat
-//! [`Bc`] array the dispatch loop in [`crate::compiled`] threads
+//! bytecode (`Bc`) array the dispatch loop in [`crate::compiled`] threads
 //! through. The translation eliminates the interpreter's per-operand
 //! work up front:
 //!
@@ -15,18 +15,18 @@
 //!   tail. An operand is then always a plain `u32` register index —
 //!   no `Operand` match, no per-use `canon`.
 //! * **Superinstructions.** Five fused shapes cover the hottest
-//!   dispatch sequences: compare-and-branch ([`Bc::CmpBrI`] /
-//!   [`Bc::CmpBrF`]: a block-terminal `icmp`/`fcmp` feeding the
-//!   `cond_br`), address-calc-load ([`Bc::GepLoad`]),
-//!   address-calc-store ([`Bc::GepStore`]), f64 multiply-add
-//!   ([`Bc::FMulAdd`]), and the counted-loop latch
-//!   ([`Bc::IAddCmpBrI`]: i64 add + compare + branch). Each fused
+//!   dispatch sequences: compare-and-branch (`CmpBrI` /
+//!   `CmpBrF`: a block-terminal `icmp`/`fcmp` feeding the
+//!   `cond_br`), address-calc-load (`GepLoad`),
+//!   address-calc-store (`GepStore`), f64 multiply-add
+//!   (`FMulAdd`), and the counted-loop latch
+//!   (`IAddCmpBrI`: i64 add + compare + branch). Each fused
 //!   opcode still
 //!   performs full per-covered-instruction bookkeeping (dynamic
 //!   counts, hang budget, injection check, hooks) in interpreter
 //!   order, and emits its second component *unfused* at `pc + 1` — a
 //!   stub the machine jumps into when a snapshot boundary falls
-//!   between the two halves, and that [`CompiledFunc::pc_of`] targets
+//!   between the two halves, and that `CompiledFunc::pc_of` targets
 //!   when a resume lands mid-pair. Fusion is therefore invisible to
 //!   every observable.
 //! * **Branch edges.** Block-argument transfers become pre-resolved
@@ -328,11 +328,9 @@ pub struct CompiledModule {
     pub(crate) pc_base: Vec<u32>,
     /// Total bytecode length across all functions.
     pub(crate) total_pcs: usize,
-    /// Initialized-globals image: the first `globals_words` of a fresh
-    /// memory, with every global's `init` placed at its layout base.
-    /// Lets the compiled engine restore run-start memory from a reused
-    /// scratch buffer (zero the dirty span, copy this prefix) instead
-    /// of zero-allocating `memory_words` per trial.
+    /// Initialized-globals image: the memory a run from entry starts
+    /// with, `globals_words` long, every global's `init` at its layout
+    /// base. A run's image grows past it only as the run writes.
     pub(crate) globals_image: Vec<u64>,
 }
 
@@ -347,16 +345,11 @@ impl CompiledModule {
             pc_base.push(total as u32);
             total += f.code.len();
         }
-        let mut globals_image = vec![0u64; module.globals_words() as usize];
-        for (g, base) in module.globals.iter().zip(&module.global_layout()) {
-            let base = *base as usize;
-            globals_image[base..base + g.init.len()].copy_from_slice(&g.init);
-        }
         let cm = CompiledModule {
             funcs,
             pc_base,
             total_pcs: total,
-            globals_image,
+            globals_image: crate::image::globals_image(module),
         };
         validate(module, &cm);
         cm

@@ -10,7 +10,7 @@
 //! so [`crate::Vm::resume_from`] can restart execution mid-stream and
 //! every trial only pays for the suffix after its fork point.
 //!
-//! Determinism contract: the interpreter is deterministic and snapshots
+//! Determinism contract: both engines are deterministic and snapshots
 //! are taken at instruction boundaries, so a resumed run executes the
 //! *bit-identical* instruction stream the full run would have executed
 //! from that point: same dynamic indices (the counters are part of the
@@ -18,13 +18,21 @@
 //! instruction), same trap/hang behaviour (the budget check uses the
 //! restored `Profile::dynamic`), same outputs. Memory is stored as the
 //! prefix up to the run's write high-water mark; everything beyond it
-//! is provably still zero, so restoring `zeros ++ prefix` rebuilds the
-//! exact image at a fraction of the cost.
+//! is provably still zero, and a run's memory image reads zero past its
+//! end, so the prefix alone *is* the image a resume starts from.
+//!
+//! A snapshot is stated in interpreter coordinates (frame positions as
+//! `(block, instr)`, register files of `value_types.len()` words), so
+//! either engine captures it — [`crate::Vm::run_with_snapshots`],
+//! [`crate::CompiledVm::run_with_snapshots`] — and either resumes it;
+//! the engine differential requires the two captures to be equal.
 //!
 //! Snapshots are cheaply cloneable (`Arc`-shared) and `Send + Sync`, so
 //! one capture run can feed every worker thread of a campaign.
 
 use crate::exec::RunOutput;
+use crate::image::Image;
+use crate::profile::Profile;
 use peppa_ir::FuncId;
 use std::sync::Arc;
 
@@ -42,7 +50,7 @@ pub(crate) struct FrameSnap {
 }
 
 /// The full frozen machine state (shared, immutable).
-#[derive(Debug)]
+#[derive(Debug, PartialEq, Eq)]
 pub(crate) struct SnapData {
     pub(crate) frames: Vec<FrameSnap>,
     /// First [`hwm`](Self::hwm) words of memory; every word beyond the
@@ -66,18 +74,46 @@ pub(crate) struct SnapData {
 
 /// An immutable, cheaply cloneable snapshot of a point along a run.
 ///
-/// Captured by [`crate::Vm::run_with_snapshots`], consumed by
-/// [`crate::Vm::resume_from`] / [`crate::Vm::resume_trial`]. Clones
-/// share the underlying state via [`Arc`].
+/// Captured by [`crate::Engine::run_with_snapshots`] on either engine,
+/// consumed by [`crate::Engine::resume_trial_amortized`] and the
+/// engines' `resume_*` entry points. Clones share the underlying state
+/// via [`Arc`]. Two snapshots are equal when every part of the frozen
+/// state is: frames, registers, memory, counters and output.
 #[derive(Debug, Clone)]
 pub struct VmSnapshot {
     data: Arc<SnapData>,
 }
 
+impl PartialEq for VmSnapshot {
+    fn eq(&self, other: &VmSnapshot) -> bool {
+        self.data == other.data
+    }
+}
+
+impl Eq for VmSnapshot {}
+
 impl VmSnapshot {
-    pub(crate) fn new(data: SnapData) -> VmSnapshot {
+    /// Freezes a machine state: its frames in interpreter coordinates,
+    /// the written prefix of its memory, and its counters and output.
+    pub(crate) fn freeze(
+        frames: Vec<FrameSnap>,
+        memory: &Image,
+        stack_ptr: u64,
+        output: &[u64],
+        profile: &Profile,
+    ) -> VmSnapshot {
         VmSnapshot {
-            data: Arc::new(data),
+            data: Arc::new(SnapData {
+                frames,
+                mem: memory.written(),
+                hwm: memory.hwm(),
+                memory_words: memory.limit(),
+                stack_ptr,
+                output: output.to_vec(),
+                dynamic: profile.dynamic,
+                value_dynamic: profile.value_dynamic,
+                exec_counts: profile.exec_counts.clone(),
+            }),
         }
     }
 
@@ -131,7 +167,7 @@ impl VmSnapshot {
 /// Indexing: `funcs[fid][block][boundary]` is a bitset (64 values per
 /// word) over the function's value ids; `boundary` is the index of the
 /// next instruction to execute (`n_instrs` = before the terminator) —
-/// the same coordinates [`FrameSnap`] freezes. The VM only consumes
+/// the same coordinates a snapshot's frames freeze. The VM only consumes
 /// the masks; the liveness computation lives in the analysis layer
 /// (`peppa_analysis::converge_masks`).
 #[derive(Debug, Clone)]
@@ -207,7 +243,7 @@ pub(crate) struct AccessLog {
 /// It also makes the *failing* compare cheap: instead of scanning the
 /// whole written image, a non-converged trial only scans the handful
 /// of words the continuation actually depends on.
-#[derive(Debug)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct ReadSets {
     /// `(value_dynamic, sorted word addresses)` per checkpoint.
     sets: Vec<(u64, Vec<u32>)>,
@@ -217,9 +253,21 @@ impl ReadSets {
     /// Backward-sweeps the access trace: walking from the end of the
     /// run towards each mark, a `Load` makes its address live and any
     /// store (including range zero-fills) kills it; the live set at a
-    /// mark is exactly that checkpoint's future read set.
-    pub(crate) fn from_log(log: &AccessLog, memory_words: usize) -> ReadSets {
-        let mut live = vec![0u64; memory_words.div_ceil(64)];
+    /// mark is exactly that checkpoint's future read set. The live
+    /// bitset spans only the words the trace names: the capture run's
+    /// high-water mark, or past it where the run loaded a word it never
+    /// wrote.
+    pub(crate) fn from_log(log: &AccessLog) -> ReadSets {
+        let words = log
+            .events
+            .iter()
+            .map(|ev| match *ev {
+                AccessEv::Load(a) | AccessEv::Store(a) => a as usize + 1,
+                AccessEv::Zero { base, len } => base as usize + len as usize,
+            })
+            .max()
+            .unwrap_or(0);
+        let mut live = vec![0u64; words.div_ceil(64)];
         let mut sets: Vec<(u64, Vec<u32>)> = Vec::with_capacity(log.marks.len());
         let mut ev = log.events.len();
         for &(mark, value_dynamic) in log.marks.iter().rev() {

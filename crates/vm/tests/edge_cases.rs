@@ -2,7 +2,9 @@
 //! differential tests cannot reach (built with the raw IR builder).
 
 use peppa_ir::{BinOp, CastKind, IPred, Module, ModuleBuilder, Operand, Ty, UnOp};
-use peppa_vm::{ExecLimits, RunStatus, Trap, Vm};
+use peppa_vm::{
+    encode_inputs, CompiledModule, CompiledVm, ExecLimits, RunOutput, RunStatus, Trap, Vm,
+};
 
 /// Builds `fn main() { output <expr built by f> }` and runs it.
 fn eval(build: impl FnOnce(&mut peppa_ir::FunctionBuilder<'_>) -> Operand) -> u64 {
@@ -209,4 +211,233 @@ fn memory_capture_present_even_on_trap() {
     assert!(matches!(out.status, RunStatus::Trap(_)));
     let mem = out.memory.expect("capture requested");
     assert_eq!(mem[1], 42, "pre-trap store must be visible in the capture");
+}
+
+// ---- Memory-limit semantics, pinned on both engines ----
+//
+// `ExecLimits::memory_words` is the limit every access is checked
+// against, whatever memory the run has touched so far: address 0 and
+// addresses at or past the limit trap, an alloca ending past it
+// overflows the stack, and a word below it that was never written reads
+// zero. Each case runs four ways — interpreter and compiled engine, from
+// entry and resumed from a snapshot taken after the first
+// value-producing instruction — and all four must agree.
+
+/// `main(addr, val)`: stores `val` at word `addr`, loads it back and
+/// outputs it.
+fn poke_module() -> Module {
+    let mut mb = ModuleBuilder::new("poke");
+    let main = mb.declare("main", &[Ty::I64, Ty::I64], None);
+    let mut f = mb.define(main);
+    let p = f.cast(CastKind::IntToPtr, f.param(0), Ty::Ptr);
+    f.store(p, f.param(1));
+    let v = f.load(p, Ty::I64);
+    f.output(v);
+    f.ret(None);
+    f.finish();
+    mb.set_entry(main);
+    let m = mb.finish();
+    peppa_ir::verify(&m).unwrap();
+    m
+}
+
+/// `main(addr)`: outputs the word at `addr` without writing anything.
+fn peek_module() -> Module {
+    let mut mb = ModuleBuilder::new("peek");
+    let main = mb.declare("main", &[Ty::I64], None);
+    let mut f = mb.define(main);
+    let p = f.cast(CastKind::IntToPtr, f.param(0), Ty::Ptr);
+    let v = f.load(p, Ty::I64);
+    f.output(v);
+    f.ret(None);
+    f.finish();
+    mb.set_entry(main);
+    let m = mb.finish();
+    peppa_ir::verify(&m).unwrap();
+    m
+}
+
+/// `main(n)`: allocates `n` stack words, stores 5 into the last one and
+/// outputs it back. The stack starts right after the reserved null word,
+/// so the allocation ends at word `1 + n`.
+fn alloca_module() -> Module {
+    let mut mb = ModuleBuilder::new("stack");
+    let main = mb.declare("main", &[Ty::I64], None);
+    let mut f = mb.define(main);
+    let n = f.add(f.param(0), Operand::i64(0));
+    let buf = f.alloca(n);
+    let last = f.sub(n, Operand::i64(1));
+    let q = f.gep(buf, last);
+    f.store(q, Operand::i64(5));
+    let v = f.load(q, Ty::I64);
+    f.output(v);
+    f.ret(None);
+    f.finish();
+    mb.set_entry(main);
+    let m = mb.finish();
+    peppa_ir::verify(&m).unwrap();
+    m
+}
+
+fn limits(memory_words: usize) -> ExecLimits {
+    ExecLimits {
+        memory_words,
+        ..Default::default()
+    }
+}
+
+/// Runs `m` four ways (see above), asserts that they agree, and returns
+/// the interpreter's run from entry.
+fn run_everywhere(m: &Module, limits: ExecLimits, inputs: &[f64]) -> RunOutput {
+    let bits = encode_inputs(m.entry_func(), inputs);
+    let code = CompiledModule::lower(m);
+    let vm = Vm::new(m, limits);
+    let cvm = CompiledVm::new(m, &code, limits);
+    let full = vm.run(&bits, None);
+    let (_, snaps) = vm.run_with_snapshots(&bits, &[1]);
+    assert_eq!(snaps.len(), 1, "{}: the snapshot point is reached", m.name);
+    let runs = [
+        ("compiled", cvm.run(&bits, None)),
+        ("interp resumed", vm.resume_from(&snaps[0], None)),
+        ("compiled resumed", cvm.resume_from(&snaps[0], None)),
+    ];
+    for (what, out) in &runs {
+        assert_eq!(out.status, full.status, "{} {inputs:?}: {what}", m.name);
+        assert_eq!(out.output, full.output, "{} {inputs:?}: {what}", m.name);
+        assert_eq!(out.profile, full.profile, "{} {inputs:?}: {what}", m.name);
+    }
+    full
+}
+
+#[test]
+fn accesses_are_checked_against_the_memory_limit() {
+    let m = poke_module();
+    let lim = limits(64);
+    let out = run_everywhere(&m, lim, &[63.0, 7.0]);
+    assert_eq!(out.status, RunStatus::Ok);
+    assert_eq!(out.output, vec![7]);
+    for addr in [64u64, 65, 1 << 20, u64::MAX] {
+        let out = run_everywhere(&m, lim, &[addr as i64 as f64, 7.0]);
+        assert_eq!(out.status, RunStatus::Trap(Trap::OutOfBounds { addr }));
+    }
+    let out = run_everywhere(&m, lim, &[0.0, 7.0]);
+    assert_eq!(out.status, RunStatus::Trap(Trap::OutOfBounds { addr: 0 }));
+    // The default limit: the last word is writable, the next one traps.
+    let words = ExecLimits::default().memory_words as u64;
+    let out = run_everywhere(&m, ExecLimits::default(), &[(words - 1) as f64, 9.0]);
+    assert_eq!(out.output, vec![9]);
+    let out = run_everywhere(&m, ExecLimits::default(), &[words as f64, 9.0]);
+    assert_eq!(
+        out.status,
+        RunStatus::Trap(Trap::OutOfBounds { addr: words })
+    );
+}
+
+#[test]
+fn unwritten_words_below_the_limit_read_zero() {
+    let m = peek_module();
+    let out = run_everywhere(&m, limits(64), &[63.0]);
+    assert_eq!((out.status, out.output), (RunStatus::Ok, vec![0]));
+    let out = run_everywhere(&m, limits(64), &[64.0]);
+    assert_eq!(out.status, RunStatus::Trap(Trap::OutOfBounds { addr: 64 }));
+    let words = ExecLimits::default().memory_words as u64;
+    for addr in [1u64 << 20, words - 1] {
+        let out = run_everywhere(&m, ExecLimits::default(), &[addr as f64]);
+        assert_eq!((out.status, out.output), (RunStatus::Ok, vec![0]), "{addr}");
+    }
+    let out = run_everywhere(&m, ExecLimits::default(), &[words as f64]);
+    assert_eq!(
+        out.status,
+        RunStatus::Trap(Trap::OutOfBounds { addr: words })
+    );
+}
+
+#[test]
+fn an_alloca_may_end_exactly_at_the_memory_limit() {
+    let m = alloca_module();
+    let out = run_everywhere(&m, limits(64), &[63.0]);
+    assert_eq!((out.status, out.output), (RunStatus::Ok, vec![5]));
+    let out = run_everywhere(&m, limits(64), &[64.0]);
+    assert_eq!(out.status, RunStatus::Trap(Trap::StackOverflow));
+    let words = ExecLimits::default().memory_words as f64;
+    let out = run_everywhere(&m, ExecLimits::default(), &[words - 1.0]);
+    assert_eq!((out.status, out.output), (RunStatus::Ok, vec![5]));
+    let out = run_everywhere(&m, ExecLimits::default(), &[words]);
+    assert_eq!(out.status, RunStatus::Trap(Trap::StackOverflow));
+}
+
+#[test]
+fn captured_images_span_the_memory_limit() {
+    let m = poke_module();
+    for lim in [limits(64), ExecLimits::default()] {
+        let vm = Vm::new(&m, lim);
+        let bits = encode_inputs(m.entry_func(), &[40.0, 3.0]);
+        let (_, snaps) = vm.run_with_snapshots(&bits, &[1]);
+        for out in [
+            vm.run_capture(&bits, None),
+            vm.resume_capture(&snaps[0], None),
+        ] {
+            let mem = out.memory.expect("capture requested");
+            assert_eq!(mem.len(), lim.memory_words);
+            assert_eq!(mem[40], 3);
+            assert_eq!(mem.iter().filter(|&&w| w != 0).count(), 1);
+        }
+    }
+}
+
+/// `main(a, b, n)`: stores 7 at word `a`, allocates `n` stack words,
+/// stores 8 at word `b`, then outputs the words at `a` and `b`.
+fn scatter_module() -> Module {
+    let mut mb = ModuleBuilder::new("scatter");
+    let main = mb.declare("main", &[Ty::I64, Ty::I64, Ty::I64], None);
+    let mut f = mb.define(main);
+    let a = f.add(f.param(0), Operand::i64(0));
+    let pa = f.cast(CastKind::IntToPtr, a, Ty::Ptr);
+    f.store(pa, Operand::i64(7));
+    let _ = f.alloca(f.param(2));
+    let pb = f.cast(CastKind::IntToPtr, f.param(1), Ty::Ptr);
+    f.store(pb, Operand::i64(8));
+    for p in [pa, pb] {
+        let v = f.load(p, Ty::I64);
+        f.output(v);
+    }
+    f.ret(None);
+    f.finish();
+    mb.set_entry(main);
+    let m = mb.finish();
+    peppa_ir::verify(&m).unwrap();
+    m
+}
+
+/// Stores far above everything written, the stack growing towards and
+/// over them, all keep plain memory semantics: a word holds what was
+/// last stored there, and an alloca zero-fills its words.
+#[test]
+fn stores_far_past_the_written_words_keep_their_values() {
+    let m = scatter_module();
+    let lim = ExecLimits::default();
+    for (a, b, n, expect) in [
+        (5000u64, 5100u64, 2600u64, [7u64, 8]),
+        (5000, 5100, 6000, [0, 8]),
+        (1 << 20, (1 << 20) + 1, 2600, [7, 8]),
+        (1 << 20, 9000, 1 << 20, [0, 8]),
+        (1 << 20, 9000, 1 << 21, [7, 8]),
+    ] {
+        let inputs = [a as f64, b as f64, n as f64];
+        let out = run_everywhere(&m, lim, &inputs);
+        if n >= lim.memory_words as u64 {
+            assert_eq!(out.status, RunStatus::Trap(Trap::StackOverflow));
+            continue;
+        }
+        assert_eq!((out.status, &out.output[..]), (RunStatus::Ok, &expect[..]));
+        // Returning from `main` scrubs its stack words, `[1, 1 + n)`.
+        let kept = |w: u64, v: u64| if w < 1 + n { 0 } else { v };
+        let bits = encode_inputs(m.entry_func(), &inputs);
+        let mem = Vm::new(&m, lim).run_capture(&bits, None).memory.unwrap();
+        assert_eq!(mem.len(), lim.memory_words);
+        assert_eq!(
+            (mem[a as usize], mem[b as usize]),
+            (kept(a, expect[0]), kept(b, 8))
+        );
+    }
 }

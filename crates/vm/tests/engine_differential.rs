@@ -1,14 +1,16 @@
 //! Engine differential harness: the compiled threaded-bytecode
 //! backend must be observably bit-identical to the interpreter on all
 //! seven benchmarks — golden runs, hooked runs (full `ExecHook` event
-//! streams), injected runs, and snapshot-resumed runs with and
-//! without convergence checkpoints (K = 0 and K = 8 campaigns).
+//! streams), injected runs, snapshot capture (snapshots and future read
+//! sets at -O0 and -O2), and snapshot-resumed runs with and without
+//! convergence checkpoints (K = 0 and K = 8 campaigns).
 //!
 //! The interpreter is the semantic reference; any mismatch is a
 //! compiled-engine bug by definition (IRFuzzer's lesson: backend
 //! lowering is where silent divergence hides).
 
-use peppa_ir::{FuncId, Instr, InstrId, Operand, ValueId};
+use peppa_analysis::{optimize, OptLevel};
+use peppa_ir::{FuncId, Instr, InstrId, ModuleBuilder, Op, Operand, Ty, ValueId};
 use peppa_vm::{
     encode_inputs, CompiledModule, CompiledVm, ExecHook, ExecLimits, Injection, InjectionTarget,
     RunOutput, RunStatus, TrialResume, Vm, VmSnapshot,
@@ -272,6 +274,96 @@ fn snapshot_resume_bit_identical() {
     }
 }
 
+/// Snapshot capture runs on the compiled engine and must freeze exactly
+/// what the interpreter freezes at every fork point — frames,
+/// registers, memory and its high-water mark, output, counters and
+/// per-sid `exec_counts` — and derive the same future read sets.
+#[test]
+fn compiled_capture_matches_interpreter() {
+    for bench in peppa_apps::all_benchmarks() {
+        for level in [OptLevel::O0, OptLevel::O2] {
+            let m = &optimize(&bench.module, level).module;
+            let name = format!("{}@{level:?}", bench.name);
+            let bits = encode_inputs(m.entry_func(), &bench.reference_input);
+            let limits = ExecLimits::default();
+            let code = CompiledModule::lower(m);
+            let vm = Vm::new(m, limits);
+            let cvm = CompiledVm::new(m, &code, limits);
+            let vd = vm.run(&bits, None).profile.value_dynamic;
+            for k in [1, 16, 64] {
+                let points = fork_points(vd, k);
+                let (out_i, snaps_i, sets_i) = vm.run_with_snapshots_read_sets(&bits, &points);
+                let (out_c, snaps_c, sets_c) = cvm.run_with_snapshots_read_sets(&bits, &points);
+                let what = format!("capture K={k}");
+                assert_runs_eq(&name, &what, &out_i, &out_c);
+                assert_eq!(snaps_i.len(), points.len(), "{name}: {what}");
+                assert_snapshots_eq(&name, &what, &snaps_i, &snaps_c);
+                assert!(sets_i == sets_c, "{name}: {what}: read sets diverged");
+                let (out_c, snaps_c) = cvm.run_with_snapshots(&bits, &points);
+                assert_runs_eq(&name, &what, &out_i, &out_c);
+                assert_snapshots_eq(&name, &what, &snaps_i, &snaps_c);
+            }
+        }
+    }
+}
+
+/// A return scrubs the frame's stack words, and the capture trace must
+/// record it: a later load through a dangling pointer then reads a
+/// scrubbed word, which is no checkpoint's future read before it.
+#[test]
+fn compiled_capture_traces_frame_scrubs() {
+    let mut mb = ModuleBuilder::new("dangling");
+    let callee = mb.declare("callee", &[Ty::I64], Some(Ty::Ptr));
+    let main = mb.declare("main", &[Ty::I64], None);
+    let mut f = mb.define(callee);
+    let buf = f.alloca(Operand::i64(2));
+    f.store(buf, f.param(0));
+    let _ = f.add(f.param(0), Operand::i64(1));
+    f.ret(Some(buf));
+    f.finish();
+    let mut f = mb.define(main);
+    let p = f
+        .call(callee, &[f.param(0)])
+        .expect("callee returns a pointer");
+    let v = f.load(p, Ty::I64);
+    f.output(v);
+    f.ret(None);
+    f.finish();
+    mb.set_entry(main);
+    let m = mb.finish();
+    peppa_ir::verify(&m).unwrap();
+    let bits = encode_inputs(m.entry_func(), &[5.0]);
+    let code = CompiledModule::lower(&m);
+    let limits = ExecLimits::default();
+    let vm = Vm::new(&m, limits);
+    let points: Vec<u64> = (0..vm.run(&bits, None).profile.value_dynamic).collect();
+    let (out_i, snaps_i, sets_i) = vm.run_with_snapshots_read_sets(&bits, &points);
+    let (out_c, snaps_c, sets_c) =
+        CompiledVm::new(&m, &code, limits).run_with_snapshots_read_sets(&bits, &points);
+    assert_eq!(out_i.output, vec![0], "the scrubbed word reads zero");
+    assert_runs_eq("dangling", "capture", &out_i, &out_c);
+    assert_snapshots_eq("dangling", "capture", &snaps_i, &snaps_c);
+    assert!(sets_i == sets_c, "dangling: read sets diverged");
+}
+
+fn assert_snapshots_eq(name: &str, what: &str, a: &[VmSnapshot], b: &[VmSnapshot]) {
+    assert_eq!(a.len(), b.len(), "{name}/{what}: snapshot count diverged");
+    for (i, (x, y)) in a.iter().zip(b).enumerate() {
+        assert!(
+            x == y,
+            "{name}/{what}: snapshot {i} at value-dynamic {} diverged \
+             (dynamic {} vs {}, depth {} vs {}, {} vs {} bytes)",
+            x.value_dynamic(),
+            x.dynamic(),
+            y.dynamic(),
+            x.depth(),
+            y.depth(),
+            x.bytes(),
+            y.bytes()
+        );
+    }
+}
+
 #[test]
 fn converged_trials_match_across_engines() {
     for bench in peppa_apps::all_benchmarks() {
@@ -343,4 +435,86 @@ fn hang_classification_identical() {
     let hc = CompiledVm::new(m, &code, limits).run(&bits, None);
     assert_eq!(hi.status, RunStatus::Hang);
     assert_runs_eq("pathfinder", "hang", &hi, &hc);
+}
+
+/// Finds, in a golden run, the first `gep` whose result a `store` writes
+/// through (its value-dynamic site and address) and the run's write
+/// high-water mark.
+#[derive(Default)]
+struct StoreThroughGep {
+    defs: u64,
+    last_gep: Option<(u64, u64)>,
+    found: Option<(u64, u64)>,
+    hwm: u64,
+}
+
+impl ExecHook for StoreThroughGep {
+    const ENABLED: bool = true;
+
+    fn def_value(&mut self, ins: &Instr, bits: u64) {
+        if matches!(ins.op, Op::Gep { .. }) {
+            self.last_gep = Some((self.defs, bits));
+        }
+        self.defs += 1;
+    }
+
+    fn mem_store(&mut self, _: &Instr, addr: u64, _: u64) {
+        if self.found.is_none() && self.last_gep.is_some_and(|(_, a)| a == addr) {
+            self.found = self.last_gep;
+        }
+        self.hwm = self.hwm.max(addr + 1);
+    }
+
+    fn mem_clear(&mut self, base: u64, words: u64) {
+        self.hwm = self.hwm.max(base + words);
+    }
+}
+
+/// A flipped store address that lands above everything the golden run
+/// ever wrote, but below the memory limit, is an ordinary store to
+/// untouched memory: both engines classify it the same, from entry and
+/// resumed from a snapshot at the fault site.
+#[test]
+fn pointer_flipped_above_the_high_water_mark_classifies_identically() {
+    for bench in peppa_apps::all_benchmarks() {
+        let m = &bench.module;
+        let bits = encode_inputs(m.entry_func(), &bench.reference_input);
+        let limits = ExecLimits::default();
+        let code = CompiledModule::lower(m);
+        let vm = Vm::new(m, limits);
+        let cvm = CompiledVm::new(m, &code, limits);
+        let mut hook = StoreThroughGep::default();
+        vm.run_with_hook(&bits, None, &mut hook);
+        let (site, addr) = hook.found.expect("a store through a gep");
+        let bit = limits.memory_words.trailing_zeros() - 1;
+        let flipped = addr ^ (1 << bit);
+        let hwm = hook.hwm.max(m.globals_words());
+        assert!(
+            flipped >= hwm && flipped < limits.memory_words as u64,
+            "{}: word {flipped} is not between the high-water mark {hwm} and the limit",
+            bench.name
+        );
+        let inj = Injection::single(InjectionTarget::DynamicIndex(site), bit);
+        let (_, snaps) = vm.run_with_snapshots(&bits, &[site]);
+        let full = vm.run(&bits, Some(inj));
+        assert!(full.fault_activated, "{}", bench.name);
+        assert_runs_eq(
+            bench.name,
+            "flip/compiled",
+            &full,
+            &cvm.run(&bits, Some(inj)),
+        );
+        assert_runs_eq(
+            bench.name,
+            "flip/interp-resumed",
+            &full,
+            &vm.resume_from(&snaps[0], Some(inj)),
+        );
+        assert_runs_eq(
+            bench.name,
+            "flip/compiled-resumed",
+            &full,
+            &cvm.resume_from(&snaps[0], Some(inj)),
+        );
+    }
 }

@@ -7,9 +7,14 @@
 //! same return value, same final memory image, same dynamic counters.
 //! This is the determinism contract snapshot-resumed campaign trials
 //! (`CampaignPlan::snapshots` in `peppa-inject`) rest on, exercised
-//! over arbitrary programs instead of hand-picked kernels.
+//! over arbitrary programs instead of hand-picked kernels. The compiled
+//! engine's capture of the same boundaries must equal the
+//! interpreter's, snapshots and future read sets alike.
 
-use peppa_vm::{encode_inputs, ExecLimits, Injection, InjectionTarget, RunStatus, Vm};
+use peppa_vm::{
+    encode_inputs, CompiledModule, CompiledVm, ExecLimits, Injection, InjectionTarget, RunStatus,
+    Vm,
+};
 use proptest::prelude::*;
 
 /// One generated statement, decoded from one random `u64` (the offline
@@ -97,6 +102,16 @@ proptest! {
         let (replay, snaps) = vm.run_with_snapshots(&in_bits, &points);
         prop_assert_eq!(replay.status, RunStatus::Ok);
         prop_assert_eq!(snaps.len(), points.len());
+
+        let code = CompiledModule::lower(&m);
+        let cvm = CompiledVm::new(&m, &code, ExecLimits::default());
+        let (creplay, csnaps) = cvm.run_with_snapshots(&in_bits, &points);
+        prop_assert_eq!(&creplay.output, &replay.output);
+        prop_assert!(csnaps == snaps, "compiled capture diverged\n{}", src);
+        let (_, isnaps, isets) = vm.run_with_snapshots_read_sets(&in_bits, &points);
+        let (_, csnaps, csets) = cvm.run_with_snapshots_read_sets(&in_bits, &points);
+        prop_assert!(csnaps == isnaps, "compiled capture with read sets diverged\n{}", src);
+        prop_assert!(csets == isets, "compiled read sets diverged\n{}", src);
 
         let site = site_sel % golden.profile.value_dynamic;
         let inj = Injection {
