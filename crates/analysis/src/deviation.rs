@@ -414,7 +414,7 @@ fn boundary_margin(x: f64) -> f64 {
 impl ExecHook for GoldenObserver<'_> {
     const ENABLED: bool = true;
 
-    fn begin_instr(&mut self, ins: &Instr) -> bool {
+    fn begin_instr(&mut self, ins: &Instr) {
         let sid = ins.sid.0 as usize;
         match &ins.op {
             Op::Icmp { pred, a, b } => {
@@ -442,7 +442,6 @@ impl ExecHook for GoldenObserver<'_> {
         for o in ins.op.operands() {
             self.use_operand(&o);
         }
-        false
     }
 
     fn def_value(&mut self, ins: &Instr, bits: u64) {

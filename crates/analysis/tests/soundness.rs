@@ -120,37 +120,6 @@ fn check_run(bf: &BenchFacts, inputs: &[f64]) -> (u64, Vec<String>) {
     (hook.checked, hook.failures)
 }
 
-/// One lowered bytecode module per benchmark, shared across cases.
-fn compiled() -> &'static Vec<CompiledModule> {
-    static CODE: OnceLock<Vec<CompiledModule>> = OnceLock::new();
-    CODE.get_or_init(|| {
-        facts()
-            .iter()
-            .map(|bf| CompiledModule::lower(&bf.bench.module))
-            .collect()
-    })
-}
-
-/// [`check_run`] on the compiled (threaded-bytecode) engine, so the
-/// static abstractions are validated against both backends' concrete
-/// semantics — a lowering bug that changed any defined value would
-/// surface here even if it kept outputs intact.
-fn check_run_compiled(
-    bf: &BenchFacts,
-    code: &CompiledModule,
-    inputs: &[f64],
-) -> (u64, Vec<String>) {
-    let bits = encode_inputs(bf.bench.module.entry_func(), inputs);
-    let eng = Engine::new(&bf.bench.module, limits(), Some(code));
-    let mut hook = SoundnessHook {
-        f: bf,
-        checked: 0,
-        failures: Vec::new(),
-    };
-    eng.run_with_hook(&bits, None, &mut hook);
-    (hook.checked, hook.failures)
-}
-
 /// Random input within the benchmark's *small* workload window (§4.2.1's
 /// light-workload corner), so each run stays well under the dynamic
 /// budget while still exercising every kernel.
@@ -266,46 +235,6 @@ fn reference_inputs_are_sound() {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// The same containment law on the compiled engine, plus agreement
-    /// with the interpreter on how many defs were checked — the def
-    /// streams are contractually bit-identical, so a count mismatch
-    /// means the engines diverged before any abstraction was violated.
-    #[test]
-    fn compiled_engine_defs_are_contained_and_match_interp(seed in any::<u64>()) {
-        let mut rng = TestRng::new(&format!("soundness-compiled-{seed}"));
-        for (bf, code) in facts().iter().zip(compiled()) {
-            let inputs = sample_inputs(&bf.bench, &mut rng);
-            let (ic, ifail) = check_run(bf, &inputs);
-            let (cc, cfail) = check_run_compiled(bf, code, &inputs);
-            prop_assert!(cc > 0, "{}: no defs executed on compiled engine", bf.bench.name);
-            prop_assert_eq!(
-                ic, cc,
-                "{}: engines checked different def counts on {:?}",
-                bf.bench.name, inputs
-            );
-            prop_assert!(ifail.is_empty(), "{}: {}", bf.bench.name, ifail.join("; "));
-            prop_assert!(cfail.is_empty(), "{}: compiled: {}", bf.bench.name, cfail.join("; "));
-        }
-    }
-}
-
-#[test]
-fn reference_inputs_are_sound_on_compiled_engine() {
-    for (bf, code) in facts().iter().zip(compiled()) {
-        let (checked, failures) = check_run_compiled(bf, code, &bf.bench.reference_input);
-        assert!(checked > 0, "{}: no defs executed", bf.bench.name);
-        assert!(
-            failures.is_empty(),
-            "{}: reference input (compiled): {}",
-            bf.bench.name,
-            failures.join("; ")
-        );
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Randomized multi-function module soundness
 //
@@ -316,7 +245,8 @@ fn reference_inputs_are_sound_on_compiled_engine() {
 //
 //  (a) every concrete def on the golden run is contained in the
 //      *interprocedural* known-bits and interval abstractions
-//      ([`analyze_module_interproc`]), on both engines;
+//      ([`analyze_module_interproc`]), on the interpreter, and the
+//      compiled engine's run agrees with it bit for bit;
 //  (b) injecting faults into cells the union table (per-bit reachability
 //      ∪ input-specific deviation) claims masked leaves the run Benign —
 //      status Ok and bit-identical outputs, the same classification the
@@ -543,37 +473,28 @@ fn check_generated(seed: u64) {
     let rg = analyze_module_interproc::<AbsRange>(&module, &cg);
     let by_sid = by_sid_map(&module);
 
-    // (a) interprocedural abstraction containment, both engines.
+    // (a) interprocedural abstraction containment on the interpreter;
+    // the compiled engine, which runs no hook, must match its run.
     let bits = encode_inputs(module.entry_func(), &inputs);
-    let mut counts = [0u64; 2];
-    for (k, eng) in [
-        Engine::interp(&module, limits()),
-        Engine::new(&module, limits(), Some(&code)),
-    ]
-    .iter()
-    .enumerate()
-    {
-        let mut hook = InterprocHook {
-            kb: &kb,
-            rg: &rg,
-            by_sid: &by_sid,
-            checked: 0,
-            failures: Vec::new(),
-        };
-        eng.run_with_hook(&bits, None, &mut hook);
-        assert!(
-            hook.failures.is_empty(),
-            "seed {seed} ({}): {}\n{src}",
-            eng.kind().as_str(),
-            hook.failures.join("; ")
-        );
-        assert!(hook.checked > 0, "seed {seed}: no defs executed\n{src}");
-        counts[k] = hook.checked;
-    }
-    assert_eq!(
-        counts[0], counts[1],
-        "seed {seed}: engines checked different def counts\n{src}"
+    let mut hook = InterprocHook {
+        kb: &kb,
+        rg: &rg,
+        by_sid: &by_sid,
+        checked: 0,
+        failures: Vec::new(),
+    };
+    let hooked = Vm::new(&module, limits()).run_with_hook(&bits, None, &mut hook);
+    assert!(
+        hook.failures.is_empty(),
+        "seed {seed}: {}\n{src}",
+        hook.failures.join("; ")
     );
+    assert!(hook.checked > 0, "seed {seed}: no defs executed\n{src}");
+    let compiled = Engine::new(&module, limits(), Some(&code)).run(&bits, None);
+    assert_eq!(compiled.status, hooked.status, "seed {seed}\n{src}");
+    assert_eq!(compiled.output, hooked.output, "seed {seed}\n{src}");
+    assert_eq!(compiled.ret, hooked.ret, "seed {seed}\n{src}");
+    assert_eq!(compiled.profile, hooked.profile, "seed {seed}\n{src}");
 
     // (b) the union masked-cell table is benign under actual injection.
     let fr = FaultReach::analyze(&module);

@@ -2,9 +2,10 @@
 //!
 //! A [`CampaignPlan`] passes through each stage once:
 //!
-//! 1. **Golden run** on the selected engine. It records the
-//!    dynamic-index → sid map only when a stage reads sids: a non-empty
-//!    prune table, tracing or the per-instruction sampler.
+//! 1. **Golden run** on the selected engine. When a stage reads sids
+//!    (a non-empty prune table, tracing or the per-instruction sampler),
+//!    it runs on the interpreter instead and records the dynamic-index
+//!    → sid map under a hook.
 //! 2. **Sampler.** Trial `t` draws its fault from a stream seeded by
 //!    `(seed, t)` alone, so results never depend on scheduling or on
 //!    when a trial is sampled. The uniform sampler draws a dynamic
@@ -21,8 +22,9 @@
 //!    their fault site. Fork points are planned over the kept trials'
 //!    sites, and the snapshots are captured on the campaign's engine.
 //!    Convergence exits are on unless tracing.
-//! 5. **Hook** (with tracing). Each executed trial runs under a
-//!    shadow-taint [`TaintHook`] and reports its provenance.
+//! 5. **Hook** (with tracing). Each executed trial runs on the
+//!    interpreter under a shadow-taint [`TaintHook`], from entry or from
+//!    the same snapshots, and reports its provenance.
 //! 6. **Aggregator.** Workers report over a bounded channel drained on
 //!    the calling thread, which emits every event and tallies outcomes.
 //!
@@ -51,7 +53,7 @@ use peppa_obs::{Event, Observer, Span};
 use peppa_stats::{binomial_ci, ci::Z_95, Pcg64};
 use peppa_vm::{
     encode_inputs, CompiledModule, Engine, EngineKind, ExecHook, ExecLimits, Injection,
-    InjectionTarget, ResumeScratch, RunOutput, TaintHook, TaintReport, TrialResume,
+    InjectionTarget, ResumeScratch, RunOutput, TaintHook, TaintReport, TrialResume, Vm,
 };
 use std::time::Instant;
 
@@ -461,11 +463,10 @@ impl<'a> CampaignPlan<'a> {
         let per_instruction = matches!(self.sampler, Sampler::PerInstruction(_));
         let golden = {
             let _span = Span::enter(observer, "golden");
-            let eng = Engine::new(module, limits, code.as_ref());
             check_golden(if per_instruction || self.trace || masked_cells > 0 {
-                eng.run_with_hook(&bits, None, &mut hook)
+                Vm::new(module, limits).run_with_hook(&bits, None, &mut hook)
             } else {
-                eng.run(&bits, None)
+                Engine::new(module, limits, code.as_ref()).run(&bits, None)
             })?
         };
         let value_dynamic = golden.profile.value_dynamic;
@@ -596,11 +597,12 @@ impl<'a> CampaignPlan<'a> {
                 .saturating_add(10_000),
             ..limits
         };
+        let eng = Engine::new(module, faulty_limits, code.as_ref());
 
         // 4–5. One trial: skip, run from entry, or resume; traced trials
-        // run under the taint hook on the same engine entry points. A
-        // fault that never fires runs from entry and reports the site
-        // past the golden run's last.
+        // run under the taint hook on the interpreter, from entry or from
+        // the same snapshots. A fault that never fires runs from entry
+        // and reports the site past the golden run's last.
         let run_trial = |t: u32, scratch: &mut ResumeScratch| -> TrialReport {
             let Fault { inj, site, skip } = sample(t);
             let judge = |faulty: &RunOutput| {
@@ -624,7 +626,6 @@ impl<'a> CampaignPlan<'a> {
                 report.exec = Exec::Skipped(sid);
                 return report;
             }
-            let eng = Engine::new(module, faulty_limits, code.as_ref());
             let fork = site.and_then(|s| fork_point_for(&points, s));
             if let Some(i) = fork {
                 report.exec = Exec::Resumed {
@@ -638,9 +639,10 @@ impl<'a> CampaignPlan<'a> {
                     None => TaintHook::new(module),
                     Some(i) => TaintHook::resumed(module, &snaps[i]),
                 };
+                let vm = Vm::new(module, faulty_limits);
                 let faulty = match fork {
-                    None => eng.run_with_hook(&bits, Some(inj), &mut hook),
-                    Some(i) => eng.resume_from_with_hook(&snaps[i], Some(inj), &mut hook),
+                    None => vm.run_with_hook(&bits, Some(inj), &mut hook),
+                    Some(i) => vm.resume_from_with_hook(&snaps[i], Some(inj), &mut hook),
                 };
                 report.taint = Some((sid_of(&inj), hook.finish()));
                 judge(&faulty)
@@ -829,7 +831,6 @@ fn effective_threads(requested: usize, work_items: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use peppa_vm::Vm;
 
     /// `base` is computed once before the loop, the output's sum once
     /// after it.

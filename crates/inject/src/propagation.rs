@@ -122,15 +122,12 @@ pub fn generate_corpus(
     count: usize,
     seed: u64,
 ) -> Result<Vec<CorpusEntry>, crate::campaign::CampaignError> {
-    let golden = crate::campaign::golden_run(module, inputs, limits)?;
+    let bits = encode_inputs(module.entry_func(), inputs);
+    let golden = crate::campaign::check_golden(Vm::new(module, limits).run_capture(&bits, None))?;
     if golden.profile.value_dynamic == 0 {
         return Err(crate::campaign::CampaignError::NoFaultSites);
     }
-    let bits = encode_inputs(module.entry_func(), inputs);
-    let golden_mem = {
-        let vm = Vm::new(module, limits);
-        vm.run_capture(&bits, None).memory.expect("capture")
-    };
+    let golden_mem = golden.memory.as_deref().expect("capture");
 
     let faulty_limits = ExecLimits {
         max_dynamic: golden.profile.dynamic * 8 + 10_000,

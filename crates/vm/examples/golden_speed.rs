@@ -3,7 +3,7 @@
 //! Used to sanity-check engine performance without a full campaign
 //! (`cargo run --release -p peppa-vm --example golden_speed`).
 
-use peppa_vm::{CompiledModule, Engine, EngineKind, ExecLimits, ResumeScratch};
+use peppa_vm::{CompiledModule, Engine, ExecLimits, ResumeScratch};
 use std::time::Instant;
 
 fn main() {
@@ -27,7 +27,6 @@ fn main() {
             }
             times[i] = t0.elapsed().as_secs_f64() / reps as f64;
         }
-        let _ = EngineKind::Interp;
         println!(
             "{:16} dyn {:>9}  interp {:7.2} ns/i  compiled {:7.2} ns/i  ratio {:5.2}x",
             bench.name,

@@ -2,33 +2,31 @@
 //! [`CompiledModule`] that is observably bit-identical to the
 //! interpreter in `exec.rs`.
 //!
-//! Every observable the interpreter produces — output words, return
-//! bits, `Profile` counters, trap/hang classification, fault
-//! activation, `ExecHook` callback streams, snapshot frame
-//! coordinates, convergence decisions — is produced here in the same
-//! order with the same values. The machine differs only in *how* it
-//! gets there: it dispatches over pre-lowered bytecode ops with all
-//! operands resolved to flat register indices, executes fused
-//! superinstructions where the lowering found the patterns, and skips
-//! the interpreter's per-instruction operand matching entirely.
+//! Every observable a trial reads from the interpreter — output words,
+//! return bits, `Profile` counters, trap/hang classification, fault
+//! activation, snapshots in interpreter frame coordinates, convergence
+//! decisions — is produced here with the same values. The machine runs
+//! no `ExecHook`: instrumented runs are the interpreter's. It differs
+//! only in *how* it gets there: it dispatches over pre-lowered bytecode
+//! ops with all operands resolved to flat register indices, executes
+//! fused superinstructions where the lowering found the patterns, and
+//! skips the interpreter's per-instruction operand matching entirely.
 //!
 //! The equivalence argument is structural: each bytecode handler performs
 //! the exact bookkeeping sequence of the interpreter's driver loop
 //! for the instruction(s) it covers (dynamic count → hang check →
-//! exec count → `begin_instr` → compute → `finish` → `end_instr`),
-//! fused handlers check the snapshot-boundary gate between their
-//! components and bail to the unfused stub at `pc + 1` when it is
-//! due, and register indices below `num_values` coincide with
-//! `ValueId`s so fault injection flips the same typed bits of the
-//! same register. Unchecked register/code accesses are justified by
-//! the bounds sweep at the end of lowering (`lower::validate`); debug
-//! builds keep the assertions.
+//! exec count → compute → `finish`), fused handlers check the
+//! snapshot-boundary gate between their components and bail to the
+//! unfused stub at `pc + 1` when it is due, and register indices below
+//! `num_values` coincide with `ValueId`s so fault injection flips the
+//! same typed bits of the same register. Unchecked register/code
+//! accesses are justified by the bounds sweep at the end of lowering
+//! (`lower::validate`); debug builds keep the assertions.
 
 use crate::exec::{
     canon, exec_bin, exec_cast, exec_fcmp as fcmp, exec_icmp as icmp, exec_un, flip_bits,
     ExecLimits, Injection, InjectionTarget, RunEnd, RunOutput, RunStatus, Stop, Trap,
 };
-use crate::hooks::{ExecHook, NoHook};
 use crate::image::{Image, ResumeScratch};
 use crate::lower::{Bc, CompiledFunc, CompiledModule, NO_REG};
 use crate::profile::Profile;
@@ -36,8 +34,7 @@ use crate::snapshot::{
     mask_contains, AccessEv, AccessLog, ConvergeMasks, FrameSnap, ReadSets, SnapData, TrialResume,
     VmSnapshot,
 };
-use peppa_ir::{FuncId, Instr, Module, Term};
-use std::time::Instant;
+use peppa_ir::{FuncId, Instr, Module};
 
 #[inline(always)]
 fn rd(regs: &[u64], i: u32) -> u64 {
@@ -64,7 +61,6 @@ struct CFrame {
     base: u32,
     pc: u32,
     frame_sp: u64,
-    call_timer: Option<Instant>,
 }
 
 /// What the driver does when a value-dynamic boundary is due; mirrors
@@ -101,7 +97,7 @@ enum Exit {
 /// that derives read sets: both tiers then append every load, store and
 /// zero-fill to `log`, and the tiers of every other run compile without
 /// a trace of it.
-struct CMachine<'m, H: ExecHook, const LOG: bool> {
+struct CMachine<'m, const LOG: bool> {
     module: &'m Module,
     code: &'m CompiledModule,
     limits: ExecLimits,
@@ -127,18 +123,17 @@ struct CMachine<'m, H: ExecHook, const LOG: bool> {
     /// `exec_counts` read-modify-write per instruction;
     /// [`Self::fold_seg_hits`] folds the hits back into per-sid
     /// `exec_counts` before the profile is observable (at run end and
-    /// at each snapshot capture). Only the
-    /// hook-free, injection-far fast path writes here — every slow-path
-    /// instruction still counts directly — so live `exec_counts` reads
-    /// (the `StaticInstance` check) always see exact values: a pending
-    /// static injection disables the turbo loop outright.
+    /// at each snapshot capture). Only the injection-far fast path
+    /// writes here — every slow-path instruction still counts directly
+    /// — so live `exec_counts` reads (the `StaticInstance` check) always
+    /// see exact values: a pending static injection disables the turbo
+    /// loop outright.
     seg_hits: Vec<u64>,
     /// Memory-access trace (`LOG` runs only).
     log: AccessLog,
-    hook: H,
 }
 
-impl<'m, H: ExecHook, const LOG: bool> CMachine<'m, H, LOG> {
+impl<'m, const LOG: bool> CMachine<'m, LOG> {
     #[inline]
     fn instr_at(&self, fid: FuncId, pc: usize) -> &'m Instr {
         let cf = &self.code.funcs[fid.0 as usize];
@@ -146,13 +141,11 @@ impl<'m, H: ExecHook, const LOG: bool> CMachine<'m, H, LOG> {
         &self.module.func(fid).blocks[b as usize].instrs[i as usize]
     }
 
+    /// The interpreter's per-instruction bookkeeping before the op at
+    /// `pc` executes: bump `dynamic`, check the hang budget, count the
+    /// instruction in `exec_counts`.
     #[inline(always)]
-    fn begin(
-        &mut self,
-        fid: FuncId,
-        cf: &CompiledFunc,
-        pc: usize,
-    ) -> Result<Option<Instant>, Stop> {
+    fn begin(&mut self, cf: &CompiledFunc, pc: usize) -> Result<(), Stop> {
         self.profile.dynamic += 1;
         if self.profile.dynamic > self.limits.max_dynamic {
             return Err(Stop::Hang);
@@ -160,25 +153,12 @@ impl<'m, H: ExecHook, const LOG: bool> CMachine<'m, H, LOG> {
         let sid = cf.sids[pc];
         debug_assert_ne!(sid, u32::MAX, "begin at a terminator pc");
         self.profile.exec_counts[sid as usize] += 1;
-        if H::ENABLED && self.hook.begin_instr(self.instr_at(fid, pc)) {
-            return Ok(Some(Instant::now()));
-        }
-        Ok(None)
-    }
-
-    #[inline(always)]
-    fn end(&mut self, fid: FuncId, pc: usize, timer: Option<Instant>) {
-        if H::ENABLED {
-            if let Some(t0) = timer {
-                let ins = self.instr_at(fid, pc);
-                self.hook.end_instr(ins, t0.elapsed().as_nanos() as u64);
-            }
-        }
+        Ok(())
     }
 
     /// The interpreter's `finish_instr` for a value-producing op at
     /// `pc`: bump `value_dynamic`, apply a pending injection, write the
-    /// register, notify the hook.
+    /// register.
     #[inline(always)]
     fn finish(
         &mut self,
@@ -197,10 +177,6 @@ impl<'m, H: ExecHook, const LOG: bool> CMachine<'m, H, LOG> {
             bits = self.apply_fault(fid, pc, bits);
         }
         wr(regs, dst, bits);
-        if H::ENABLED {
-            let ins = self.instr_at(fid, pc);
-            self.hook.def_value(ins, bits);
-        }
     }
 
     #[inline]
@@ -221,9 +197,6 @@ impl<'m, H: ExecHook, const LOG: bool> CMachine<'m, H, LOG> {
         let r = ins.result.expect("injected instruction has a result");
         let ty = self.module.func(fid).ty_of(r);
         let flipped = flip_bits(ty, bits, inj.bit, inj.burst);
-        if H::ENABLED {
-            self.hook.fault_injected(ins, bits ^ flipped);
-        }
         self.fault_activated = true;
         self.inj_vd = u64::MAX;
         self.static_pending = false;
@@ -260,7 +233,6 @@ impl<'m, H: ExecHook, const LOG: bool> CMachine<'m, H, LOG> {
         arena: &mut Vec<u64>,
         fid: FuncId,
         args: &[u64],
-        call_timer: Option<Instant>,
     ) -> Result<(), Stop> {
         if frames.len() >= self.limits.max_call_depth {
             return Err(Stop::Trap(Trap::CallDepth));
@@ -274,7 +246,6 @@ impl<'m, H: ExecHook, const LOG: bool> CMachine<'m, H, LOG> {
             base: base as u32,
             pc: 0,
             frame_sp: self.stack_ptr,
-            call_timer,
         });
         Ok(())
     }
@@ -512,8 +483,8 @@ impl<'m, H: ExecHook, const LOG: bool> CMachine<'m, H, LOG> {
     /// The inner loop is two-tier. The **turbo** tier runs whole
     /// straight-line segments with batched bookkeeping whenever a
     /// one-time gate proves nothing observable can happen inside the
-    /// segment: hooks are compile-time disabled, no static-instance
-    /// injection is pending, the hang budget cannot expire
+    /// segment: no static-instance injection is pending, the hang
+    /// budget cannot expire
     /// (`dynamic + n_ops <= max_dynamic`), and no def in the segment
     /// can reach the pending injection index or the next snapshot
     /// boundary (`value_dynamic + n_defs < min(inj_vd, next_vd)`).
@@ -549,7 +520,7 @@ impl<'m, H: ExecHook, const LOG: bool> CMachine<'m, H, LOG> {
                 let regs = &mut arena[base..];
                 let mut pc = *frame_pc as usize;
                 'inner: loop {
-                    if !H::ENABLED && !self.static_pending {
+                    if !self.static_pending {
                         // ---- turbo tier ----
                         let gate_vd = self.inj_vd.min(self.next_vd);
                         let max_dyn = self.limits.max_dynamic;
@@ -880,39 +851,34 @@ impl<'m, H: ExecHook, const LOG: bool> CMachine<'m, H, LOG> {
                     let bc = unsafe { *cf.code.get_unchecked(pc) };
                     match bc {
                         Bc::Bin { op, ty, dst, a, b } => {
-                            let timer = self.begin(fid, cf, pc)?;
+                            self.begin(cf, pc)?;
                             let r = exec_bin(op, ty, rd(regs, a), rd(regs, b))?;
                             self.finish(fid, cf, pc, dst, r, regs);
-                            self.end(fid, pc, timer);
                             pc += 1;
                         }
                         Bc::Un { op, ty, dst, a } => {
-                            let timer = self.begin(fid, cf, pc)?;
+                            self.begin(cf, pc)?;
                             let r = exec_un(op, ty, rd(regs, a));
                             self.finish(fid, cf, pc, dst, r, regs);
-                            self.end(fid, pc, timer);
                             pc += 1;
                         }
                         Bc::Icmp { pred, dst, a, b } => {
-                            let timer = self.begin(fid, cf, pc)?;
+                            self.begin(cf, pc)?;
                             let r = icmp(pred, rd(regs, a), rd(regs, b));
                             self.finish(fid, cf, pc, dst, r, regs);
-                            self.end(fid, pc, timer);
                             pc += 1;
                         }
                         Bc::Fcmp { pred, dst, a, b } => {
-                            let timer = self.begin(fid, cf, pc)?;
+                            self.begin(cf, pc)?;
                             let r = fcmp(pred, rd(regs, a), rd(regs, b));
                             self.finish(fid, cf, pc, dst, r, regs);
-                            self.end(fid, pc, timer);
                             pc += 1;
                         }
                         Bc::Select { dst, cond, t, f } => {
-                            let timer = self.begin(fid, cf, pc)?;
+                            self.begin(cf, pc)?;
                             let c = rd(regs, cond) & 1;
                             let r = if c != 0 { rd(regs, t) } else { rd(regs, f) };
                             self.finish(fid, cf, pc, dst, r, regs);
-                            self.end(fid, pc, timer);
                             pc += 1;
                         }
                         Bc::Cast {
@@ -922,127 +888,104 @@ impl<'m, H: ExecHook, const LOG: bool> CMachine<'m, H, LOG> {
                             dst,
                             a,
                         } => {
-                            let timer = self.begin(fid, cf, pc)?;
+                            self.begin(cf, pc)?;
                             let r = exec_cast(kind, from, to, rd(regs, a));
                             self.finish(fid, cf, pc, dst, r, regs);
-                            self.end(fid, pc, timer);
                             pc += 1;
                         }
                         Bc::Load { ty, dst, addr } => {
-                            let timer = self.begin(fid, cf, pc)?;
+                            self.begin(cf, pc)?;
                             let p = rd(regs, addr);
                             let word = self.mem_read(p)?;
-                            if H::ENABLED {
-                                let ins = self.instr_at(fid, pc);
-                                self.hook.mem_load(ins, p, word);
-                            }
                             self.finish(fid, cf, pc, dst, canon(ty, word), regs);
-                            self.end(fid, pc, timer);
                             pc += 1;
                         }
                         Bc::Store { addr, val } => {
-                            let timer = self.begin(fid, cf, pc)?;
+                            self.begin(cf, pc)?;
                             let p = rd(regs, addr);
                             let v = rd(regs, val);
                             self.mem_write(p, v)?;
-                            if H::ENABLED {
-                                let ins = self.instr_at(fid, pc);
-                                self.hook.mem_store(ins, p, v);
-                            }
-                            self.end(fid, pc, timer);
                             pc += 1;
                         }
                         Bc::Gep { dst, base, index } => {
-                            let timer = self.begin(fid, cf, pc)?;
+                            self.begin(cf, pc)?;
                             let r = rd(regs, base).wrapping_add(rd(regs, index));
                             self.finish(fid, cf, pc, dst, r, regs);
-                            self.end(fid, pc, timer);
                             pc += 1;
                         }
                         Bc::Alloca { dst, words } => {
-                            let timer = self.begin(fid, cf, pc)?;
+                            self.begin(cf, pc)?;
                             let r = self.alloca(rd(regs, words))?;
                             self.finish(fid, cf, pc, dst, r, regs);
-                            self.end(fid, pc, timer);
                             pc += 1;
                         }
                         Bc::Output { val } => {
-                            let timer = self.begin(fid, cf, pc)?;
+                            self.begin(cf, pc)?;
                             let v = rd(regs, val);
                             self.output.push(v);
-                            self.end(fid, pc, timer);
                             pc += 1;
                         }
                         Bc::IAdd { dst, a, b } => {
-                            let timer = self.begin(fid, cf, pc)?;
+                            self.begin(cf, pc)?;
                             let r = (rd(regs, a) as i64).wrapping_add(rd(regs, b) as i64) as u64;
                             self.finish(fid, cf, pc, dst, r, regs);
-                            self.end(fid, pc, timer);
                             pc += 1;
                         }
                         Bc::ISub { dst, a, b } => {
-                            let timer = self.begin(fid, cf, pc)?;
+                            self.begin(cf, pc)?;
                             let r = (rd(regs, a) as i64).wrapping_sub(rd(regs, b) as i64) as u64;
                             self.finish(fid, cf, pc, dst, r, regs);
-                            self.end(fid, pc, timer);
                             pc += 1;
                         }
                         Bc::IMul { dst, a, b } => {
-                            let timer = self.begin(fid, cf, pc)?;
+                            self.begin(cf, pc)?;
                             let r = (rd(regs, a) as i64).wrapping_mul(rd(regs, b) as i64) as u64;
                             self.finish(fid, cf, pc, dst, r, regs);
-                            self.end(fid, pc, timer);
                             pc += 1;
                         }
                         Bc::FAdd { dst, a, b } => {
-                            let timer = self.begin(fid, cf, pc)?;
+                            self.begin(cf, pc)?;
                             let r = (f64::from_bits(rd(regs, a)) + f64::from_bits(rd(regs, b)))
                                 .to_bits();
                             self.finish(fid, cf, pc, dst, r, regs);
-                            self.end(fid, pc, timer);
                             pc += 1;
                         }
                         Bc::FSub { dst, a, b } => {
-                            let timer = self.begin(fid, cf, pc)?;
+                            self.begin(cf, pc)?;
                             let r = (f64::from_bits(rd(regs, a)) - f64::from_bits(rd(regs, b)))
                                 .to_bits();
                             self.finish(fid, cf, pc, dst, r, regs);
-                            self.end(fid, pc, timer);
                             pc += 1;
                         }
                         Bc::FMul { dst, a, b } => {
-                            let timer = self.begin(fid, cf, pc)?;
+                            self.begin(cf, pc)?;
                             let r = (f64::from_bits(rd(regs, a)) * f64::from_bits(rd(regs, b)))
                                 .to_bits();
                             self.finish(fid, cf, pc, dst, r, regs);
-                            self.end(fid, pc, timer);
                             pc += 1;
                         }
                         Bc::FDiv { dst, a, b } => {
-                            let timer = self.begin(fid, cf, pc)?;
+                            self.begin(cf, pc)?;
                             let r = (f64::from_bits(rd(regs, a)) / f64::from_bits(rd(regs, b)))
                                 .to_bits();
                             self.finish(fid, cf, pc, dst, r, regs);
-                            self.end(fid, pc, timer);
                             pc += 1;
                         }
                         Bc::FMulAdd { t, a, b, dst, x, y } => {
-                            let timer = self.begin(fid, cf, pc)?;
+                            self.begin(cf, pc)?;
                             let m = (f64::from_bits(rd(regs, a)) * f64::from_bits(rd(regs, b)))
                                 .to_bits();
                             self.finish(fid, cf, pc, t, m, regs);
-                            self.end(fid, pc, timer);
                             if self.profile.value_dynamic >= self.next_vd {
                                 // Boundary between the multiply and the
                                 // add: resume at the unfused stub.
                                 *frame_pc = (pc + 1) as u32;
                                 break 'inner Exit::Boundary;
                             }
-                            let timer = self.begin(fid, cf, pc + 1)?;
+                            self.begin(cf, pc + 1)?;
                             let s = (f64::from_bits(rd(regs, x)) + f64::from_bits(rd(regs, y)))
                                 .to_bits();
                             self.finish(fid, cf, pc + 1, dst, s, regs);
-                            self.end(fid, pc + 1, timer);
                             pc += 2;
                         }
                         Bc::Call { .. } => {
@@ -1054,26 +997,12 @@ impl<'m, H: ExecHook, const LOG: bool> CMachine<'m, H, LOG> {
                             break 'inner Exit::Ret;
                         }
                         Bc::Br { edge } => {
-                            if H::ENABLED {
-                                let (b, _) = cf.meta[pc];
-                                let func = module.func(fid);
-                                if let Term::Br { target, args } = &func.blocks[b as usize].term {
-                                    self.hook.branch_transfer(
-                                        None,
-                                        &func.blocks[target.0 as usize].params,
-                                        args,
-                                    );
-                                }
-                            }
                             pc = take_edge(cf, edge, regs, &mut move_buf) as usize;
                             continue 'inner;
                         }
                         Bc::CondBr { cond, edge } => {
                             let c = rd(regs, cond) & 1;
                             let e = if c != 0 { edge } else { edge + 1 };
-                            if H::ENABLED {
-                                self.cond_branch_hook(fid, cf, pc, c);
-                            }
                             pc = take_edge(cf, e, regs, &mut move_buf) as usize;
                             continue 'inner;
                         }
@@ -1084,10 +1013,9 @@ impl<'m, H: ExecHook, const LOG: bool> CMachine<'m, H, LOG> {
                             b,
                             edge,
                         } => {
-                            let timer = self.begin(fid, cf, pc)?;
+                            self.begin(cf, pc)?;
                             let r = icmp(pred, rd(regs, a), rd(regs, b));
                             self.finish(fid, cf, pc, dst, r, regs);
-                            self.end(fid, pc, timer);
                             if self.profile.value_dynamic >= self.next_vd {
                                 // Boundary between the compare and the
                                 // branch: resume at the unfused stub.
@@ -1096,9 +1024,6 @@ impl<'m, H: ExecHook, const LOG: bool> CMachine<'m, H, LOG> {
                             }
                             let c = rd(regs, dst) & 1;
                             let e = if c != 0 { edge } else { edge + 1 };
-                            if H::ENABLED {
-                                self.cond_branch_hook(fid, cf, pc + 1, c);
-                            }
                             pc = take_edge(cf, e, regs, &mut move_buf) as usize;
                             continue 'inner;
                         }
@@ -1109,19 +1034,15 @@ impl<'m, H: ExecHook, const LOG: bool> CMachine<'m, H, LOG> {
                             b,
                             edge,
                         } => {
-                            let timer = self.begin(fid, cf, pc)?;
+                            self.begin(cf, pc)?;
                             let r = fcmp(pred, rd(regs, a), rd(regs, b));
                             self.finish(fid, cf, pc, dst, r, regs);
-                            self.end(fid, pc, timer);
                             if self.profile.value_dynamic >= self.next_vd {
                                 *frame_pc = (pc + 1) as u32;
                                 break 'inner Exit::Boundary;
                             }
                             let c = rd(regs, dst) & 1;
                             let e = if c != 0 { edge } else { edge + 1 };
-                            if H::ENABLED {
-                                self.cond_branch_hook(fid, cf, pc + 1, c);
-                            }
                             pc = take_edge(cf, e, regs, &mut move_buf) as usize;
                             continue 'inner;
                         }
@@ -1135,20 +1056,18 @@ impl<'m, H: ExecHook, const LOG: bool> CMachine<'m, H, LOG> {
                             cb,
                             edge,
                         } => {
-                            let timer = self.begin(fid, cf, pc)?;
+                            self.begin(cf, pc)?;
                             let r = (rd(regs, a) as i64).wrapping_add(rd(regs, b) as i64) as u64;
                             self.finish(fid, cf, pc, dst, r, regs);
-                            self.end(fid, pc, timer);
                             if self.profile.value_dynamic >= self.next_vd {
                                 // Boundary between the add and the
                                 // compare: resume at the cmp-br stub.
                                 *frame_pc = (pc + 1) as u32;
                                 break 'inner Exit::Boundary;
                             }
-                            let timer = self.begin(fid, cf, pc + 1)?;
+                            self.begin(cf, pc + 1)?;
                             let c = icmp(pred, rd(regs, ca), rd(regs, cb));
                             self.finish(fid, cf, pc + 1, cdst, c, regs);
-                            self.end(fid, pc + 1, timer);
                             if self.profile.value_dynamic >= self.next_vd {
                                 // Boundary between the compare and the
                                 // branch: resume at the cond-br stub.
@@ -1157,9 +1076,6 @@ impl<'m, H: ExecHook, const LOG: bool> CMachine<'m, H, LOG> {
                             }
                             let c = rd(regs, cdst) & 1;
                             let e = if c != 0 { edge } else { edge + 1 };
-                            if H::ENABLED {
-                                self.cond_branch_hook(fid, cf, pc + 2, c);
-                            }
                             pc = take_edge(cf, e, regs, &mut move_buf) as usize;
                             continue 'inner;
                         }
@@ -1170,23 +1086,17 @@ impl<'m, H: ExecHook, const LOG: bool> CMachine<'m, H, LOG> {
                             index,
                             dst,
                         } => {
-                            let timer = self.begin(fid, cf, pc)?;
+                            self.begin(cf, pc)?;
                             let r = rd(regs, base).wrapping_add(rd(regs, index));
                             self.finish(fid, cf, pc, gep_dst, r, regs);
-                            self.end(fid, pc, timer);
                             if self.profile.value_dynamic >= self.next_vd {
                                 *frame_pc = (pc + 1) as u32;
                                 break 'inner Exit::Boundary;
                             }
-                            let timer = self.begin(fid, cf, pc + 1)?;
+                            self.begin(cf, pc + 1)?;
                             let p = rd(regs, gep_dst);
                             let word = self.mem_read(p)?;
-                            if H::ENABLED {
-                                let ins = self.instr_at(fid, pc + 1);
-                                self.hook.mem_load(ins, p, word);
-                            }
                             self.finish(fid, cf, pc + 1, dst, canon(ty, word), regs);
-                            self.end(fid, pc + 1, timer);
                             pc += 2;
                         }
                         Bc::GepStore {
@@ -1195,23 +1105,17 @@ impl<'m, H: ExecHook, const LOG: bool> CMachine<'m, H, LOG> {
                             index,
                             val,
                         } => {
-                            let timer = self.begin(fid, cf, pc)?;
+                            self.begin(cf, pc)?;
                             let r = rd(regs, base).wrapping_add(rd(regs, index));
                             self.finish(fid, cf, pc, gep_dst, r, regs);
-                            self.end(fid, pc, timer);
                             if self.profile.value_dynamic >= self.next_vd {
                                 *frame_pc = (pc + 1) as u32;
                                 break 'inner Exit::Boundary;
                             }
-                            let timer = self.begin(fid, cf, pc + 1)?;
+                            self.begin(cf, pc + 1)?;
                             let p = rd(regs, gep_dst);
                             let v = rd(regs, val);
                             self.mem_write(p, v)?;
-                            if H::ENABLED {
-                                let ins = self.instr_at(fid, pc + 1);
-                                self.hook.mem_store(ins, p, v);
-                            }
-                            self.end(fid, pc + 1, timer);
                             pc += 2;
                         }
                     }
@@ -1233,7 +1137,7 @@ impl<'m, H: ExecHook, const LOG: bool> CMachine<'m, H, LOG> {
                         Bc::Call { callee, args, .. } => (callee, args as usize),
                         _ => unreachable!("Exit::Call at a non-call pc"),
                     };
-                    let timer = self.begin(fid, cf, pc)?;
+                    self.begin(cf, pc)?;
                     let nargs = module.func(callee).params.len();
                     arg_buf.clear();
                     arg_buf.extend(
@@ -1241,11 +1145,7 @@ impl<'m, H: ExecHook, const LOG: bool> CMachine<'m, H, LOG> {
                             .iter()
                             .map(|&r| rd(&arena[base..], r)),
                     );
-                    if H::ENABLED {
-                        let ins = self.instr_at(fid, pc);
-                        self.hook.call_enter(ins, callee);
-                    }
-                    self.push_cframe(frames, arena, callee, &arg_buf, timer)?;
+                    self.push_cframe(frames, arena, callee, &arg_buf)?;
                     continue 'outer;
                 }
                 Exit::Ret => {
@@ -1257,12 +1157,6 @@ impl<'m, H: ExecHook, const LOG: bool> CMachine<'m, H, LOG> {
                         Bc::Ret { val } => val,
                         _ => unreachable!("Exit::Ret at a non-ret pc"),
                     };
-                    if H::ENABLED {
-                        let (b, _) = cf.meta[pc];
-                        if let Term::Ret { value } = &module.func(fid).blocks[b as usize].term {
-                            self.hook.func_ret(value.as_ref());
-                        }
-                    }
                     let v = if val_reg == NO_REG {
                         None
                     } else {
@@ -1279,14 +1173,10 @@ impl<'m, H: ExecHook, const LOG: bool> CMachine<'m, H, LOG> {
                                 len: len as u32,
                             });
                         }
-                        if H::ENABLED {
-                            self.hook.mem_clear(frame_sp, len);
-                        }
                     }
                     self.stack_ptr = frame_sp;
                     let popped = frames.pop().expect("ret with no frame");
                     arena.truncate(popped.base as usize);
-                    let timer = popped.call_timer;
                     match frames.last_mut() {
                         None => return Ok(RunEnd::Done(v)),
                         Some(caller) => {
@@ -1303,10 +1193,6 @@ impl<'m, H: ExecHook, const LOG: bool> CMachine<'m, H, LOG> {
                                 self.finish(cfid, ccf, cpc, dst, bits, &mut arena[cbase..]);
                             }
                             caller.pc += 1;
-                            if timer.is_some() {
-                                let cfid = caller.fid;
-                                self.end(cfid, cpc, timer);
-                            }
                         }
                     }
                     continue 'outer;
@@ -1325,37 +1211,8 @@ impl<'m, H: ExecHook, const LOG: bool> CMachine<'m, H, LOG> {
                 len: (end - base) as u32,
             });
         }
-        if H::ENABLED {
-            self.hook.mem_clear(base, end - base);
-        }
         self.stack_ptr = end;
         Ok(base)
-    }
-
-    /// `branch_transfer` for a conditional branch: recover the `Term`
-    /// operands the interpreter would pass. `pc` must be the pc whose
-    /// `meta` names the branching block (the cond-br stub for fused
-    /// pairs).
-    #[cold]
-    fn cond_branch_hook(&mut self, fid: FuncId, cf: &CompiledFunc, pc: usize, c: u64) {
-        let (b, _) = cf.meta[pc];
-        let func = self.module.func(fid);
-        if let Term::CondBr {
-            cond,
-            then_target,
-            then_args,
-            else_target,
-            else_args,
-        } = &func.blocks[b as usize].term
-        {
-            let (target, targs) = if c != 0 {
-                (then_target, then_args)
-            } else {
-                (else_target, else_args)
-            };
-            self.hook
-                .branch_transfer(Some(cond), &func.blocks[target.0 as usize].params, targs);
-        }
     }
 }
 
@@ -1384,10 +1241,10 @@ fn take_edge(cf: &CompiledFunc, e: u32, regs: &mut [u64], buf: &mut Vec<u64>) ->
 
 /// The compiled engine's public face: same constructor shape and entry
 /// points as [`crate::Vm`], dispatching over a pre-lowered
-/// [`CompiledModule`]. Everything runs here — full runs, hooked runs,
+/// [`CompiledModule`]. Every uninstrumented run runs here — full runs,
 /// snapshot capture (with future read sets), snapshot resume and
 /// convergence trials; the interpreter is the reference it is compared
-/// against.
+/// against and the one engine that runs an [`crate::ExecHook`].
 pub struct CompiledVm<'m> {
     module: &'m Module,
     code: &'m CompiledModule,
@@ -1418,24 +1275,13 @@ impl<'m> CompiledVm<'m> {
     }
 
     pub fn run(&self, input_bits: &[u64], injection: Option<Injection>) -> RunOutput {
-        let mut hook = NoHook;
-        self.run_with_hook(input_bits, injection, &mut hook)
+        self.run_impl::<false>(input_bits, injection, None, &[]).0
     }
 
     /// Golden/trial run from numeric inputs, as [`crate::Vm::run_numeric`].
     pub fn run_numeric(&self, inputs: &[f64], injection: Option<Injection>) -> RunOutput {
         let bits = crate::inputs::encode_inputs(self.module.entry_func(), inputs);
         self.run(&bits, injection)
-    }
-
-    pub fn run_with_hook<H: ExecHook>(
-        &self,
-        input_bits: &[u64],
-        injection: Option<Injection>,
-        hook: &mut H,
-    ) -> RunOutput {
-        self.run_impl::<H, false>(input_bits, injection, hook, None, &[])
-            .0
     }
 
     /// Full run that starts from `scratch`'s buffer, reused across
@@ -1447,8 +1293,7 @@ impl<'m> CompiledVm<'m> {
         input_bits: &[u64],
         injection: Option<Injection>,
     ) -> RunOutput {
-        let mut hook = NoHook;
-        self.run_impl::<NoHook, false>(input_bits, injection, &mut hook, Some(scratch), &[])
+        self.run_impl::<false>(input_bits, injection, Some(scratch), &[])
             .0
     }
 
@@ -1463,8 +1308,7 @@ impl<'m> CompiledVm<'m> {
         input_bits: &[u64],
         points: &[u64],
     ) -> (RunOutput, Vec<VmSnapshot>) {
-        let (out, cap) =
-            self.run_impl::<NoHook, false>(input_bits, None, &mut NoHook, None, points);
+        let (out, cap) = self.run_impl::<false>(input_bits, None, None, points);
         (out, cap.snaps)
     }
 
@@ -1481,15 +1325,14 @@ impl<'m> CompiledVm<'m> {
             self.limits.memory_words <= u32::MAX as usize,
             "access tracing addresses memory with u32 word indices"
         );
-        let (out, cap) = self.run_impl::<NoHook, true>(input_bits, None, &mut NoHook, None, points);
+        let (out, cap) = self.run_impl::<true>(input_bits, None, None, points);
         (out, cap.snaps, ReadSets::from_log(&cap.log))
     }
 
-    fn run_impl<H: ExecHook, const LOG: bool>(
+    fn run_impl<const LOG: bool>(
         &self,
         input_bits: &[u64],
         injection: Option<Injection>,
-        hook: &mut H,
         mut scratch: Option<&mut ResumeScratch>,
         points: &[u64],
     ) -> (RunOutput, Captured) {
@@ -1500,7 +1343,7 @@ impl<'m> CompiledVm<'m> {
             Some(s) => s.image(globals, limit),
             None => Image::new(globals.clone(), limit),
         };
-        let mut m = self.machine::<H, LOG>(memory, hook, injection);
+        let mut m = self.machine::<LOG>(memory, injection);
         m.stack_ptr = self.module.globals_words();
         if !points.is_empty() {
             debug_assert!(
@@ -1522,7 +1365,7 @@ impl<'m> CompiledVm<'m> {
         let mut frames: Vec<CFrame> = Vec::new();
         let mut arena: Vec<u64> = Vec::new();
         let end = m
-            .push_cframe(&mut frames, &mut arena, self.module.entry, &args, None)
+            .push_cframe(&mut frames, &mut arena, self.module.entry, &args)
             .and_then(|()| m.drive(&mut frames, &mut arena));
         m.fold_seg_hits();
         if let Some(s) = scratch {
@@ -1550,17 +1393,7 @@ impl<'m> CompiledVm<'m> {
     }
 
     pub fn resume_from(&self, snap: &VmSnapshot, injection: Option<Injection>) -> RunOutput {
-        let mut hook = NoHook;
-        self.resume_from_with_hook(snap, injection, &mut hook)
-    }
-
-    pub fn resume_from_with_hook<H: ExecHook>(
-        &self,
-        snap: &VmSnapshot,
-        injection: Option<Injection>,
-        hook: &mut H,
-    ) -> RunOutput {
-        match self.resume_impl(snap, injection, hook, &[], None, None, None) {
+        match self.resume_impl(snap, injection, &[], None, None, None) {
             TrialResume::Completed(out) => out,
             TrialResume::Converged { .. } => unreachable!("no checkpoints supplied"),
         }
@@ -1579,11 +1412,9 @@ impl<'m> CompiledVm<'m> {
         masks: Option<&ConvergeMasks>,
         read_sets: Option<&ReadSets>,
     ) -> TrialResume {
-        let mut hook = NoHook;
         self.resume_impl(
             snap,
             injection,
-            &mut hook,
             checkpoints,
             masks,
             read_sets,
@@ -1591,12 +1422,10 @@ impl<'m> CompiledVm<'m> {
         )
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn resume_impl<'a, H: ExecHook>(
+    fn resume_impl<'a>(
         &'a self,
         snap: &VmSnapshot,
         injection: Option<Injection>,
-        hook: &'a mut H,
         checkpoints: &'a [VmSnapshot],
         masks: Option<&'a ConvergeMasks>,
         read_sets: Option<&'a ReadSets>,
@@ -1611,7 +1440,7 @@ impl<'m> CompiledVm<'m> {
             Some(s) => s.image(&d.mem, self.limits.memory_words),
             None => Image::new(d.mem.clone(), self.limits.memory_words),
         };
-        let mut m = self.machine::<H, false>(memory, hook, injection);
+        let mut m = self.machine::<false>(memory, injection);
         m.stack_ptr = d.stack_ptr;
         m.profile = Profile {
             exec_counts: d.exec_counts.clone(),
@@ -1642,7 +1471,6 @@ impl<'m> CompiledVm<'m> {
                 base: base as u32,
                 pc: cf.pc_of[f.block as usize][f.instr as usize],
                 frame_sp: f.frame_sp,
-                call_timer: None,
             });
         }
         let end = m.drive(&mut frames, &mut arena);
@@ -1684,12 +1512,11 @@ impl<'m> CompiledVm<'m> {
         }
     }
 
-    fn machine<'h, H: ExecHook, const LOG: bool>(
-        &'h self,
+    fn machine<const LOG: bool>(
+        &self,
         memory: Image,
-        hook: &'h mut H,
         injection: Option<Injection>,
-    ) -> CMachine<'h, &'h mut H, LOG> {
+    ) -> CMachine<'_, LOG> {
         let inj_vd = match injection {
             Some(Injection {
                 target: InjectionTarget::DynamicIndex(k),
@@ -1720,7 +1547,6 @@ impl<'m> CompiledVm<'m> {
             next_vd: u64::MAX,
             seg_hits: vec![0u64; self.code.total_pcs],
             log: AccessLog::default(),
-            hook,
         }
     }
 }

@@ -1,6 +1,6 @@
-//! The execution-engine seam: one handle ([`Engine`]) that campaign,
-//! provenance, and CLI code drive without caring whether trials run on
-//! the tree-walking interpreter ([`crate::Vm`]) or the compiled
+//! The execution-engine seam: one handle ([`Engine`]) that campaign
+//! and CLI code drive without caring whether trials run on the
+//! tree-walking interpreter ([`crate::Vm`]) or the compiled
 //! threaded-bytecode backend ([`CompiledVm`]).
 //!
 //! Every command runs on the compiled engine, snapshot capture
@@ -10,11 +10,12 @@
 //! contract in DESIGN.md and `crates/vm/tests/engine_differential.rs`),
 //! down to the [`VmSnapshot`]s and [`ReadSets`] a capture produces.
 //! Snapshots are engine-independent data: either engine resumes what
-//! either captured.
+//! either captured. The seam carries no [`crate::ExecHook`]: a run that
+//! needs one builds a [`Vm`] and calls [`Vm::run_with_hook`] or
+//! [`Vm::resume_from_with_hook`].
 
 use crate::compiled::CompiledVm;
 use crate::exec::{ExecLimits, Injection, RunOutput, Vm};
-use crate::hooks::ExecHook;
 use crate::image::ResumeScratch;
 use crate::lower::CompiledModule;
 use crate::snapshot::{ConvergeMasks, ReadSets, TrialResume, VmSnapshot};
@@ -44,20 +45,6 @@ impl EngineKind {
 impl std::fmt::Display for EngineKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.as_str())
-    }
-}
-
-impl std::str::FromStr for EngineKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<EngineKind, String> {
-        match s {
-            "interp" | "interpreter" => Ok(EngineKind::Interp),
-            "compiled" => Ok(EngineKind::Compiled),
-            other => Err(format!(
-                "unknown engine '{other}' (expected 'interp' or 'compiled')"
-            )),
-        }
     }
 }
 
@@ -161,18 +148,6 @@ impl<'m> Engine<'m> {
         }
     }
 
-    pub fn run_with_hook<H: ExecHook>(
-        &self,
-        input_bits: &[u64],
-        injection: Option<Injection>,
-        hook: &mut H,
-    ) -> RunOutput {
-        match self.cvm() {
-            Some(c) => c.run_with_hook(input_bits, injection, hook),
-            None => self.vm().run_with_hook(input_bits, injection, hook),
-        }
-    }
-
     /// Fault-free run that captures a [`VmSnapshot`] at each fork point
     /// in `points` (see [`Vm::run_with_snapshots`]).
     pub fn run_with_snapshots(
@@ -200,18 +175,6 @@ impl<'m> Engine<'m> {
         }
     }
 
-    pub fn resume_from_with_hook<H: ExecHook>(
-        &self,
-        snap: &VmSnapshot,
-        injection: Option<Injection>,
-        hook: &mut H,
-    ) -> RunOutput {
-        match self.cvm() {
-            Some(c) => c.resume_from_with_hook(snap, injection, hook),
-            None => self.vm().resume_from_with_hook(snap, injection, hook),
-        }
-    }
-
     /// Resumes one trial with convergence exits (see
     /// [`Vm::resume_trial`]). On the compiled backend the memory buffer
     /// is reused across trials via `scratch`, as in
@@ -235,18 +198,5 @@ impl<'m> Engine<'m> {
                 .vm()
                 .resume_trial(snap, injection, checkpoints, masks, read_sets),
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn engine_kind_round_trips_through_strings() {
-        for k in [EngineKind::Interp, EngineKind::Compiled] {
-            assert_eq!(k.as_str().parse::<EngineKind>().unwrap(), k);
-        }
-        assert!("jit".parse::<EngineKind>().is_err());
     }
 }

@@ -252,9 +252,6 @@ struct Frame {
     instr: u32,
     /// Stack pointer to restore when this frame returns.
     frame_sp: u64,
-    /// Timer for the *caller's* call instruction, when the hook asked to
-    /// time it; ends when this frame returns.
-    call_timer: Option<std::time::Instant>,
 }
 
 struct State<'m, H: ExecHook> {
@@ -293,9 +290,10 @@ impl<'m> Vm<'m> {
     }
 
     /// Like [`run`](Self::run), with an [`ExecHook`] observing each
-    /// dynamic instruction (per-opcode profiling, sampled timing). The
-    /// instruction loop is monomorphized over the hook type, so the
-    /// hook-free paths above pay nothing for this entry point existing.
+    /// dynamic instruction. The instruction loop is monomorphized over
+    /// the hook type, so the hook-free paths above pay nothing for this
+    /// entry point existing. The compiled engine has no hooked entry
+    /// point: every instrumented run is an interpreter run.
     pub fn run_with_hook<H: ExecHook>(
         &self,
         input_bits: &[u64],
@@ -466,7 +464,7 @@ impl<'m> Vm<'m> {
 
         let mut frames: Vec<Frame> = Vec::new();
         let end = state
-            .push_frame(&mut frames, self.module.entry, &args, None)
+            .push_frame(&mut frames, self.module.entry, &args)
             .and_then(|()| state.drive(&mut frames, ctl));
         let (status, ret) = match end {
             Ok(RunEnd::Done(v)) => (RunStatus::Ok, v),
@@ -528,7 +526,6 @@ impl<'m> Vm<'m> {
                 block: f.block,
                 instr: f.instr,
                 frame_sp: f.frame_sp,
-                call_timer: None,
             })
             .collect();
 
@@ -587,7 +584,6 @@ impl<'m, H: ExecHook> State<'m, H> {
         frames: &mut Vec<Frame>,
         fid: FuncId,
         args: &[u64],
-        call_timer: Option<std::time::Instant>,
     ) -> Result<(), Stop> {
         if frames.len() >= self.limits.max_call_depth {
             return Err(Stop::Trap(Trap::CallDepth));
@@ -601,7 +597,6 @@ impl<'m, H: ExecHook> State<'m, H> {
             block: 0,
             instr: 0,
             frame_sp: self.stack_ptr,
-            call_timer,
         });
         Ok(())
     }
@@ -639,25 +634,20 @@ impl<'m, H: ExecHook> State<'m, H> {
                     return Err(Stop::Hang);
                 }
                 self.profile.exec_counts[ins.sid.0 as usize] += 1;
-                let timer = if H::ENABLED && self.hook.begin_instr(ins) {
-                    Some(std::time::Instant::now())
-                } else {
-                    None
-                };
+                if H::ENABLED {
+                    self.hook.begin_instr(ins);
+                }
                 if let Op::Call { func: callee, args } = &ins.op {
                     let vals: Vec<u64> = args.iter().map(|a| eval(&frame.regs, a)).collect();
                     if H::ENABLED {
                         self.hook.call_enter(ins, *callee);
                     }
-                    self.push_frame(frames, *callee, &vals, timer)?;
+                    self.push_frame(frames, *callee, &vals)?;
                     continue;
                 }
                 let computed = self.exec_instr(func, ins, &mut frame.regs)?;
                 self.finish_instr(func, ins, computed, &mut frame.regs);
                 frame.instr += 1;
-                if let Some(t0) = timer {
-                    self.hook.end_instr(ins, t0.elapsed().as_nanos() as u64);
-                }
             } else {
                 match &block.term {
                     Term::Br { target, args } => {
@@ -724,7 +714,6 @@ impl<'m, H: ExecHook> State<'m, H> {
                             }
                         }
                         self.stack_ptr = frame.frame_sp;
-                        let timer = frame.call_timer;
                         frames.pop();
                         match frames.last_mut() {
                             None => return Ok(RunEnd::Done(v)),
@@ -734,9 +723,6 @@ impl<'m, H: ExecHook> State<'m, H> {
                                     [caller.instr as usize];
                                 self.finish_instr(cfunc, cins, v, &mut caller.regs);
                                 caller.instr += 1;
-                                if let Some(t0) = timer {
-                                    self.hook.end_instr(cins, t0.elapsed().as_nanos() as u64);
-                                }
                             }
                         }
                     }
@@ -1461,33 +1447,62 @@ mod tests {
         assert_eq!(out.ret, Some((1i64 + i32::MIN as i64) as u64));
     }
 
-    #[test]
-    fn hook_counts_match_profile() {
-        let m = loop_module();
-        let vm = Vm::new(&m, ExecLimits::default());
-        let bits = crate::inputs::encode_inputs(m.entry_func(), &[10.0]);
-        let mut prof = crate::hooks::OpcodeProfile::new(1);
-        let out = vm.run_with_hook(&bits, None, &mut prof);
-        assert_eq!(out.status, RunStatus::Ok);
-        assert_eq!(prof.total(), out.profile.dynamic);
-        for (sid, c) in out.profile.exec_counts.iter().enumerate() {
-            assert_eq!(prof.sid_count(InstrId(sid as u32)), *c, "sid {sid}");
+    /// Counts `begin_instr` calls per sid.
+    #[derive(Default)]
+    struct BeginCounts(Vec<u64>);
+
+    impl ExecHook for BeginCounts {
+        const ENABLED: bool = true;
+
+        fn begin_instr(&mut self, ins: &Instr) {
+            let sid = ins.sid.0 as usize;
+            if sid >= self.0.len() {
+                self.0.resize(sid + 1, 0);
+            }
+            self.0[sid] += 1;
         }
-        let table = prof.hot_table(&m, 3);
-        assert!(table.contains("icmp"), "{table}");
     }
 
+    /// A hook never perturbs the run, and `begin_instr` fires exactly
+    /// where the profile counts an instruction, so the hot table read
+    /// from the profile counts what a hook would.
     #[test]
-    fn hooked_run_output_matches_plain_run() {
+    fn hooked_run_matches_plain_run_and_its_profile() {
         let m = loop_module();
-        let vm = Vm::new(&m, ExecLimits::default());
-        let bits = crate::inputs::encode_inputs(m.entry_func(), &[7.0]);
-        let plain = vm.run(&bits, None);
-        let mut prof = crate::hooks::OpcodeProfile::default();
-        let hooked = vm.run_with_hook(&bits, None, &mut prof);
-        assert_eq!(plain.output, hooked.output);
-        assert_eq!(plain.ret, hooked.ret);
-        assert_eq!(plain.profile, hooked.profile);
+        let bits = crate::inputs::encode_inputs(m.entry_func(), &[10.0]);
+        for (max_dynamic, status) in [
+            (ExecLimits::default().max_dynamic, RunStatus::Ok),
+            (20, RunStatus::Hang),
+        ] {
+            let vm = Vm::new(
+                &m,
+                ExecLimits {
+                    max_dynamic,
+                    ..ExecLimits::default()
+                },
+            );
+            let plain = vm.run(&bits, None);
+            let mut begins = BeginCounts::default();
+            let hooked = vm.run_with_hook(&bits, None, &mut begins);
+            assert_eq!(plain.status, status);
+            assert_eq!(plain.status, hooked.status);
+            assert_eq!(plain.output, hooked.output);
+            assert_eq!(plain.ret, hooked.ret);
+            assert_eq!(plain.profile, hooked.profile);
+            begins.0.resize(m.num_instrs, 0);
+            assert_eq!(begins.0, plain.profile.exec_counts);
+            let began: u64 = begins.0.iter().sum();
+            let table = plain.profile.hot_table(&m, 3);
+            assert!(table.contains("icmp"), "{table}");
+            assert!(
+                table.contains(&format!("total dynamic instructions: {began}\n")),
+                "{table}"
+            );
+            // The hang budget counts the instruction it stops, which
+            // never begins.
+            let stopped = u64::from(status == RunStatus::Hang);
+            assert_eq!(began + stopped, plain.profile.dynamic);
+        }
     }
 
     #[test]

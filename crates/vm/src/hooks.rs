@@ -1,18 +1,18 @@
-//! Execution hooks: zero-cost instrumentation points in the interpreter.
+//! Execution hooks: zero-cost instrumentation points in the reference
+//! interpreter.
 //!
 //! The interpreter's instruction loop is monomorphized over an
 //! [`ExecHook`]. The default [`NoHook`] has `ENABLED == false`, so the
 //! hook branch is `if false { .. }` after constant folding and the
 //! un-instrumented path compiles to exactly the code it had before hooks
-//! existed. Profiling callers pass an [`OpcodeProfile`] (or their own
-//! hook) to [`crate::Vm::run_with_hook`].
-//!
-//! Wall-time is *sampled*: timing every instruction would pay two
-//! `Instant::now()` calls per dynamic instruction and measure mostly
-//! timer overhead. `OpcodeProfile` times every `sample_every`-th
-//! instruction and scales counts up when estimating totals.
+//! existed. [`crate::Vm::run_with_hook`] and
+//! [`crate::Vm::resume_from_with_hook`] are the only hooked entry points:
+//! the compiled engine carries no hook, so an instrumented run (the
+//! shadow-taint tracer, the campaign's sid map, the deviation observer,
+//! the soundness tests) runs on the interpreter. A per-opcode profile
+//! needs no hook: [`crate::Profile::hot_table`] reads a run's counts.
 
-use peppa_ir::{FuncId, Instr, InstrId, Module, Op, Operand, ValueId};
+use peppa_ir::{FuncId, Instr, Operand, ValueId};
 
 /// An instrumentation sink for the interpreter's instruction loop.
 ///
@@ -21,21 +21,11 @@ use peppa_ir::{FuncId, Instr, InstrId, Module, Op, Operand, ValueId};
 pub trait ExecHook {
     const ENABLED: bool;
 
-    /// Called before each dynamic instruction. Returns `true` to request
-    /// wall-clock timing for this instruction ([`end_instr`] then fires
-    /// with the elapsed time).
-    ///
-    /// [`end_instr`]: ExecHook::end_instr
+    /// Called before each dynamic instruction, where the run counts it in
+    /// [`crate::Profile::exec_counts`].
     #[inline]
-    fn begin_instr(&mut self, ins: &Instr) -> bool {
+    fn begin_instr(&mut self, ins: &Instr) {
         let _ = ins;
-        false
-    }
-
-    /// Called after a timed instruction with its elapsed wall time.
-    #[inline]
-    fn end_instr(&mut self, ins: &Instr, elapsed_ns: u64) {
-        let _ = (ins, elapsed_ns);
     }
 
     /// Called when a value-producing instruction writes its result
@@ -122,13 +112,8 @@ impl<H: ExecHook> ExecHook for &mut H {
     const ENABLED: bool = H::ENABLED;
 
     #[inline]
-    fn begin_instr(&mut self, ins: &Instr) -> bool {
+    fn begin_instr(&mut self, ins: &Instr) {
         (**self).begin_instr(ins)
-    }
-
-    #[inline]
-    fn end_instr(&mut self, ins: &Instr, elapsed_ns: u64) {
-        (**self).end_instr(ins, elapsed_ns)
     }
 
     #[inline]
@@ -172,177 +157,6 @@ impl<H: ExecHook> ExecHook for &mut H {
     }
 }
 
-/// Number of coarse opcode categories (the [`Op`] variants).
-const OP_KINDS: usize = 12;
-
-const OP_NAMES: [&str; OP_KINDS] = [
-    "bin", "un", "icmp", "fcmp", "select", "cast", "load", "store", "gep", "alloca", "call",
-    "output",
-];
-
-#[inline]
-fn op_index(op: &Op) -> usize {
-    match op {
-        Op::Bin { .. } => 0,
-        Op::Un { .. } => 1,
-        Op::Icmp { .. } => 2,
-        Op::Fcmp { .. } => 3,
-        Op::Select { .. } => 4,
-        Op::Cast { .. } => 5,
-        Op::Load { .. } => 6,
-        Op::Store { .. } => 7,
-        Op::Gep { .. } => 8,
-        Op::Alloca { .. } => 9,
-        Op::Call { .. } => 10,
-        Op::Output { .. } => 11,
-    }
-}
-
-#[derive(Debug, Clone, Copy, Default)]
-struct OpTiming {
-    samples: u64,
-    sum_ns: u64,
-    max_ns: u64,
-}
-
-/// An [`ExecHook`] collecting per-opcode dynamic counts and sampled
-/// per-opcode wall time, plus per-static-instruction (`sid`) counts for
-/// the hot-instruction table.
-#[derive(Debug, Clone)]
-pub struct OpcodeProfile {
-    /// Dynamic executions per [`Op`] variant.
-    counts: [u64; OP_KINDS],
-    /// Sampled timings per [`Op`] variant.
-    timing: [OpTiming; OP_KINDS],
-    /// Dynamic executions per static instruction, indexed by `sid`.
-    sid_counts: Vec<u64>,
-    /// Time every `sample_every`-th instruction (1 = every instruction).
-    sample_every: u64,
-    tick: u64,
-}
-
-impl Default for OpcodeProfile {
-    fn default() -> Self {
-        OpcodeProfile::new(64)
-    }
-}
-
-impl ExecHook for OpcodeProfile {
-    const ENABLED: bool = true;
-
-    #[inline]
-    fn begin_instr(&mut self, ins: &Instr) -> bool {
-        self.counts[op_index(&ins.op)] += 1;
-        let sid = ins.sid.0 as usize;
-        if sid >= self.sid_counts.len() {
-            self.sid_counts.resize(sid + 1, 0);
-        }
-        self.sid_counts[sid] += 1;
-        self.tick += 1;
-        self.tick.is_multiple_of(self.sample_every)
-    }
-
-    #[inline]
-    fn end_instr(&mut self, ins: &Instr, elapsed_ns: u64) {
-        let t = &mut self.timing[op_index(&ins.op)];
-        t.samples += 1;
-        t.sum_ns += elapsed_ns;
-        t.max_ns = t.max_ns.max(elapsed_ns);
-    }
-}
-
-impl OpcodeProfile {
-    pub fn new(sample_every: u64) -> OpcodeProfile {
-        OpcodeProfile {
-            counts: [0; OP_KINDS],
-            timing: [OpTiming::default(); OP_KINDS],
-            sid_counts: Vec::new(),
-            sample_every: sample_every.max(1),
-            tick: 0,
-        }
-    }
-
-    /// Total dynamic instructions observed.
-    pub fn total(&self) -> u64 {
-        self.counts.iter().sum()
-    }
-
-    /// Dynamic count for one opcode category (by [`Op`] variant name,
-    /// e.g. `"bin"`, `"load"`). `None` for unknown names.
-    pub fn count_of(&self, name: &str) -> Option<u64> {
-        OP_NAMES
-            .iter()
-            .position(|n| *n == name)
-            .map(|i| self.counts[i])
-    }
-
-    /// Dynamic count for one static instruction.
-    pub fn sid_count(&self, sid: InstrId) -> u64 {
-        self.sid_counts.get(sid.0 as usize).copied().unwrap_or(0)
-    }
-
-    /// Per-opcode summary: `(name, dynamic count, sampled mean ns)`,
-    /// sorted by count descending, zero-count rows dropped.
-    pub fn opcode_summary(&self) -> Vec<(&'static str, u64, f64)> {
-        let mut rows: Vec<(&'static str, u64, f64)> = (0..OP_KINDS)
-            .filter(|&i| self.counts[i] > 0)
-            .map(|i| {
-                let t = &self.timing[i];
-                let mean = if t.samples == 0 {
-                    0.0
-                } else {
-                    t.sum_ns as f64 / t.samples as f64
-                };
-                (OP_NAMES[i], self.counts[i], mean)
-            })
-            .collect();
-        rows.sort_by_key(|r| std::cmp::Reverse(r.1));
-        rows
-    }
-
-    /// Renders the hot-instruction table: the `top` most-executed static
-    /// instructions with mnemonic, dynamic count, and share of the total.
-    pub fn hot_table(&self, module: &Module, top: usize) -> String {
-        let total = self.total().max(1);
-        let mut sids: Vec<(usize, u64)> = self
-            .sid_counts
-            .iter()
-            .copied()
-            .enumerate()
-            .filter(|(_, c)| *c > 0)
-            .collect();
-        sids.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        sids.truncate(top);
-
-        let mut out = String::new();
-        out.push_str(&format!(
-            "{:>6}  {:>8}  {:>14}  {:>6}\n",
-            "sid", "op", "dyn", "share"
-        ));
-        for (sid, count) in sids {
-            let mnemonic = module
-                .op_of(InstrId(sid as u32))
-                .map(|op| op.mnemonic())
-                .unwrap_or("?");
-            out.push_str(&format!(
-                "{:>6}  {:>8}  {:>14}  {:>5.1}%\n",
-                sid,
-                mnemonic,
-                count,
-                count as f64 / total as f64 * 100.0
-            ));
-        }
-        out.push_str(&format!("  total dynamic instructions: {}\n", self.total()));
-        for (name, count, mean_ns) in self.opcode_summary() {
-            out.push_str(&format!(
-                "  {:>8}: {:>12} dyn, ~{:.0} ns sampled mean\n",
-                name, count, mean_ns
-            ));
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -351,23 +165,5 @@ mod tests {
     fn no_hook_is_zero_sized() {
         assert_eq!(std::mem::size_of::<NoHook>(), 0);
         const { assert!(!NoHook::ENABLED) };
-    }
-
-    #[test]
-    fn sampling_interval_controls_timing_requests() {
-        let ins = Instr {
-            sid: InstrId(0),
-            op: Op::Gep {
-                base: peppa_ir::Operand::i64(0),
-                index: peppa_ir::Operand::i64(0),
-            },
-            result: None,
-        };
-        let mut p = OpcodeProfile::new(4);
-        let timed: usize = (0..16).filter(|_| p.begin_instr(&ins)).count();
-        assert_eq!(timed, 4);
-        assert_eq!(p.total(), 16);
-        assert_eq!(p.count_of("gep"), Some(16));
-        assert_eq!(p.sid_count(InstrId(0)), 16);
     }
 }

@@ -23,7 +23,10 @@
 //! which every command runs on, and the tree-walking interpreter
 //! ([`Vm`]), the semantic reference the differential suites compare it
 //! against bit for bit. [`Engine`] is the seam campaigns run through;
-//! [`CompiledModule::lower`] is the one-time translation.
+//! [`CompiledModule::lower`] is the one-time translation. Instrumented
+//! runs, an [`ExecHook`] observing each instruction, run only on the
+//! interpreter ([`Vm::run_with_hook`]); the compiled engine carries no
+//! hook.
 
 pub mod compiled;
 pub mod engine;
@@ -42,7 +45,7 @@ pub use exec::{
     canon, exec_bin_checked, exec_cast, exec_fcmp, exec_icmp, exec_un, ExecLimits, Injection,
     InjectionTarget, RunOutput, RunStatus, Trap, Vm,
 };
-pub use hooks::{ExecHook, NoHook, OpcodeProfile};
+pub use hooks::{ExecHook, NoHook};
 pub use image::ResumeScratch;
 pub use inputs::encode_inputs;
 pub use lower::CompiledModule;

@@ -8,8 +8,8 @@
 //!
 //! * **Register allocation.** Each frame owns a flat `u64` register
 //!   file of `num_values + consts.len()` words: SSA values keep their
-//!   `ValueId` index (so fault injection, hooks, and snapshot frames
-//!   see the exact interpreter register file in the first
+//!   `ValueId` index (so fault injection and snapshot frames see
+//!   the exact interpreter register file in the first
 //!   `num_values` slots), and every distinct constant is
 //!   canonicalized once at lowering time and parked in a read-only
 //!   tail. An operand is then always a plain `u32` register index —
@@ -21,9 +21,8 @@
 //!   address-calc-store (`GepStore`), f64 multiply-add
 //!   (`FMulAdd`), and the counted-loop latch
 //!   (`IAddCmpBrI`: i64 add + compare + branch). Each fused
-//!   opcode still
-//!   performs full per-covered-instruction bookkeeping (dynamic
-//!   counts, hang budget, injection check, hooks) in interpreter
+//!   opcode still performs full per-covered-instruction bookkeeping
+//!   (dynamic counts, hang budget, injection check) in interpreter
 //!   order, and emits its second component *unfused* at `pc + 1` — a
 //!   stub the machine jumps into when a snapshot boundary falls
 //!   between the two halves, and that `CompiledFunc::pc_of` targets
@@ -286,7 +285,7 @@ pub(crate) struct CompiledFunc {
     pub(crate) sids: Vec<u32>,
     /// `(block, instr)` interpreter coordinates per pc — `instr ==
     /// block.instrs.len()` marks the terminator position. Used for
-    /// hook `&Instr` lookups and snapshot frame mapping.
+    /// the faulted `&Instr` lookup and snapshot frame mapping.
     pub(crate) meta: Vec<(u32, u32)>,
     /// `pc_of[block][instr]` for `instr` in `0..=instrs.len()`: the
     /// pc at which execution (re)starts from interpreter position

@@ -1,6 +1,33 @@
 //! Execution profiles: the dynamic counterpart of the static instruction
 //! table.
 
+use peppa_ir::{Module, Op};
+
+/// Number of coarse opcode categories (the [`Op`] variants).
+const OP_KINDS: usize = 12;
+
+const OP_NAMES: [&str; OP_KINDS] = [
+    "bin", "un", "icmp", "fcmp", "select", "cast", "load", "store", "gep", "alloca", "call",
+    "output",
+];
+
+fn op_index(op: &Op) -> usize {
+    match op {
+        Op::Bin { .. } => 0,
+        Op::Un { .. } => 1,
+        Op::Icmp { .. } => 2,
+        Op::Fcmp { .. } => 3,
+        Op::Select { .. } => 4,
+        Op::Cast { .. } => 5,
+        Op::Load { .. } => 6,
+        Op::Store { .. } => 7,
+        Op::Gep { .. } => 8,
+        Op::Alloca { .. } => 9,
+        Op::Call { .. } => 10,
+        Op::Output { .. } => 11,
+    }
+}
+
 /// Per-run execution profile.
 ///
 /// `exec_counts[sid]` is `N_i` from Eq. 2 of the paper — how many times
@@ -54,6 +81,54 @@ impl Profile {
             return 0.0;
         }
         self.exec_counts[sid] as f64 / self.dynamic as f64
+    }
+
+    /// Renders the hot-instruction table of this run of `module` (the
+    /// module the run executed, so every sid indexes it): the `top`
+    /// most-executed static instructions with mnemonic, dynamic
+    /// count and share of the total, then the dynamic count per opcode
+    /// category ([`Op`] variant), most executed first. The total is the
+    /// sum of `exec_counts`, the instructions that began: on a hang it is
+    /// one less than `dynamic`, which also counts the instruction the
+    /// budget stopped.
+    pub fn hot_table(&self, module: &Module, top: usize) -> String {
+        let instrs = module.all_instrs();
+        let mut per_op = [0u64; OP_KINDS];
+        for (sid, &count) in self.exec_counts.iter().enumerate() {
+            per_op[op_index(&instrs[sid].1.op)] += count;
+        }
+        let total: u64 = per_op.iter().sum();
+        let mut sids: Vec<(usize, u64)> = self
+            .exec_counts
+            .iter()
+            .copied()
+            .enumerate()
+            .filter(|(_, c)| *c > 0)
+            .collect();
+        sids.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        sids.truncate(top);
+
+        let mut out = String::new();
+        out.push_str(&format!(
+            "{:>6}  {:>8}  {:>14}  {:>6}\n",
+            "sid", "op", "dyn", "share"
+        ));
+        for (sid, count) in sids {
+            out.push_str(&format!(
+                "{:>6}  {:>8}  {:>14}  {:>5.1}%\n",
+                sid,
+                instrs[sid].1.op.mnemonic(),
+                count,
+                count as f64 / total.max(1) as f64 * 100.0
+            ));
+        }
+        out.push_str(&format!("  total dynamic instructions: {total}\n"));
+        let mut rows: Vec<usize> = (0..OP_KINDS).filter(|&i| per_op[i] > 0).collect();
+        rows.sort_by_key(|&i| std::cmp::Reverse(per_op[i]));
+        for i in rows {
+            out.push_str(&format!("  {:>8}: {:>12} dyn\n", OP_NAMES[i], per_op[i]));
+        }
+        out
     }
 }
 

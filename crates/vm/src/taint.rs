@@ -558,10 +558,10 @@ impl<'m> TaintHook<'m> {
 impl ExecHook for TaintHook<'_> {
     const ENABLED: bool = true;
 
-    fn begin_instr(&mut self, ins: &Instr) -> bool {
+    fn begin_instr(&mut self, ins: &Instr) {
         self.dyn_index += 1;
         if self.seed.is_none() {
-            return false;
+            return;
         }
         // A tainted return value discarded by a void call dies here.
         if self.pending_ret != 0 && !matches!(ins.op, Op::Call { .. }) {
@@ -595,7 +595,6 @@ impl ExecHook for TaintHook<'_> {
             }
             _ => {}
         }
-        false
     }
 
     fn def_value(&mut self, ins: &Instr, _bits: u64) {

@@ -1,81 +1,21 @@
 //! Engine differential harness: the compiled threaded-bytecode
 //! backend must be observably bit-identical to the interpreter on all
-//! seven benchmarks — golden runs, hooked runs (full `ExecHook` event
-//! streams), injected runs, snapshot capture (snapshots and future read
-//! sets at -O0 and -O2), and snapshot-resumed runs with and without
-//! convergence checkpoints (K = 0 and K = 8 campaigns).
+//! seven benchmarks — golden runs, injected runs, snapshot capture
+//! (snapshots and future read sets at -O0 and -O2, and at every
+//! value-dynamic boundary of dense windows), and snapshot-resumed runs
+//! with and without convergence checkpoints (K = 0 and K = 8
+//! campaigns).
 //!
 //! The interpreter is the semantic reference; any mismatch is a
 //! compiled-engine bug by definition (IRFuzzer's lesson: backend
 //! lowering is where silent divergence hides).
 
 use peppa_analysis::{optimize, OptLevel};
-use peppa_ir::{FuncId, Instr, InstrId, ModuleBuilder, Op, Operand, Ty, ValueId};
+use peppa_ir::{Instr, InstrId, ModuleBuilder, Op, Operand, Ty};
 use peppa_vm::{
     encode_inputs, CompiledModule, CompiledVm, ExecHook, ExecLimits, Injection, InjectionTarget,
     RunOutput, RunStatus, TrialResume, Vm, VmSnapshot,
 };
-
-/// Full observable event stream of a run, for stream-equality checks.
-#[derive(Debug, Clone, PartialEq)]
-enum Ev {
-    Begin(u32),
-    Def(u32, u64),
-    Load(u32, u64, u64),
-    Store(u32, u64, u64),
-    Clear(u64, u64),
-    Fault(u32, u64),
-    Branch(Option<Operand>, Vec<ValueId>, Vec<Operand>),
-    Call(u32, u32),
-    Ret(bool),
-}
-
-#[derive(Default)]
-struct Recorder {
-    events: Vec<Ev>,
-}
-
-impl ExecHook for Recorder {
-    const ENABLED: bool = true;
-
-    fn begin_instr(&mut self, ins: &Instr) -> bool {
-        self.events.push(Ev::Begin(ins.sid.0));
-        false
-    }
-
-    fn def_value(&mut self, ins: &Instr, bits: u64) {
-        self.events.push(Ev::Def(ins.sid.0, bits));
-    }
-
-    fn mem_load(&mut self, ins: &Instr, addr: u64, bits: u64) {
-        self.events.push(Ev::Load(ins.sid.0, addr, bits));
-    }
-
-    fn mem_store(&mut self, ins: &Instr, addr: u64, bits: u64) {
-        self.events.push(Ev::Store(ins.sid.0, addr, bits));
-    }
-
-    fn mem_clear(&mut self, base: u64, words: u64) {
-        self.events.push(Ev::Clear(base, words));
-    }
-
-    fn fault_injected(&mut self, ins: &Instr, flip_mask: u64) {
-        self.events.push(Ev::Fault(ins.sid.0, flip_mask));
-    }
-
-    fn branch_transfer(&mut self, cond: Option<&Operand>, params: &[ValueId], args: &[Operand]) {
-        self.events
-            .push(Ev::Branch(cond.cloned(), params.to_vec(), args.to_vec()));
-    }
-
-    fn call_enter(&mut self, ins: &Instr, callee: FuncId) {
-        self.events.push(Ev::Call(ins.sid.0, callee.0));
-    }
-
-    fn func_ret(&mut self, value: Option<&Operand>) {
-        self.events.push(Ev::Ret(value.is_some()));
-    }
-}
 
 fn assert_runs_eq(name: &str, what: &str, a: &RunOutput, b: &RunOutput) {
     assert_eq!(a.status, b.status, "{name}/{what}: status diverged");
@@ -117,17 +57,14 @@ fn fork_points(value_dynamic: u64, k: u64) -> Vec<u64> {
 }
 
 #[test]
-fn golden_and_hooked_runs_bit_identical() {
+fn golden_runs_bit_identical() {
     for bench in peppa_apps::all_benchmarks() {
         let m = &bench.module;
         let bits = encode_inputs(m.entry_func(), &bench.reference_input);
         let limits = ExecLimits::default();
         let code = CompiledModule::lower(m);
-        let vm = Vm::new(m, limits);
-        let cvm = CompiledVm::new(m, &code, limits);
-
-        let golden_i = vm.run(&bits, None);
-        let golden_c = cvm.run(&bits, None);
+        let golden_i = Vm::new(m, limits).run(&bits, None);
+        let golden_c = CompiledVm::new(m, &code, limits).run(&bits, None);
         assert_eq!(
             golden_i.status,
             RunStatus::Ok,
@@ -135,29 +72,6 @@ fn golden_and_hooked_runs_bit_identical() {
             bench.name
         );
         assert_runs_eq(bench.name, "golden", &golden_i, &golden_c);
-
-        let mut rec_i = Recorder::default();
-        let mut rec_c = Recorder::default();
-        let hooked_i = vm.run_with_hook(&bits, None, &mut rec_i);
-        let hooked_c = cvm.run_with_hook(&bits, None, &mut rec_c);
-        assert_runs_eq(bench.name, "hooked", &hooked_i, &hooked_c);
-        assert_eq!(
-            rec_i.events.len(),
-            rec_c.events.len(),
-            "{}: event stream length diverged",
-            bench.name
-        );
-        if let Some(pos) = rec_i
-            .events
-            .iter()
-            .zip(&rec_c.events)
-            .position(|(a, b)| a != b)
-        {
-            panic!(
-                "{}: event stream diverged at {pos}: interp {:?} vs compiled {:?}",
-                bench.name, rec_i.events[pos], rec_c.events[pos]
-            );
-        }
     }
 }
 
@@ -187,19 +101,6 @@ fn injected_runs_bit_identical() {
                 bench.name
             );
             assert_runs_eq(bench.name, &format!("inj@{site}"), &fi, &fc);
-
-            // Hooked faulty runs must also agree event-for-event.
-            if i == 2 {
-                let mut rec_i = Recorder::default();
-                let mut rec_c = Recorder::default();
-                vm.run_with_hook(&bits, Some(inj), &mut rec_i);
-                cvm.run_with_hook(&bits, Some(inj), &mut rec_c);
-                assert_eq!(
-                    rec_i.events, rec_c.events,
-                    "{}: faulty event stream diverged at site {site}",
-                    bench.name
-                );
-            }
         }
 
         // Static-instance targeting exercises the per-def sid check.
@@ -300,6 +201,50 @@ fn compiled_capture_matches_interpreter() {
                 assert_snapshots_eq(&name, &what, &snaps_i, &snaps_c);
                 assert!(sets_i == sets_c, "{name}: {what}: read sets diverged");
                 let (out_c, snaps_c) = cvm.run_with_snapshots(&bits, &points);
+                assert_runs_eq(&name, &what, &out_i, &out_c);
+                assert_snapshots_eq(&name, &what, &snaps_i, &snaps_c);
+            }
+        }
+    }
+}
+
+/// Consecutive value-dynamic boundaries per dense capture window.
+const WINDOW: u64 = 256;
+
+/// Capture at *every* value-dynamic boundary of three windows of
+/// `WINDOW` consecutive boundaries, at the start, middle and end of the
+/// run: the compiled engine must freeze exactly what the interpreter
+/// freezes at each. A boundary after every def splits each fused pair
+/// or triple a window reaches after its first half, so the capture run
+/// stops at the head and resumes at the stub, on the real lowering of
+/// the seven benchmarks at -O0 and -O2 (`snapshot_proptest` does this
+/// at every boundary of random programs). Each argument takes the
+/// largest value of its small-workload window: every run then holds
+/// three disjoint windows (2–81k instructions), and a window's 256
+/// snapshots take under 12 MB per engine.
+#[test]
+fn dense_boundary_capture_matches_interpreter() {
+    for bench in peppa_apps::all_benchmarks() {
+        let inputs: Vec<f64> = bench.args.iter().map(|a| a.small.1).collect();
+        for level in [OptLevel::O0, OptLevel::O2] {
+            let m = &optimize(&bench.module, level).module;
+            let name = format!("{}@{level:?}", bench.name);
+            let bits = encode_inputs(m.entry_func(), &inputs);
+            let limits = ExecLimits::default();
+            let code = CompiledModule::lower(m);
+            let vm = Vm::new(m, limits);
+            let cvm = CompiledVm::new(m, &code, limits);
+            let vd = vm.run(&bits, None).profile.value_dynamic;
+            assert!(
+                vd > 3 * WINDOW,
+                "{name}: {vd} boundaries cannot hold three windows"
+            );
+            for start in [1, (vd - WINDOW) / 2, vd - WINDOW] {
+                let points: Vec<u64> = (start..start + WINDOW).collect();
+                let what = format!("window at {start}");
+                let (out_i, snaps_i) = vm.run_with_snapshots(&bits, &points);
+                let (out_c, snaps_c) = cvm.run_with_snapshots(&bits, &points);
+                assert_eq!(snaps_i.len() as u64, WINDOW, "{name}: {what}");
                 assert_runs_eq(&name, &what, &out_i, &out_c);
                 assert_snapshots_eq(&name, &what, &snaps_i, &snaps_c);
             }

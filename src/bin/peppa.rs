@@ -81,7 +81,7 @@ use peppa_x::inject::{
 use peppa_x::obs::{
     ChromeTrace, JsonlJournal, MetricsRegistry, MultiObserver, ProgressReporter, PropagationHeatmap,
 };
-use peppa_x::vm::{CompiledModule, Engine, ExecLimits, Injection, InjectionTarget, OpcodeProfile};
+use peppa_x::vm::{CompiledModule, Engine, ExecLimits, Injection, InjectionTarget};
 use std::process::ExitCode;
 use std::sync::Arc;
 
@@ -397,16 +397,10 @@ fn run(args: Vec<String>) -> Result<ExitCode, String> {
         }
         "run" => {
             let code = CompiledModule::lower(&bench.module);
-            let eng = Engine::compiled(&bench.module, &code, limits);
-            let out = if o.profile {
-                let bits = peppa_x::vm::encode_inputs(bench.module.entry_func(), &input);
-                let mut prof = OpcodeProfile::new(64);
-                let out = eng.run_with_hook(&bits, None, &mut prof);
-                println!("{}", prof.hot_table(&bench.module, 10));
-                out
-            } else {
-                eng.run_numeric(&input, None)
-            };
+            let out = Engine::compiled(&bench.module, &code, limits).run_numeric(&input, None);
+            if o.profile {
+                println!("{}", out.profile.hot_table(&bench.module, 10));
+            }
             println!("status: {:?}", out.status);
             for (i, w) in out.output.iter().enumerate() {
                 println!(

@@ -103,6 +103,44 @@ fn wrong_input_arity_is_rejected() {
     }
 }
 
+/// `peppa run --profile` prints the run's own counts, and nothing else:
+/// two runs print the same bytes, and the per-opcode rows add up to the
+/// table's total, which a clean run's dynamic count equals.
+#[test]
+fn run_profile_is_deterministic_and_adds_up() {
+    let run = || {
+        let out = peppa_output(&["run", "--bench", "fft", "--profile"]);
+        assert!(out.status.success(), "{out:?}");
+        String::from_utf8(out.stdout).expect("stdout is UTF-8")
+    };
+    let stdout = run();
+    assert_eq!(stdout, run(), "two runs printed different bytes");
+    let after = |line: &str, key: &str| -> Option<u64> {
+        line.trim()
+            .strip_prefix(key)?
+            .split_whitespace()
+            .next()?
+            .parse()
+            .ok()
+    };
+    let total = stdout
+        .lines()
+        .find_map(|l| after(l, "total dynamic instructions:"))
+        .unwrap_or_else(|| panic!("no total in {stdout:?}"));
+    let per_op: Vec<u64> = stdout
+        .lines()
+        .filter(|l| l.trim_end().ends_with(" dyn"))
+        .filter_map(|l| after(l.split_once(':')?.1, ""))
+        .collect();
+    assert!(!per_op.is_empty(), "no per-opcode rows in {stdout:?}");
+    assert_eq!(per_op.iter().sum::<u64>(), total, "{stdout}");
+    let dynamic = stdout
+        .lines()
+        .find_map(|l| after(l, "dynamic instructions:"))
+        .unwrap_or_else(|| panic!("no dynamic count in {stdout:?}"));
+    assert_eq!(dynamic, total, "{stdout}");
+}
+
 /// The count of each outcome in a `trials N: SDC x% ... benign y%` line.
 fn printed_counts(line: &str, trials: u32) -> [u32; 4] {
     ["SDC", "crash", "hang", "benign"].map(|name| {
