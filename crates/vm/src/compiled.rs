@@ -12,16 +12,18 @@
 //! fused superinstructions where the lowering found the patterns, and
 //! skips the interpreter's per-instruction operand matching entirely.
 //!
-//! The equivalence argument is structural: each bytecode handler performs
-//! the exact bookkeeping sequence of the interpreter's driver loop
-//! for the instruction(s) it covers (dynamic count → hang check →
-//! exec count → compute → `finish`), fused handlers check the
-//! snapshot-boundary gate between their components and bail to the
-//! unfused stub at `pc + 1` when it is due, and register indices below
-//! `num_values` coincide with `ValueId`s so fault injection flips the
-//! same typed bits of the same register. Unchecked register/code
-//! accesses are justified by the bounds sweep at the end of lowering
-//! (`lower::validate`); debug builds keep the assertions.
+//! The equivalence argument is structural: each exact-tier step runs
+//! one interpreter instruction with the interpreter driver loop's
+//! bookkeeping sequence (dynamic count → hang check → exec count →
+//! compute → `finish`) and then checks the snapshot-boundary gate; a
+//! fused head runs only its first component there and steps to the
+//! unfused stub at `pc + 1`, so fused pairs run only in the turbo
+//! tier, whose gate proves no boundary falls inside them. Register
+//! indices below `num_values` coincide with `ValueId`s so fault
+//! injection flips the same typed bits of the same register.
+//! Unchecked register/code accesses are justified by the bounds sweep
+//! at the end of lowering (`lower::validate`); debug builds keep the
+//! assertions.
 
 use crate::exec::{
     canon, exec_bin, exec_cast, exec_fcmp as fcmp, exec_icmp as icmp, exec_un, flip_bits,
@@ -262,33 +264,9 @@ impl<'m, const LOG: bool> CMachine<'m, LOG> {
             let base = code.pc_base[fi] as usize;
             for start in 0..cf.code.len() {
                 let h = std::mem::take(&mut self.seg_hits[base + start]);
-                if h == 0 {
-                    continue;
-                }
-                let mut pc = start;
-                loop {
-                    match cf.code[pc] {
-                        Bc::Br { .. } | Bc::CondBr { .. } | Bc::Ret { .. } | Bc::Call { .. } => {
-                            break
-                        }
-                        Bc::CmpBrI { .. } | Bc::CmpBrF { .. } => {
-                            self.profile.exec_counts[cf.sids[pc] as usize] += h;
-                            break;
-                        }
-                        Bc::IAddCmpBrI { .. } => {
-                            self.profile.exec_counts[cf.sids[pc] as usize] += h;
-                            self.profile.exec_counts[cf.sids[pc + 1] as usize] += h;
-                            break;
-                        }
-                        Bc::GepLoad { .. } | Bc::GepStore { .. } | Bc::FMulAdd { .. } => {
-                            self.profile.exec_counts[cf.sids[pc] as usize] += h;
-                            self.profile.exec_counts[cf.sids[pc + 1] as usize] += h;
-                            pc += 2;
-                        }
-                        _ => {
-                            self.profile.exec_counts[cf.sids[pc] as usize] += h;
-                            pc += 1;
-                        }
+                if h != 0 {
+                    for pc in cf.seg_pcs(start) {
+                        self.profile.exec_counts[cf.sids[pc] as usize] += h;
                     }
                 }
             }
@@ -296,45 +274,17 @@ impl<'m, const LOG: bool> CMachine<'m, LOG> {
     }
 
     /// Exact `exec_counts` for a segment the turbo loop abandoned
-    /// mid-way (a trap): credit the `remaining` instructions that
-    /// actually began, in execution order from the segment start.
+    /// mid-way (a trap): credit the segment's first `began`
+    /// instructions, the ones that began before the trap.
     #[cold]
-    fn credit_partial(&mut self, cf: &CompiledFunc, start_pc: usize, mut remaining: u64) {
-        let mut pc = start_pc;
-        while remaining > 0 {
-            match cf.code[pc] {
-                Bc::GepLoad { .. } | Bc::GepStore { .. } | Bc::FMulAdd { .. } => {
-                    self.profile.exec_counts[cf.sids[pc] as usize] += 1;
-                    remaining -= 1;
-                    if remaining > 0 {
-                        self.profile.exec_counts[cf.sids[pc + 1] as usize] += 1;
-                        remaining -= 1;
-                    }
-                    pc += 2;
-                }
-                Bc::CmpBrI { .. } | Bc::CmpBrF { .. } => {
-                    self.profile.exec_counts[cf.sids[pc] as usize] += 1;
-                    remaining -= 1;
-                    pc += 2;
-                }
-                Bc::IAddCmpBrI { .. } => {
-                    self.profile.exec_counts[cf.sids[pc] as usize] += 1;
-                    remaining -= 1;
-                    if remaining > 0 {
-                        self.profile.exec_counts[cf.sids[pc + 1] as usize] += 1;
-                        remaining -= 1;
-                    }
-                    pc += 3;
-                }
-                Bc::Br { .. } | Bc::CondBr { .. } | Bc::Ret { .. } | Bc::Call { .. } => {
-                    unreachable!("partial segment walk crossed a segment end")
-                }
-                _ => {
-                    self.profile.exec_counts[cf.sids[pc] as usize] += 1;
-                    remaining -= 1;
-                    pc += 1;
-                }
-            }
+    fn credit_partial(&mut self, cf: &CompiledFunc, start_pc: usize, began: u64) {
+        let pcs = cf.seg_pcs(start_pc);
+        debug_assert!(
+            began as usize <= pcs.len(),
+            "more began than the segment holds"
+        );
+        for pc in pcs.take(began as usize) {
+            self.profile.exec_counts[cf.sids[pc] as usize] += 1;
         }
     }
 
@@ -494,10 +444,12 @@ impl<'m, const LOG: bool> CMachine<'m, LOG> {
     /// exactly at run end by [`Self::fold_seg_hits`]. A trap
     /// mid-segment reconstructs the exact partial counters the
     /// per-instruction path would have left. Whenever the gate fails,
-    /// the **exact** tier — per-instruction dispatch with full
-    /// `begin`/`finish` bookkeeping — takes over until the next taken
-    /// branch, where the gate is retried. Both tiers produce
-    /// bit-identical observables; the split is pure wall-clock.
+    /// the **exact** tier runs one interpreter instruction with full
+    /// `begin`/`finish` bookkeeping, checks the boundary gate, and
+    /// retries the turbo gate at the next pc. It never runs a fused
+    /// pair: a fused head runs as its first component and steps to its
+    /// stub at `pc + 1`. Both tiers produce bit-identical observables;
+    /// the split is pure wall-clock.
     fn drive(&mut self, frames: &mut Vec<CFrame>, arena: &mut Vec<u64>) -> Result<RunEnd, Stop> {
         let module = self.module;
         let code = self.code;
@@ -789,31 +741,6 @@ impl<'m, const LOG: bool> CMachine<'m, LOG> {
                                         pc = take_edge(cf, e, regs, &mut move_buf) as usize;
                                         break 'ops;
                                     }
-                                    Bc::IAddCmpBrI {
-                                        dst,
-                                        a,
-                                        b,
-                                        pred,
-                                        cdst,
-                                        ca,
-                                        cb,
-                                        edge,
-                                    } => {
-                                        dynamic += 1;
-                                        let r = (rd(regs, a) as i64)
-                                            .wrapping_add(rd(regs, b) as i64)
-                                            as u64;
-                                        vd += 1;
-                                        wr(regs, dst, r);
-                                        dynamic += 1;
-                                        let c = icmp(pred, rd(regs, ca), rd(regs, cb));
-                                        vd += 1;
-                                        wr(regs, cdst, c);
-                                        self.seg_hits[pcb + seg_start] += 1;
-                                        let e = if c != 0 { edge } else { edge + 1 };
-                                        pc = take_edge(cf, e, regs, &mut move_buf) as usize;
-                                        break 'ops;
-                                    }
                                     Bc::Br { edge } => {
                                         self.seg_hits[pcb + seg_start] += 1;
                                         pc = take_edge(cf, edge, regs, &mut move_buf) as usize;
@@ -847,6 +774,10 @@ impl<'m, const LOG: bool> CMachine<'m, LOG> {
                         self.profile.value_dynamic = vd;
                     }
                     // ---- exact tier ----
+                    // One interpreter instruction per step. A fused head
+                    // runs only its first component, through the arm of
+                    // its plain op, and steps to its unfused stub at
+                    // `pc + 1`.
                     debug_assert!(pc < cf.code.len(), "pc out of bounds");
                     let bc = unsafe { *cf.code.get_unchecked(pc) };
                     match bc {
@@ -854,32 +785,33 @@ impl<'m, const LOG: bool> CMachine<'m, LOG> {
                             self.begin(cf, pc)?;
                             let r = exec_bin(op, ty, rd(regs, a), rd(regs, b))?;
                             self.finish(fid, cf, pc, dst, r, regs);
-                            pc += 1;
                         }
                         Bc::Un { op, ty, dst, a } => {
                             self.begin(cf, pc)?;
                             let r = exec_un(op, ty, rd(regs, a));
                             self.finish(fid, cf, pc, dst, r, regs);
-                            pc += 1;
                         }
-                        Bc::Icmp { pred, dst, a, b } => {
+                        Bc::Icmp { pred, dst, a, b }
+                        | Bc::CmpBrI {
+                            pred, dst, a, b, ..
+                        } => {
                             self.begin(cf, pc)?;
                             let r = icmp(pred, rd(regs, a), rd(regs, b));
                             self.finish(fid, cf, pc, dst, r, regs);
-                            pc += 1;
                         }
-                        Bc::Fcmp { pred, dst, a, b } => {
+                        Bc::Fcmp { pred, dst, a, b }
+                        | Bc::CmpBrF {
+                            pred, dst, a, b, ..
+                        } => {
                             self.begin(cf, pc)?;
                             let r = fcmp(pred, rd(regs, a), rd(regs, b));
                             self.finish(fid, cf, pc, dst, r, regs);
-                            pc += 1;
                         }
                         Bc::Select { dst, cond, t, f } => {
                             self.begin(cf, pc)?;
                             let c = rd(regs, cond) & 1;
                             let r = if c != 0 { rd(regs, t) } else { rd(regs, f) };
                             self.finish(fid, cf, pc, dst, r, regs);
-                            pc += 1;
                         }
                         Bc::Cast {
                             kind,
@@ -891,102 +823,84 @@ impl<'m, const LOG: bool> CMachine<'m, LOG> {
                             self.begin(cf, pc)?;
                             let r = exec_cast(kind, from, to, rd(regs, a));
                             self.finish(fid, cf, pc, dst, r, regs);
-                            pc += 1;
                         }
                         Bc::Load { ty, dst, addr } => {
                             self.begin(cf, pc)?;
                             let p = rd(regs, addr);
                             let word = self.mem_read(p)?;
                             self.finish(fid, cf, pc, dst, canon(ty, word), regs);
-                            pc += 1;
                         }
                         Bc::Store { addr, val } => {
                             self.begin(cf, pc)?;
                             let p = rd(regs, addr);
                             let v = rd(regs, val);
                             self.mem_write(p, v)?;
-                            pc += 1;
                         }
-                        Bc::Gep { dst, base, index } => {
+                        Bc::Gep { dst, base, index }
+                        | Bc::GepLoad {
+                            gep_dst: dst,
+                            base,
+                            index,
+                            ..
+                        }
+                        | Bc::GepStore {
+                            gep_dst: dst,
+                            base,
+                            index,
+                            ..
+                        } => {
                             self.begin(cf, pc)?;
                             let r = rd(regs, base).wrapping_add(rd(regs, index));
                             self.finish(fid, cf, pc, dst, r, regs);
-                            pc += 1;
                         }
                         Bc::Alloca { dst, words } => {
                             self.begin(cf, pc)?;
                             let r = self.alloca(rd(regs, words))?;
                             self.finish(fid, cf, pc, dst, r, regs);
-                            pc += 1;
                         }
                         Bc::Output { val } => {
                             self.begin(cf, pc)?;
                             let v = rd(regs, val);
                             self.output.push(v);
-                            pc += 1;
                         }
                         Bc::IAdd { dst, a, b } => {
                             self.begin(cf, pc)?;
                             let r = (rd(regs, a) as i64).wrapping_add(rd(regs, b) as i64) as u64;
                             self.finish(fid, cf, pc, dst, r, regs);
-                            pc += 1;
                         }
                         Bc::ISub { dst, a, b } => {
                             self.begin(cf, pc)?;
                             let r = (rd(regs, a) as i64).wrapping_sub(rd(regs, b) as i64) as u64;
                             self.finish(fid, cf, pc, dst, r, regs);
-                            pc += 1;
                         }
                         Bc::IMul { dst, a, b } => {
                             self.begin(cf, pc)?;
                             let r = (rd(regs, a) as i64).wrapping_mul(rd(regs, b) as i64) as u64;
                             self.finish(fid, cf, pc, dst, r, regs);
-                            pc += 1;
                         }
                         Bc::FAdd { dst, a, b } => {
                             self.begin(cf, pc)?;
                             let r = (f64::from_bits(rd(regs, a)) + f64::from_bits(rd(regs, b)))
                                 .to_bits();
                             self.finish(fid, cf, pc, dst, r, regs);
-                            pc += 1;
                         }
                         Bc::FSub { dst, a, b } => {
                             self.begin(cf, pc)?;
                             let r = (f64::from_bits(rd(regs, a)) - f64::from_bits(rd(regs, b)))
                                 .to_bits();
                             self.finish(fid, cf, pc, dst, r, regs);
-                            pc += 1;
                         }
-                        Bc::FMul { dst, a, b } => {
+                        Bc::FMul { dst, a, b } | Bc::FMulAdd { t: dst, a, b, .. } => {
                             self.begin(cf, pc)?;
                             let r = (f64::from_bits(rd(regs, a)) * f64::from_bits(rd(regs, b)))
                                 .to_bits();
                             self.finish(fid, cf, pc, dst, r, regs);
-                            pc += 1;
                         }
                         Bc::FDiv { dst, a, b } => {
                             self.begin(cf, pc)?;
                             let r = (f64::from_bits(rd(regs, a)) / f64::from_bits(rd(regs, b)))
                                 .to_bits();
                             self.finish(fid, cf, pc, dst, r, regs);
-                            pc += 1;
-                        }
-                        Bc::FMulAdd { t, a, b, dst, x, y } => {
-                            self.begin(cf, pc)?;
-                            let m = (f64::from_bits(rd(regs, a)) * f64::from_bits(rd(regs, b)))
-                                .to_bits();
-                            self.finish(fid, cf, pc, t, m, regs);
-                            if self.profile.value_dynamic >= self.next_vd {
-                                // Boundary between the multiply and the
-                                // add: resume at the unfused stub.
-                                *frame_pc = (pc + 1) as u32;
-                                break 'inner Exit::Boundary;
-                            }
-                            self.begin(cf, pc + 1)?;
-                            let s = (f64::from_bits(rd(regs, x)) + f64::from_bits(rd(regs, y)))
-                                .to_bits();
-                            self.finish(fid, cf, pc + 1, dst, s, regs);
-                            pc += 2;
                         }
                         Bc::Call { .. } => {
                             *frame_pc = pc as u32;
@@ -1006,119 +920,8 @@ impl<'m, const LOG: bool> CMachine<'m, LOG> {
                             pc = take_edge(cf, e, regs, &mut move_buf) as usize;
                             continue 'inner;
                         }
-                        Bc::CmpBrI {
-                            pred,
-                            dst,
-                            a,
-                            b,
-                            edge,
-                        } => {
-                            self.begin(cf, pc)?;
-                            let r = icmp(pred, rd(regs, a), rd(regs, b));
-                            self.finish(fid, cf, pc, dst, r, regs);
-                            if self.profile.value_dynamic >= self.next_vd {
-                                // Boundary between the compare and the
-                                // branch: resume at the unfused stub.
-                                *frame_pc = (pc + 1) as u32;
-                                break 'inner Exit::Boundary;
-                            }
-                            let c = rd(regs, dst) & 1;
-                            let e = if c != 0 { edge } else { edge + 1 };
-                            pc = take_edge(cf, e, regs, &mut move_buf) as usize;
-                            continue 'inner;
-                        }
-                        Bc::CmpBrF {
-                            pred,
-                            dst,
-                            a,
-                            b,
-                            edge,
-                        } => {
-                            self.begin(cf, pc)?;
-                            let r = fcmp(pred, rd(regs, a), rd(regs, b));
-                            self.finish(fid, cf, pc, dst, r, regs);
-                            if self.profile.value_dynamic >= self.next_vd {
-                                *frame_pc = (pc + 1) as u32;
-                                break 'inner Exit::Boundary;
-                            }
-                            let c = rd(regs, dst) & 1;
-                            let e = if c != 0 { edge } else { edge + 1 };
-                            pc = take_edge(cf, e, regs, &mut move_buf) as usize;
-                            continue 'inner;
-                        }
-                        Bc::IAddCmpBrI {
-                            dst,
-                            a,
-                            b,
-                            pred,
-                            cdst,
-                            ca,
-                            cb,
-                            edge,
-                        } => {
-                            self.begin(cf, pc)?;
-                            let r = (rd(regs, a) as i64).wrapping_add(rd(regs, b) as i64) as u64;
-                            self.finish(fid, cf, pc, dst, r, regs);
-                            if self.profile.value_dynamic >= self.next_vd {
-                                // Boundary between the add and the
-                                // compare: resume at the cmp-br stub.
-                                *frame_pc = (pc + 1) as u32;
-                                break 'inner Exit::Boundary;
-                            }
-                            self.begin(cf, pc + 1)?;
-                            let c = icmp(pred, rd(regs, ca), rd(regs, cb));
-                            self.finish(fid, cf, pc + 1, cdst, c, regs);
-                            if self.profile.value_dynamic >= self.next_vd {
-                                // Boundary between the compare and the
-                                // branch: resume at the cond-br stub.
-                                *frame_pc = (pc + 2) as u32;
-                                break 'inner Exit::Boundary;
-                            }
-                            let c = rd(regs, cdst) & 1;
-                            let e = if c != 0 { edge } else { edge + 1 };
-                            pc = take_edge(cf, e, regs, &mut move_buf) as usize;
-                            continue 'inner;
-                        }
-                        Bc::GepLoad {
-                            ty,
-                            gep_dst,
-                            base,
-                            index,
-                            dst,
-                        } => {
-                            self.begin(cf, pc)?;
-                            let r = rd(regs, base).wrapping_add(rd(regs, index));
-                            self.finish(fid, cf, pc, gep_dst, r, regs);
-                            if self.profile.value_dynamic >= self.next_vd {
-                                *frame_pc = (pc + 1) as u32;
-                                break 'inner Exit::Boundary;
-                            }
-                            self.begin(cf, pc + 1)?;
-                            let p = rd(regs, gep_dst);
-                            let word = self.mem_read(p)?;
-                            self.finish(fid, cf, pc + 1, dst, canon(ty, word), regs);
-                            pc += 2;
-                        }
-                        Bc::GepStore {
-                            gep_dst,
-                            base,
-                            index,
-                            val,
-                        } => {
-                            self.begin(cf, pc)?;
-                            let r = rd(regs, base).wrapping_add(rd(regs, index));
-                            self.finish(fid, cf, pc, gep_dst, r, regs);
-                            if self.profile.value_dynamic >= self.next_vd {
-                                *frame_pc = (pc + 1) as u32;
-                                break 'inner Exit::Boundary;
-                            }
-                            self.begin(cf, pc + 1)?;
-                            let p = rd(regs, gep_dst);
-                            let v = rd(regs, val);
-                            self.mem_write(p, v)?;
-                            pc += 2;
-                        }
                     }
+                    pc += 1;
                     if self.profile.value_dynamic >= self.next_vd {
                         *frame_pc = pc as u32;
                         break 'inner Exit::Boundary;

@@ -14,20 +14,17 @@
 //!   canonicalized once at lowering time and parked in a read-only
 //!   tail. An operand is then always a plain `u32` register index —
 //!   no `Operand` match, no per-use `canon`.
-//! * **Superinstructions.** Five fused shapes cover the hottest
-//!   dispatch sequences: compare-and-branch (`CmpBrI` /
-//!   `CmpBrF`: a block-terminal `icmp`/`fcmp` feeding the
-//!   `cond_br`), address-calc-load (`GepLoad`),
-//!   address-calc-store (`GepStore`), f64 multiply-add
-//!   (`FMulAdd`), and the counted-loop latch
-//!   (`IAddCmpBrI`: i64 add + compare + branch). Each fused
-//!   opcode still performs full per-covered-instruction bookkeeping
-//!   (dynamic counts, hang budget, injection check) in interpreter
-//!   order, and emits its second component *unfused* at `pc + 1` — a
-//!   stub the machine jumps into when a snapshot boundary falls
-//!   between the two halves, and that `CompiledFunc::pc_of` targets
-//!   when a resume lands mid-pair. Fusion is therefore invisible to
-//!   every observable.
+//! * **Superinstructions.** Four fused shapes cover the hottest
+//!   dispatch pairs: compare-and-branch (`CmpBrI` / `CmpBrF`: a
+//!   block-terminal `icmp`/`fcmp` feeding the `cond_br`),
+//!   address-calc-load (`GepLoad`), address-calc-store (`GepStore`)
+//!   and f64 multiply-add (`FMulAdd`). Each fused head is followed by
+//!   its second component *unfused* at `pc + 1`, so the pcs of a
+//!   block map one to one onto its instructions and terminator. Only
+//!   the turbo tier runs a pair in one dispatch; the exact tier runs
+//!   the head's first component alone and steps to the stub, and
+//!   `CompiledFunc::pc_of` targets the stub when a resume lands
+//!   mid-pair. Fusion is therefore invisible to every observable.
 //! * **Branch edges.** Block-argument transfers become pre-resolved
 //!   move lists (`(dst, src)` register pairs) with a lowering-time
 //!   proof of whether an in-place sequential copy is safe; otherwise
@@ -55,6 +52,7 @@ pub(crate) const NO_REG: u32 = u32::MAX;
 /// tail); `dst` fields always index the value range so interpreter
 /// semantics (and snapshot frames) are preserved bit-for-bit.
 #[derive(Debug, Clone, Copy, PartialEq)]
+#[repr(align(32))]
 pub(crate) enum Bc {
     Bin {
         op: BinOp,
@@ -214,21 +212,6 @@ pub(crate) enum Bc {
         a: u32,
         b: u32,
     },
-    /// Fused loop latch: `dst = a + b` (wrapping i64), then
-    /// `cdst = icmp pred(ca, cb)` (typically reading the fresh `dst`),
-    /// then branch on `cdst` — the canonical counted-loop back edge in
-    /// one dispatch. The unfused [`Bc::CmpBrI`] stub sits at `pc + 1`
-    /// (with its own [`Bc::CondBr`] stub at `pc + 2`).
-    IAddCmpBrI {
-        dst: u32,
-        a: u32,
-        b: u32,
-        pred: IPred,
-        cdst: u32,
-        ca: u32,
-        cb: u32,
-        edge: u32,
-    },
     /// Fused f64 multiply-add: `t = a * b` then `dst = x + y`, where
     /// `x` or `y` is `t` (the add reads the freshly written multiply
     /// result, in interpreter order — so injection into `t` still
@@ -244,13 +227,18 @@ pub(crate) enum Bc {
     },
 }
 
+// The largest variants take 28 bytes. Padding every op to 32 keeps each
+// one inside a single 64-byte cache line wherever the allocator places a
+// function's `code`. At a 28-byte stride ops straddle lines, and
+// perfbench `ship`, whose trials are almost all turbo dispatch, read
+// `wall_s` 6% slower at the median, in 9 of 10 alternating pairs on a
+// 2-vCPU VM.
+const _: () = assert!(std::mem::size_of::<Bc>() == 32);
+
 /// Straight-line segment summary for one pc: how many interpreter
-/// instructions (and how many of them value-producing) execute from
-/// this pc up to — and, for fused compare-and-branch, including — the
-/// segment's terminating bytecode. A segment ends at the first
-/// [`Bc::Br`] / [`Bc::CondBr`] / [`Bc::Call`] / [`Bc::Ret`]
-/// (exclusive) or [`Bc::CmpBrI`] / [`Bc::CmpBrF`] (inclusive: the
-/// compare is an instruction). The turbo dispatch loop reads this
+/// instructions (and how many of them value-producing) a turbo
+/// segment from this pc executes, one per pc of
+/// [`CompiledFunc::seg_pcs`]. The turbo dispatch loop reads this
 /// once per segment to prove that no hang, injection, or snapshot
 /// boundary can fire inside it, and then runs the whole segment with
 /// batched bookkeeping.
@@ -314,6 +302,20 @@ impl CompiledFunc {
     pub(crate) fn num_regs(&self) -> usize {
         self.num_values + self.consts.len()
     }
+
+    /// The pcs whose instructions a turbo segment from `start`
+    /// executes, in order: every pc before the first [`Bc::Br`],
+    /// [`Bc::CondBr`], [`Bc::Call`] or [`Bc::Ret`]. The run is
+    /// contiguous because a fused head's second instruction is its
+    /// stub's at `pc + 1`, and a compare-and-branch's stub is the
+    /// `CondBr` that ends the segment.
+    pub(crate) fn seg_pcs(&self, start: usize) -> std::ops::Range<usize> {
+        let len = self.code[start..]
+            .iter()
+            .take_while(|bc| !ends_segment(bc))
+            .count();
+        start..start + len
+    }
 }
 
 /// A whole module lowered to threaded bytecode. Plain owned data:
@@ -352,26 +354,6 @@ impl CompiledModule {
         };
         validate(module, &cm);
         cm
-    }
-
-    /// Static superinstruction count across the module (fused pairs
-    /// emitted), exposed for tests and diagnostics.
-    pub fn fused_pairs(&self) -> usize {
-        self.funcs
-            .iter()
-            .flat_map(|f| f.code.iter())
-            .filter(|bc| {
-                matches!(
-                    bc,
-                    Bc::CmpBrI { .. }
-                        | Bc::CmpBrF { .. }
-                        | Bc::GepLoad { .. }
-                        | Bc::GepStore { .. }
-                        | Bc::FMulAdd { .. }
-                        | Bc::IAddCmpBrI { .. }
-                )
-            })
-            .count()
     }
 }
 
@@ -519,8 +501,8 @@ fn lower_func(func: &Function) -> CompiledFunc {
                             bi,
                             ii,
                         ));
-                        // Unfused second half at pc + 1: the resume /
-                        // boundary-bailout entry point.
+                        // Unfused second half at pc + 1, where the exact
+                        // tier and a mid-pair resume continue.
                         pcs.push(lo.emit(
                             Bc::Load {
                                 ty,
@@ -627,90 +609,6 @@ fn lower_func(func: &Function) -> CompiledFunc {
                     term_done = true;
                     i += 1;
                 }
-                // Loop-latch fusion: an i64 add immediately followed by
-                // the block-terminal compare feeding the conditional
-                // branch (the canonical counted-loop back edge).
-                Op::Bin {
-                    op: BinOp::Add,
-                    a,
-                    b,
-                } if i + 2 == n
-                    && lo.func.operand_ty(a) == Ty::I64
-                    && matches!(&block.instrs[i + 1].op, Op::Icmp { .. })
-                    && matches!(
-                        (&block.term, block.instrs[i + 1].result),
-                        (
-                            Term::CondBr {
-                                cond: Operand::Value(c),
-                                ..
-                            },
-                            Some(r)
-                        ) if *c == r
-                    ) =>
-                {
-                    let dst = lo.result_reg(ins);
-                    let (ra, rb) = (lo.reg(a), lo.reg(b));
-                    let next = &block.instrs[i + 1];
-                    let cdst = lo.result_reg(next);
-                    let (pred, ca, cb) = match &next.op {
-                        Op::Icmp { pred, a, b } => (*pred, lo.reg(a), lo.reg(b)),
-                        _ => unreachable!(),
-                    };
-                    let (then_target, then_args, else_target, else_args) = match &block.term {
-                        Term::CondBr {
-                            then_target,
-                            then_args,
-                            else_target,
-                            else_args,
-                            ..
-                        } => (then_target.0, then_args, else_target.0, else_args),
-                        _ => unreachable!(),
-                    };
-                    let e = lo.edge(then_target, then_args);
-                    let e2 = lo.edge(else_target, else_args);
-                    debug_assert_eq!(e2, e + 1, "cond-br edges are allocated adjacently");
-                    pcs.push(lo.emit(
-                        Bc::IAddCmpBrI {
-                            dst,
-                            a: ra,
-                            b: rb,
-                            pred,
-                            cdst,
-                            ca,
-                            cb,
-                            edge: e,
-                        },
-                        ins.sid.0,
-                        bi,
-                        ii,
-                    ));
-                    // Unfused compare-and-branch at pc + 1 (resume /
-                    // boundary entry), with its own cond-br stub at
-                    // pc + 2 doubling as the terminator position.
-                    pcs.push(lo.emit(
-                        Bc::CmpBrI {
-                            pred,
-                            dst: cdst,
-                            a: ca,
-                            b: cb,
-                            edge: e,
-                        },
-                        next.sid.0,
-                        bi,
-                        ii + 1,
-                    ));
-                    pcs.push(lo.emit(
-                        Bc::CondBr {
-                            cond: cdst,
-                            edge: e,
-                        },
-                        u32::MAX,
-                        bi,
-                        ii + 2,
-                    ));
-                    term_done = true;
-                    i += 2;
-                }
                 // Multiply-add fusion: an f64 multiply feeding the very
                 // next instruction, an f64 add.
                 Op::Bin {
@@ -744,8 +642,8 @@ fn lower_func(func: &Function) -> CompiledFunc {
                         bi,
                         ii,
                     ));
-                    // Unfused add at pc + 1: the resume / boundary-
-                    // bailout entry point.
+                    // Unfused add at pc + 1, where the exact tier and
+                    // a mid-pair resume continue.
                     pcs.push(lo.emit(Bc::FAdd { dst, a: x, b: y }, next.sid.0, bi, ii + 1));
                     i += 2;
                     continue;
@@ -810,10 +708,21 @@ fn lower_func(func: &Function) -> CompiledFunc {
     }
 }
 
-/// Backward sweep computing [`SegInfo`] for every pc. Fused pairs
-/// count both covered instructions and skip their unfused stub; the
-/// stub pc gets its own (independent) segment summary, since resumes
-/// and boundary bailouts can land there.
+/// True for the control transfers, which end a turbo segment before
+/// themselves. A compare-and-branch ends its segment at its `CondBr`
+/// stub.
+fn ends_segment(bc: &Bc) -> bool {
+    matches!(
+        bc,
+        Bc::Br { .. } | Bc::CondBr { .. } | Bc::Call { .. } | Bc::Ret { .. }
+    )
+}
+
+/// Backward sweep computing [`SegInfo`] for every pc: each pc of a
+/// segment is one instruction, and a def unless it is a store or an
+/// output (a fused head's own instruction, a `gep`, `fmul` or compare,
+/// always defines). Stubs get their own summaries, since resumes and
+/// exact-tier steps land there.
 fn seg_table(code: &[Bc]) -> Vec<SegInfo> {
     let mut seg = vec![
         SegInfo {
@@ -822,29 +731,14 @@ fn seg_table(code: &[Bc]) -> Vec<SegInfo> {
         };
         code.len()
     ];
-    let add = |s: SegInfo, ops: u32, defs: u32| SegInfo {
-        n_ops: s.n_ops + ops,
-        n_defs: s.n_defs + defs,
-    };
     for pc in (0..code.len()).rev() {
-        seg[pc] = match code[pc] {
-            Bc::Br { .. } | Bc::CondBr { .. } | Bc::Ret { .. } | Bc::Call { .. } => SegInfo {
-                n_ops: 0,
-                n_defs: 0,
-            },
-            Bc::CmpBrI { .. } | Bc::CmpBrF { .. } => SegInfo {
-                n_ops: 1,
-                n_defs: 1,
-            },
-            Bc::IAddCmpBrI { .. } => SegInfo {
-                n_ops: 2,
-                n_defs: 2,
-            },
-            Bc::GepLoad { .. } | Bc::FMulAdd { .. } => add(seg[pc + 2], 2, 2),
-            Bc::GepStore { .. } => add(seg[pc + 2], 2, 1),
-            Bc::Store { .. } | Bc::Output { .. } => add(seg[pc + 1], 1, 0),
-            _ => add(seg[pc + 1], 1, 1),
-        };
+        if !ends_segment(&code[pc]) {
+            let defs = !matches!(code[pc], Bc::Store { .. } | Bc::Output { .. }) as u32;
+            seg[pc] = SegInfo {
+                n_ops: seg[pc + 1].n_ops + 1,
+                n_defs: seg[pc + 1].n_defs + defs,
+            };
+        }
     }
     seg
 }
@@ -1110,36 +1004,6 @@ fn validate(module: &Module, cm: &CompiledModule) {
                         "cmp-br stub mismatch at pc {pc}"
                     );
                 }
-                Bc::IAddCmpBrI {
-                    dst: d,
-                    a,
-                    b,
-                    pred,
-                    cdst,
-                    ca,
-                    cb,
-                    edge: e,
-                } => {
-                    dst(d);
-                    dst(cdst);
-                    src(a);
-                    src(b);
-                    src(ca);
-                    src(cb);
-                    edge(e);
-                    edge(e + 1);
-                    // Stubs: the unfused cmp-br at pc + 1, its own
-                    // cond-br stub at pc + 2.
-                    assert!(
-                        matches!(cf.code[pc + 1], Bc::CmpBrI { pred: p, dst, a, b, edge }
-                            if p == pred && dst == cdst && a == ca && b == cb && edge == e),
-                        "latch cmp-br stub mismatch at pc {pc}"
-                    );
-                    assert!(
-                        matches!(cf.code[pc + 2], Bc::CondBr { cond, edge } if cond == cdst && edge == e),
-                        "latch cond-br stub mismatch at pc {pc}"
-                    );
-                }
                 Bc::GepLoad {
                     gep_dst,
                     base,
@@ -1179,6 +1043,7 @@ fn validate(module: &Module, cm: &CompiledModule) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use peppa_analysis::{optimize, OptLevel};
     use peppa_ir::ModuleBuilder;
 
     fn loop_module() -> Module {
@@ -1207,15 +1072,89 @@ mod tests {
         mb.finish()
     }
 
+    /// The fused variants, by name.
+    const FUSED: [&str; 5] = ["CmpBrI", "CmpBrF", "GepLoad", "GepStore", "FMulAdd"];
+
+    /// `bc`'s index in [`FUSED`], or `None` for an unfused op. No arm is
+    /// a wildcard, so a new variant does not compile until it is sorted
+    /// here.
+    fn fused_index(bc: &Bc) -> Option<usize> {
+        match bc {
+            Bc::CmpBrI { .. } => Some(0),
+            Bc::CmpBrF { .. } => Some(1),
+            Bc::GepLoad { .. } => Some(2),
+            Bc::GepStore { .. } => Some(3),
+            Bc::FMulAdd { .. } => Some(4),
+            Bc::Bin { .. }
+            | Bc::Un { .. }
+            | Bc::Icmp { .. }
+            | Bc::Fcmp { .. }
+            | Bc::Select { .. }
+            | Bc::Cast { .. }
+            | Bc::Load { .. }
+            | Bc::Store { .. }
+            | Bc::Gep { .. }
+            | Bc::Alloca { .. }
+            | Bc::Output { .. }
+            | Bc::Call { .. }
+            | Bc::Br { .. }
+            | Bc::CondBr { .. }
+            | Bc::Ret { .. }
+            | Bc::IAdd { .. }
+            | Bc::ISub { .. }
+            | Bc::IMul { .. }
+            | Bc::FAdd { .. }
+            | Bc::FSub { .. }
+            | Bc::FMul { .. }
+            | Bc::FDiv { .. } => None,
+        }
+    }
+
+    /// How many of each [`FUSED`] variant `cm` holds.
+    fn fused_counts(cm: &CompiledModule) -> [usize; FUSED.len()] {
+        let mut n = [0; FUSED.len()];
+        for bc in cm.funcs.iter().flat_map(|f| &f.code) {
+            if let Some(i) = fused_index(bc) {
+                n[i] += 1;
+            }
+        }
+        n
+    }
+
     #[test]
     fn lowering_emits_fused_pairs_with_stubs() {
         let m = loop_module();
         let cm = CompiledModule::lower(&m);
-        assert!(cm.fused_pairs() >= 2, "expected gep-load and cmp-br fusion");
+        assert_eq!(
+            fused_counts(&cm),
+            [1, 0, 1, 0, 0],
+            "expected one cmp-br and one gep-load"
+        );
         let cf = &cm.funcs[m.entry.0 as usize];
         // Every (block, instr) coordinate has a resume pc.
         for (bi, b) in m.entry_func().blocks.iter().enumerate() {
             assert_eq!(cf.pc_of[bi].len(), b.instrs.len() + 1);
+        }
+    }
+
+    /// Every fused variant forms on the shipped programs, so none
+    /// carries dispatch code that no real run executes.
+    #[test]
+    fn every_fused_variant_forms_on_the_benchmarks() {
+        let mut total = [0; FUSED.len()];
+        for bench in peppa_apps::all_benchmarks() {
+            for level in [OptLevel::O0, OptLevel::O2] {
+                let cm = CompiledModule::lower(&optimize(&bench.module, level).module);
+                for (t, n) in total.iter_mut().zip(fused_counts(&cm)) {
+                    *t += n;
+                }
+            }
+        }
+        for (name, n) in FUSED.iter().zip(total) {
+            assert!(
+                n > 0,
+                "{name} never forms on the 7 benchmarks at -O0 or -O2"
+            );
         }
     }
 

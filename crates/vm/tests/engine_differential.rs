@@ -214,11 +214,12 @@ const WINDOW: u64 = 256;
 /// Capture at *every* value-dynamic boundary of three windows of
 /// `WINDOW` consecutive boundaries, at the start, middle and end of the
 /// run: the compiled engine must freeze exactly what the interpreter
-/// freezes at each. A boundary after every def splits each fused pair
-/// or triple a window reaches after its first half, so the capture run
-/// stops at the head and resumes at the stub, on the real lowering of
-/// the seven benchmarks at -O0 and -O2 (`snapshot_proptest` does this
-/// at every boundary of random programs). Each argument takes the
+/// freezes at each. A boundary after every def keeps the capture run on
+/// the exact tier, which runs each fused pair a window reaches as its
+/// head's first component, a snapshot, and then the unfused stub, on
+/// the real lowering of the seven benchmarks at -O0 and -O2
+/// (`snapshot_proptest` does this at every boundary of random
+/// programs). Each argument takes the
 /// largest value of its small-workload window: every run then holds
 /// three disjoint windows (2–81k instructions), and a window's 256
 /// snapshots take under 12 MB per engine.
