@@ -10,6 +10,11 @@
 //!   It walks blocks in RPO, evaluates instruction transfers, joins
 //!   branch arguments into block parameters, and applies the domain's
 //!   widening operator at loop headers so loop-carried values converge.
+//!   A solve allocates its fact vectors once and reuses one argument
+//!   buffer for every transfer. Block parameters start optimistic, so
+//!   only a fixpoint is sound: when `MAX_PASSES` full passes still
+//!   change something, the solve returns ⊤ for every value but the
+//!   seeded function parameters.
 
 use crate::cfg::Cfg;
 use peppa_ir::{Const, Function, Module, Op, Operand, Term, Ty};
@@ -181,29 +186,38 @@ pub fn analyze_values_ctx<D: AbstractDomain>(
     vals[..params.len()].clone_from_slice(params);
     // Join counts per block-param value, to trigger widening.
     let mut joins = vec![0u32; nv];
+    // One transfer's abstract arguments and their types, reused.
+    let mut args: Vec<D> = Vec::new();
+    let mut arg_tys: Vec<Ty> = Vec::new();
 
     // Full RPO sweeps until a whole pass changes nothing. Widening at
-    // loop headers bounds the number of passes; the hard cap is a belt-
-    // and-braces guard against a domain with a buggy widen.
+    // loop headers bounds each value's ascent, but a domain whose widen
+    // is a finite-height join (KnownBits) can still need more passes
+    // than the cap when long chains of loop-carried values descend one
+    // after another. Block parameters start optimistic, so a solve cut
+    // off by the cap is not a fixpoint and its facts are unsound.
     const MAX_PASSES: u32 = 200;
+    let mut converged = false;
     for _pass in 0..MAX_PASSES {
         let mut changed = false;
         for &b in &cfg.rpo {
             let block = &f.blocks[b as usize];
             for ins in &block.instrs {
                 if let Some(r) = ins.result {
-                    let operands = ins.op.operands();
-                    let args: Vec<D> = operands
-                        .iter()
-                        .map(|o| match o {
-                            Operand::Value(v) => vals[v.0 as usize].clone(),
-                            Operand::Const(c) => D::of_const(*c),
-                        })
-                        .collect();
-                    let arg_tys: Vec<Ty> = operands.iter().map(|o| f.operand_ty(o)).collect();
                     let next = match &ins.op {
                         Op::Call { func, .. } => call_ret(*func, f.ty_of(r)),
-                        _ => D::transfer(&ins.op, f.ty_of(r), &args, &arg_tys),
+                        op => {
+                            args.clear();
+                            arg_tys.clear();
+                            for o in op.operands() {
+                                args.push(match o {
+                                    Operand::Value(v) => vals[v.0 as usize].clone(),
+                                    Operand::Const(c) => D::of_const(c),
+                                });
+                                arg_tys.push(f.operand_ty(&o));
+                            }
+                            D::transfer(op, f.ty_of(r), &args, &arg_tys)
+                        }
                     };
                     if next != vals[r.0 as usize] {
                         vals[r.0 as usize] = next;
@@ -212,10 +226,9 @@ pub fn analyze_values_ctx<D: AbstractDomain>(
                 }
             }
 
-            let mut flow = |target: peppa_ir::BlockId, args: &[Operand]| {
+            let mut flow = |target: peppa_ir::BlockId, edge_args: &[Operand]| {
                 let tb = target.0 as usize;
-                let params = &f.blocks[tb].params;
-                for (&p, a) in params.iter().zip(args) {
+                for (&p, a) in f.blocks[tb].params.iter().zip(edge_args) {
                     let incoming = match a {
                         Operand::Value(v) => vals[v.0 as usize].clone(),
                         Operand::Const(c) => D::of_const(*c),
@@ -256,7 +269,14 @@ pub fn analyze_values_ctx<D: AbstractDomain>(
             }
         }
         if !changed {
+            converged = true;
             break;
+        }
+    }
+    if !converged {
+        // Give up soundly: every value but the seeded parameters is ⊤.
+        for (v, val) in vals.iter_mut().enumerate().skip(params.len()) {
+            *val = D::top(f.value_types[v]);
         }
     }
 

@@ -169,8 +169,11 @@ impl AbstractDomain for KnownBits {
     }
 
     fn widen(&self, next: &KnownBits) -> KnownBits {
-        // The known-bits lattice has height 64: joins only ever clear
-        // mask bits, so plain join already converges.
+        // Joins only ever clear mask bits, so each value descends at most
+        // 64 times and a plain join terminates. It does not bound the
+        // number of solver passes: values that each wait on another's
+        // descent (a chain of shift registers) can need more passes than
+        // a solver's cap, and the solvers then fall back to ⊤.
         self.join(next)
     }
 

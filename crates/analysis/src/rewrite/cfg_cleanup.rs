@@ -22,8 +22,8 @@
 //! shrinking the static CFG.
 
 use super::normalize::prune_unreachable_blocks;
-use super::Pass;
-use peppa_ir::{Module, Operand, Term};
+use super::{replace_uses, resolve, Pass};
+use peppa_ir::{Block, BlockId, Function, Module, Operand, Term, ValueId};
 use peppa_vm::canon;
 use std::collections::HashMap;
 
@@ -84,46 +84,7 @@ impl Pass for CfgCleanup {
             applied += eliminate_trivial_params(f);
 
             // 3. Merge single-edge chains until none remain.
-            loop {
-                let n = f.blocks.len();
-                let mut pred_edges = vec![0u32; n];
-                for b in &f.blocks {
-                    for s in b.term.successors() {
-                        pred_edges[s.0 as usize] += 1;
-                    }
-                }
-                let merge = (0..n).find_map(|bi| match &f.blocks[bi].term {
-                    Term::Br { target, .. }
-                        if target.0 != 0
-                            && target.0 as usize != bi
-                            && pred_edges[target.0 as usize] == 1 =>
-                    {
-                        Some((bi, target.0 as usize))
-                    }
-                    _ => None,
-                });
-                let Some((bi, ti)) = merge else { break };
-                let Term::Br { args, .. } =
-                    std::mem::replace(&mut f.blocks[bi].term, Term::Ret { value: None })
-                else {
-                    unreachable!()
-                };
-                let subst: HashMap<_, _> = f.blocks[ti]
-                    .params
-                    .iter()
-                    .zip(&args)
-                    .map(|(&p, &a)| (p, a))
-                    .collect();
-                let mut instrs = std::mem::take(&mut f.blocks[ti].instrs);
-                let term = f.blocks[ti].term.clone();
-                f.blocks[ti].params.clear();
-                f.blocks[bi].instrs.append(&mut instrs);
-                f.blocks[bi].term = term;
-                super::replace_uses(f, &subst);
-                // `ti` is now an empty shell with no predecessors.
-                prune_unreachable_blocks(f);
-                applied += 1;
-            }
+            applied += merge_chains(f);
 
             applied += eliminate_trivial_params(f);
 
@@ -138,89 +99,168 @@ impl Pass for CfgCleanup {
     }
 }
 
+/// Merges every `b -> t` edge that is `t`'s only way in, scanning
+/// blocks in order and merging each block again while its inherited
+/// terminator qualifies: the same rewrites, in the same order, as
+/// restarting the scan after every merge, because a merge changes no
+/// surviving block's predecessor count and only `b`'s terminator.
+/// Substitutions and the removal of merged-away blocks are applied once
+/// at the end.
+fn merge_chains(f: &mut Function) -> u64 {
+    let n = f.blocks.len();
+    let mut pred_edges = vec![0u32; n];
+    for b in &f.blocks {
+        for s in b.term.successors() {
+            pred_edges[s.0 as usize] += 1;
+        }
+    }
+    let mut subst: HashMap<ValueId, Operand> = HashMap::new();
+    let mut merged = 0;
+    for bi in 0..n {
+        while let Term::Br { target, .. } = f.blocks[bi].term {
+            let ti = target.0 as usize;
+            if ti == 0 || ti == bi || pred_edges[ti] != 1 {
+                break;
+            }
+            let Term::Br { args, .. } =
+                std::mem::replace(&mut f.blocks[bi].term, Term::Ret { value: None })
+            else {
+                unreachable!()
+            };
+            // `ti` becomes an empty shell with no predecessors.
+            let shell = Block {
+                params: Vec::new(),
+                instrs: Vec::new(),
+                term: Term::Ret { value: None },
+            };
+            let t = std::mem::replace(&mut f.blocks[ti], shell);
+            for (p, a) in t.params.into_iter().zip(args) {
+                subst.insert(p, resolve(&subst, a));
+            }
+            f.blocks[bi].instrs.extend(t.instrs);
+            f.blocks[bi].term = t.term;
+            merged += 1;
+        }
+    }
+    replace_uses(f, &subst);
+    prune_unreachable_blocks(f);
+    merged
+}
+
 /// Removes block parameters that are provably copies: a param `p`
 /// receiving, on every incoming edge, either `p` itself (back edges) or
 /// one fixed operand `x`, always equals `x`. The replacement's def
 /// dominates the block — every entry path carries `x` — so replacing
 /// uses of `p` and dropping the param/argument column is sound.
-fn eliminate_trivial_params(f: &mut peppa_ir::Function) -> u64 {
+///
+/// Params are removed one at a time, always the first trivial one in
+/// block and param order. Removing `p` can only make params that read
+/// `p` trivial, so those are the only ones checked again; uses are
+/// rewritten once at the end.
+fn eliminate_trivial_params(f: &mut Function) -> u64 {
+    // Every param as the function stands on entry, in block and param
+    // order; `first[bi]` is the slot of block `bi`'s first param.
+    let mut first = Vec::with_capacity(f.blocks.len());
+    let mut slots: Vec<(usize, ValueId)> = Vec::new();
+    for (bi, b) in f.blocks.iter().enumerate() {
+        first.push(slots.len());
+        slots.extend(b.params.iter().map(|&p| (bi, p)));
+    }
+    // Per-target incoming edges as (source block, is the else edge), and
+    // per value the param slots whose column reads it.
+    let mut incoming: Vec<Vec<(usize, bool)>> = vec![Vec::new(); f.blocks.len()];
+    let mut readers: HashMap<ValueId, Vec<usize>> = HashMap::new();
+    for (bi, b) in f.blocks.iter().enumerate() {
+        for (is_else, (target, args)) in edges(&b.term).enumerate() {
+            incoming[target.0 as usize].push((bi, is_else == 1));
+            for (j, a) in args.iter().enumerate() {
+                if let Operand::Value(v) = a {
+                    readers
+                        .entry(*v)
+                        .or_default()
+                        .push(first[target.0 as usize] + j);
+                }
+            }
+        }
+    }
+    // Slots to check; none below `next` is pending.
+    let mut pending = vec![true; slots.len()];
+    let mut next = 0;
+    let mut subst: HashMap<ValueId, Operand> = HashMap::new();
     let mut applied = 0;
-    loop {
-        let n = f.blocks.len();
-        // Per-target list of incoming argument vectors.
-        let mut incoming: Vec<Vec<Vec<Operand>>> = vec![Vec::new(); n];
-        for b in &f.blocks {
-            match &b.term {
-                Term::Br { target, args } => {
-                    incoming[target.0 as usize].push(args.clone());
+    while let Some(slot) = (next..slots.len()).find(|&s| pending[s]) {
+        pending[slot] = false;
+        next = slot + 1;
+        let (bi, p) = slots[slot];
+        let Some(col) = f.blocks[bi].params.iter().position(|&q| q == p) else {
+            continue;
+        };
+        let mut x: Option<Operand> = None;
+        let mut trivial = true;
+        for &(src, is_else) in &incoming[bi] {
+            let a = resolve(&subst, edge_args(&mut f.blocks[src].term, is_else)[col]);
+            if a == Operand::Value(p) {
+                continue;
+            }
+            match x {
+                None => x = Some(a),
+                Some(e) if e != a => {
+                    trivial = false;
+                    break;
                 }
-                Term::CondBr {
-                    then_target,
-                    then_args,
-                    else_target,
-                    else_args,
-                    ..
-                } => {
-                    incoming[then_target.0 as usize].push(then_args.clone());
-                    incoming[else_target.0 as usize].push(else_args.clone());
-                }
-                Term::Ret { .. } => {}
+                Some(_) => {}
             }
         }
-        let mut found = None;
-        'outer: for (bi, inc) in incoming.iter().enumerate().take(n) {
-            for (j, &p) in f.blocks[bi].params.iter().enumerate() {
-                let mut x: Option<Operand> = None;
-                let mut trivial = true;
-                for args in inc {
-                    let a = args[j];
-                    if a == Operand::Value(p) {
-                        continue;
-                    }
-                    match x {
-                        None => x = Some(a),
-                        Some(e) => {
-                            if e != a {
-                                trivial = false;
-                                break;
-                            }
-                        }
-                    }
-                }
-                if trivial {
-                    if let Some(x) = x {
-                        found = Some((bi, j, x));
-                        break 'outer;
-                    }
-                }
+        let (true, Some(x)) = (trivial, x) else {
+            continue;
+        };
+        f.blocks[bi].params.remove(col);
+        for &(src, is_else) in &incoming[bi] {
+            edge_args(&mut f.blocks[src].term, is_else).remove(col);
+        }
+        subst.insert(p, x);
+        if let Some(rs) = readers.remove(&p) {
+            for &s in &rs {
+                pending[s] = true;
+                next = next.min(s);
+            }
+            if let Operand::Value(v) = x {
+                readers.entry(v).or_default().extend(rs);
             }
         }
-        let Some((bi, j, x)) = found else { break };
-        let target = peppa_ir::BlockId(bi as u32);
-        let p = f.blocks[bi].params.remove(j);
-        for b in &mut f.blocks {
-            let drop_arg = |t: peppa_ir::BlockId, args: &mut Vec<Operand>| {
-                if t == target {
-                    args.remove(j);
-                }
-            };
-            match &mut b.term {
-                Term::Br { target, args } => drop_arg(*target, args),
-                Term::CondBr {
-                    then_target,
-                    then_args,
-                    else_target,
-                    else_args,
-                    ..
-                } => {
-                    drop_arg(*then_target, then_args);
-                    drop_arg(*else_target, else_args);
-                }
-                Term::Ret { .. } => {}
-            }
-        }
-        super::replace_uses(f, &HashMap::from([(p, x)]));
         applied += 1;
     }
+    replace_uses(f, &subst);
     applied
+}
+
+/// A terminator's outgoing edges: the target and argument list of its
+/// branch, or of its then edge and then its else edge.
+fn edges(term: &Term) -> impl Iterator<Item = (BlockId, &Vec<Operand>)> {
+    let (first, second) = match term {
+        Term::Br { target, args } => (Some((*target, args)), None),
+        Term::CondBr {
+            then_target,
+            then_args,
+            else_target,
+            else_args,
+            ..
+        } => (
+            Some((*then_target, then_args)),
+            Some((*else_target, else_args)),
+        ),
+        Term::Ret { .. } => (None, None),
+    };
+    first.into_iter().chain(second)
+}
+
+/// The argument list of a branch edge (`is_else` picks a conditional
+/// branch's else edge).
+fn edge_args(term: &mut Term, is_else: bool) -> &mut Vec<Operand> {
+    match term {
+        Term::Br { args, .. } => args,
+        Term::CondBr { then_args, .. } if !is_else => then_args,
+        Term::CondBr { else_args, .. } => else_args,
+        Term::Ret { .. } => unreachable!("a return has no edges"),
+    }
 }

@@ -252,6 +252,22 @@ pub fn render_stats(s: &PipelineStats) -> String {
 
 // ---- shared rewrite utilities ---------------------------------------------
 
+/// `o` with mapped values chased to their final replacement.
+pub(crate) fn resolve(map: &HashMap<ValueId, Operand>, mut o: Operand) -> Operand {
+    // Chains are acyclic (every replacement points at an older value or
+    // a constant); the hop cap is a defensive backstop.
+    for _ in 0..=map.len() {
+        match o {
+            Operand::Value(v) => match map.get(&v) {
+                Some(&next) => o = next,
+                None => break,
+            },
+            Operand::Const(_) => break,
+        }
+    }
+    o
+}
+
 /// Calls `f` on every operand slot of `op`.
 pub(crate) fn for_each_operand_mut(op: &mut peppa_ir::Op, mut f: impl FnMut(&mut Operand)) {
     use peppa_ir::Op;
@@ -314,28 +330,11 @@ pub(crate) fn replace_uses(f: &mut peppa_ir::Function, map: &HashMap<ValueId, Op
     if map.is_empty() {
         return 0;
     }
-    let resolve = |v: ValueId| -> Option<Operand> {
-        let mut cur = *map.get(&v)?;
-        // Chains are acyclic (every replacement points at an older
-        // value or a constant); the hop cap is a defensive backstop.
-        for _ in 0..map.len() {
-            match cur {
-                Operand::Value(next) => match map.get(&next) {
-                    Some(&o) => cur = o,
-                    None => break,
-                },
-                Operand::Const(_) => break,
-            }
-        }
-        Some(cur)
-    };
     let mut n = 0;
     let mut apply = |o: &mut Operand| {
-        if let Operand::Value(v) = *o {
-            if let Some(r) = resolve(v) {
-                *o = r;
-                n += 1;
-            }
+        if matches!(*o, Operand::Value(v) if map.contains_key(&v)) {
+            *o = resolve(map, *o);
+            n += 1;
         }
     };
     for b in &mut f.blocks {

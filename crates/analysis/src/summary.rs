@@ -19,14 +19,20 @@
 //! callee parameters with the join of the incoming argument facts over
 //! all call sites (widened after a few rounds so recursion converges),
 //! and a final pass produces per-value facts under both refinements.
-//! `memdep` consumes the tighter address intervals; `lint` consumes the
+//! Without recursion each function is solved once per phase at most:
+//! one solve gives its return fact, one top-down round gives every
+//! seed, and the final pass reuses the last solve made under the final
+//! seed. Recursive cliques iterate; if the top-down rounds hit their cap,
+//! every function is seeded with ⊤, because seeds start optimistic.
+//! Constant folding consumes these facts, `reach` builds its `memdep`
+//! graph from the tighter address intervals, and `lint` consumes the
 //! return facts for constant-return findings.
 
 use crate::callgraph::CallGraph;
 use crate::cfg::Cfg;
 use crate::dataflow::{analyze_values_ctx, AbstractDomain, ModuleValueFacts, ValueFacts};
 use crate::reach::{solve_function, FULL};
-use peppa_ir::{Function, Module, Op, Term};
+use peppa_ir::{FuncId, Function, Module, Op, Term};
 
 /// Per-function, per-bit interprocedural transfer summary.
 #[derive(Debug, Clone, PartialEq)]
@@ -227,20 +233,35 @@ pub struct InterprocFacts<D> {
 /// How many top-down rounds join precisely before widening kicks in.
 const INTERPROC_WIDEN_AFTER: u32 = 3;
 
-/// Belt-and-braces cap on top-down rounds; the widening operator is what
-/// actually guarantees convergence.
+/// Cap on top-down rounds when some SCC is recursive. KnownBits widens
+/// by a plain join, so a chain of recursive parameters can descend one
+/// bit per round for longer than this; parameter seeds start optimistic
+/// (an unreached function counts as ⊥), so when the cap trips the seeds
+/// are not a fixpoint and every function falls back to ⊤ seeds.
 const INTERPROC_MAX_ROUNDS: u32 = 64;
 
 /// Runs the per-value engine with call boundaries connected:
 ///
 /// 1. **Bottom-up returns** — per SCC (callees first), compute each
-///    function's return fact with ⊤ parameters, iterating recursive
-///    cliques until the monotone return join stabilizes.
+///    function's return fact with ⊤ parameters. A non-recursive function
+///    reads only finished callee returns, so one solve is final;
+///    recursive cliques iterate until the monotone return join
+///    stabilizes.
 /// 2. **Top-down parameters** — seed each callee's parameters with the
-///    join of the argument facts over all its call sites, rounds widened
-///    (via [`AbstractDomain::widen`]) after `INTERPROC_WIDEN_AFTER` so
-///    recursive parameter chains converge.
-/// 3. **Final facts** — one pass per function under both refinements.
+///    join of the argument facts over all its call sites. Callers come
+///    first, so without recursion every seed is final when its function
+///    is reached and one round suffices. With recursion, rounds repeat
+///    until no seed changes, widened (via [`AbstractDomain::widen`])
+///    after `INTERPROC_WIDEN_AFTER` rounds; if `INTERPROC_MAX_ROUNDS`
+///    trips first, every function is seeded with ⊤.
+/// 3. **Final facts** — each function's facts under its final seed.
+///
+/// The return facts are fixed after phase 1 (and a non-recursive
+/// function's phase-1 solve already read final ones), so a solve depends
+/// only on its function and seed: phases 2 and 3 reuse a function's last
+/// solve when its seed is unchanged. The entry and never-called
+/// functions keep the ⊤ seed of their phase-1 solve, so without
+/// recursion every function is solved at most twice.
 pub fn analyze_module_interproc<D: AbstractDomain>(
     module: &Module,
     cg: &CallGraph,
@@ -248,22 +269,35 @@ pub fn analyze_module_interproc<D: AbstractDomain>(
     let n = module.functions.len();
     let cfgs: Vec<Cfg> = module.functions.iter().map(Cfg::new).collect();
     let tops = |f: &Function| -> Vec<D> { f.params.iter().map(|&t| D::top(t)).collect() };
+    let recursive: Vec<bool> = cg
+        .sccs
+        .iter()
+        .map(|comp| cg.is_recursive(comp[0]))
+        .collect();
+    // Each function's latest solve against final return facts, with the
+    // seed it used.
+    let mut last: Vec<Option<(Vec<D>, ValueFacts<D>)>> = vec![None; n];
 
     // Phase 1: bottom-up return facts with ⊤ parameters.
     let mut ret: Vec<Option<D>> = vec![None; n];
-    for comp in &cg.sccs {
+    for (comp, &rec) in cg.sccs.iter().zip(&recursive) {
         // Recursive cliques: in-clique call results start at ⊤ (ret
         // None) and the per-function return join only grows, so a
         // bounded re-iteration reaches the clique fixpoint.
-        for _ in 0..=comp.len() {
+        let sweeps = if rec { comp.len() + 1 } else { 1 };
+        for _ in 0..sweeps {
             let mut changed = false;
             for &fid in comp {
                 let fi = fid.0 as usize;
                 let f = &module.functions[fi];
-                let vf = analyze_values_ctx(f, &cfgs[fi], &tops(f), &|g, ty| {
+                let seed = tops(f);
+                let vf = analyze_values_ctx(f, &cfgs[fi], &seed, &|g, ty| {
                     ret[g.0 as usize].clone().unwrap_or_else(|| D::top(ty))
                 });
                 let rf = ret_join(f, &vf);
+                if !rec {
+                    last[fi] = Some((seed, vf));
+                }
                 let next = match (&ret[fi], rf) {
                     (Some(cur), Some(new)) => Some(cur.join(&new)),
                     (None, new) => new,
@@ -279,35 +313,45 @@ pub fn analyze_module_interproc<D: AbstractDomain>(
             }
         }
     }
+    let call_ret = |g: FuncId, ty| ret[g.0 as usize].clone().unwrap_or_else(|| D::top(ty));
+    let solve = |fi: usize, seed: &[D]| {
+        analyze_values_ctx(&module.functions[fi], &cfgs[fi], seed, &call_ret)
+    };
 
     // Phase 2: top-down parameter seeds against the fixed return facts.
     // `None` = not yet reached by any call; the entry starts at ⊤.
     let mut params: Vec<Option<Vec<D>>> = vec![None; n];
     params[module.entry.0 as usize] = Some(tops(module.entry_func()));
-    for round in 0..INTERPROC_MAX_ROUNDS {
+    let any_recursive = recursive.contains(&true);
+    let rounds = if any_recursive {
+        INTERPROC_MAX_ROUNDS
+    } else {
+        1
+    };
+    let mut stable = !any_recursive;
+    for round in 0..rounds {
         let mut changed = false;
         for comp in cg.sccs.iter().rev() {
             for &fid in comp {
                 let fi = fid.0 as usize;
-                let Some(seed) = params[fi].clone() else {
+                let Some(seed) = &params[fi] else {
                     continue;
                 };
-                let f = &module.functions[fi];
-                let vf = analyze_values_ctx(f, &cfgs[fi], &seed, &|g, ty| {
-                    ret[g.0 as usize].clone().unwrap_or_else(|| D::top(ty))
-                });
-                for ins in f.instrs() {
+                if !matches!(&last[fi], Some((s, _)) if s == seed) {
+                    last[fi] = Some((seed.clone(), solve(fi, seed)));
+                }
+                let (_, vf) = last[fi].as_ref().expect("solved above");
+                for ins in module.functions[fi].instrs() {
                     if let Op::Call { func, args } = &ins.op {
                         let gi = func.0 as usize;
-                        let incoming: Vec<D> = args.iter().map(|a| vf.of_operand(a)).collect();
                         match &mut params[gi] {
                             None => {
-                                params[gi] = Some(incoming);
+                                params[gi] = Some(args.iter().map(|a| vf.of_operand(a)).collect());
                                 changed = true;
                             }
                             Some(cur) => {
-                                for (c, inc) in cur.iter_mut().zip(&incoming) {
-                                    let joined = c.join(inc);
+                                for (c, a) in cur.iter_mut().zip(args) {
+                                    let joined = c.join(&vf.of_operand(a));
                                     let next = if round >= INTERPROC_WIDEN_AFTER {
                                         c.widen(&joined)
                                     } else {
@@ -325,26 +369,27 @@ pub fn analyze_module_interproc<D: AbstractDomain>(
             }
         }
         if !changed {
+            stable = true;
             break;
         }
     }
 
     // Phase 3: final facts (and refined return facts) per function.
     // Never-called functions keep ⊤ seeds so their facts still exist.
-    let final_params: Vec<Vec<D>> = module
-        .functions
-        .iter()
-        .enumerate()
-        .map(|(fi, f)| params[fi].clone().unwrap_or_else(|| tops(f)))
+    let final_params: Vec<Vec<D>> = params
+        .into_iter()
+        .zip(&module.functions)
+        .map(|(seed, f)| match seed {
+            Some(seed) if stable => seed,
+            _ => tops(f),
+        })
         .collect();
-    let per_func: Vec<ValueFacts<D>> = module
-        .functions
+    let per_func: Vec<ValueFacts<D>> = final_params
         .iter()
         .enumerate()
-        .map(|(fi, f)| {
-            analyze_values_ctx(f, &cfgs[fi], &final_params[fi], &|g, ty| {
-                ret[g.0 as usize].clone().unwrap_or_else(|| D::top(ty))
-            })
+        .map(|(fi, seed)| match last[fi].take() {
+            Some((s, vf)) if s == *seed => vf,
+            _ => solve(fi, seed),
         })
         .collect();
     let final_ret: Vec<Option<D>> = module

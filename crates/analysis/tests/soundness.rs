@@ -258,6 +258,7 @@ fn reference_inputs_are_sound() {
 // ---------------------------------------------------------------------------
 
 use peppa_analysis::deviation::combined_skip_cells;
+use peppa_analysis::OptLevel;
 use peppa_analysis::{analyze_module_interproc, CallGraph, FaultReach, InterprocFacts};
 use peppa_ir::Module;
 use peppa_vm::Injection;
@@ -594,5 +595,193 @@ fn check_generated_across_opt_levels(seed: u64) {
 fn generated_modules_agree_across_opt_levels_and_engines() {
     for i in 0..generated_module_count() {
         check_generated_across_opt_levels(0x0c0d_e000 + i);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The interprocedural schedule against its confirm-until-stable reference.
+//
+// `analyze_module_interproc` solves a non-recursive function once in
+// phase 1, runs one top-down round when no SCC is recursive, and reuses
+// a function's last solve when its seed has not changed. The reference
+// below is the schedule it replaced: every phase re-runs until a whole
+// sweep confirms nothing changed, and phase 3 solves every function
+// again. It keeps the same ⊤ fallback when the round cap trips, so the
+// two differ only in how often they solve, and must return the same
+// facts. The generated modules recurse (`rec`); the benchmarks do not.
+// ---------------------------------------------------------------------------
+
+use peppa_analysis::dataflow::{analyze_values_ctx, AbstractDomain, ModuleValueFacts};
+use peppa_ir::{Function, Op, Term};
+
+/// Join of the facts at every `ret <operand>` in `f`.
+fn reference_ret_join<D: AbstractDomain>(f: &Function, vf: &ValueFacts<D>) -> Option<D> {
+    let mut out: Option<D> = None;
+    for b in &f.blocks {
+        if let Term::Ret { value: Some(o) } = &b.term {
+            let fact = vf.of_operand(o);
+            out = Some(match out {
+                Some(cur) => cur.join(&fact),
+                None => fact,
+            });
+        }
+    }
+    out
+}
+
+/// The confirm-until-stable schedule.
+fn reference_interproc<D: AbstractDomain>(module: &Module, cg: &CallGraph) -> InterprocFacts<D> {
+    let n = module.functions.len();
+    let cfgs: Vec<Cfg> = module.functions.iter().map(Cfg::new).collect();
+    let tops = |f: &Function| -> Vec<D> { f.params.iter().map(|&t| D::top(t)).collect() };
+
+    let mut ret: Vec<Option<D>> = vec![None; n];
+    for comp in &cg.sccs {
+        for _ in 0..=comp.len() {
+            let mut changed = false;
+            for &fid in comp {
+                let fi = fid.0 as usize;
+                let f = &module.functions[fi];
+                let vf = analyze_values_ctx(f, &cfgs[fi], &tops(f), &|g, ty| {
+                    ret[g.0 as usize].clone().unwrap_or_else(|| D::top(ty))
+                });
+                let rf = reference_ret_join(f, &vf);
+                let next = match (&ret[fi], rf) {
+                    (Some(cur), Some(new)) => Some(cur.join(&new)),
+                    (None, new) => new,
+                    (cur, None) => cur.clone(),
+                };
+                if next != ret[fi] {
+                    ret[fi] = next;
+                    changed = true;
+                }
+            }
+            if !changed {
+                break;
+            }
+        }
+    }
+
+    let mut params: Vec<Option<Vec<D>>> = vec![None; n];
+    params[module.entry.0 as usize] = Some(tops(module.entry_func()));
+    let mut stable = false;
+    for round in 0..64 {
+        let mut changed = false;
+        for comp in cg.sccs.iter().rev() {
+            for &fid in comp {
+                let fi = fid.0 as usize;
+                let Some(seed) = params[fi].clone() else {
+                    continue;
+                };
+                let f = &module.functions[fi];
+                let vf = analyze_values_ctx(f, &cfgs[fi], &seed, &|g, ty| {
+                    ret[g.0 as usize].clone().unwrap_or_else(|| D::top(ty))
+                });
+                for ins in f.instrs() {
+                    if let Op::Call { func, args } = &ins.op {
+                        let gi = func.0 as usize;
+                        let incoming: Vec<D> = args.iter().map(|a| vf.of_operand(a)).collect();
+                        match &mut params[gi] {
+                            None => {
+                                params[gi] = Some(incoming);
+                                changed = true;
+                            }
+                            Some(cur) => {
+                                for (c, inc) in cur.iter_mut().zip(&incoming) {
+                                    let joined = c.join(inc);
+                                    let next = if round >= 3 { c.widen(&joined) } else { joined };
+                                    if next != *c {
+                                        *c = next;
+                                        changed = true;
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        if !changed {
+            stable = true;
+            break;
+        }
+    }
+
+    let final_params: Vec<Vec<D>> = module
+        .functions
+        .iter()
+        .enumerate()
+        .map(|(fi, f)| match &params[fi] {
+            Some(seed) if stable => seed.clone(),
+            _ => tops(f),
+        })
+        .collect();
+    let per_func: Vec<ValueFacts<D>> = module
+        .functions
+        .iter()
+        .enumerate()
+        .map(|(fi, f)| {
+            analyze_values_ctx(f, &cfgs[fi], &final_params[fi], &|g, ty| {
+                ret[g.0 as usize].clone().unwrap_or_else(|| D::top(ty))
+            })
+        })
+        .collect();
+    let final_ret = module
+        .functions
+        .iter()
+        .enumerate()
+        .map(|(fi, f)| reference_ret_join(f, &per_func[fi]).or_else(|| ret[fi].clone()))
+        .collect();
+    InterprocFacts {
+        facts: ModuleValueFacts { per_func },
+        ret: final_ret,
+        params: final_params,
+    }
+}
+
+fn assert_schedule_matches_reference<D: AbstractDomain + std::fmt::Debug>(
+    module: &Module,
+    what: &str,
+) {
+    let cg = CallGraph::new(module);
+    let got = analyze_module_interproc::<D>(module, &cg);
+    let want = reference_interproc::<D>(module, &cg);
+    let values = |ip: &InterprocFacts<D>| -> Vec<Vec<D>> {
+        ip.facts
+            .per_func
+            .iter()
+            .map(|vf| vf.values.clone())
+            .collect()
+    };
+    assert_eq!(values(&got), values(&want), "{what}: per-value facts");
+    assert_eq!(got.ret, want.ret, "{what}: return facts");
+    assert_eq!(got.params, want.params, "{what}: parameter seeds");
+}
+
+#[test]
+fn interproc_schedule_matches_reference_on_benchmarks() {
+    for b in all_benchmarks() {
+        for level in [OptLevel::O0, OptLevel::O2] {
+            let m = peppa_analysis::optimize(&b.module, level).module;
+            let what = format!("{}@{level}", b.name);
+            assert_schedule_matches_reference::<KnownBits>(&m, &what);
+            assert_schedule_matches_reference::<AbsRange>(&m, &what);
+        }
+    }
+}
+
+#[test]
+fn interproc_schedule_matches_reference_on_generated_modules() {
+    for i in 0..generated_module_count() {
+        let seed = 0x5eed_0000 + i;
+        let (src, _) = gen_module_source(seed);
+        let m = peppa_lang::compile(&src, "generated").unwrap();
+        assert!(
+            CallGraph::new(&m).is_recursive(m.func_by_name("rec").unwrap()),
+            "seed {seed}: the generator's `rec` must recurse"
+        );
+        let what = format!("seed {seed}");
+        assert_schedule_matches_reference::<KnownBits>(&m, &what);
+        assert_schedule_matches_reference::<AbsRange>(&m, &what);
     }
 }

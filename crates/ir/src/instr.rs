@@ -231,20 +231,21 @@ impl Op {
         )
     }
 
-    /// Operands read by this instruction.
-    pub fn operands(&self) -> Vec<Operand> {
+    /// Operands read by this instruction, in order, without allocating.
+    pub fn operands(&self) -> Operands<'_> {
+        let inline = |ops: [Operand; 3], n: u8| Operands(OperandsRepr::Inline(ops, n));
         match self {
             Op::Bin { a, b, .. } | Op::Icmp { a, b, .. } | Op::Fcmp { a, b, .. } => {
-                vec![*a, *b]
+                inline([*a, *b, *b], 2)
             }
-            Op::Un { a, .. } | Op::Cast { a, .. } => vec![*a],
-            Op::Select { cond, t, f } => vec![*cond, *t, *f],
-            Op::Load { addr, .. } => vec![*addr],
-            Op::Store { addr, value } => vec![*addr, *value],
-            Op::Gep { base, index } => vec![*base, *index],
-            Op::Alloca { words } => vec![*words],
-            Op::Call { args, .. } => args.clone(),
-            Op::Output { value } => vec![*value],
+            Op::Un { a, .. } | Op::Cast { a, .. } => inline([*a; 3], 1),
+            Op::Select { cond, t, f } => inline([*cond, *t, *f], 3),
+            Op::Load { addr, .. } => inline([*addr; 3], 1),
+            Op::Store { addr, value } => inline([*addr, *value, *value], 2),
+            Op::Gep { base, index } => inline([*base, *index, *index], 2),
+            Op::Alloca { words } => inline([*words; 3], 1),
+            Op::Call { args, .. } => Operands(OperandsRepr::Args(args)),
+            Op::Output { value } => inline([*value; 3], 1),
         }
     }
 
@@ -302,6 +303,53 @@ impl Op {
     }
 }
 
+/// The operands of one instruction ([`Op::operands`]): up to three held
+/// inline, or a call's borrowed argument list. It derefs to a slice, and
+/// iterating it by value yields each operand by copy.
+#[derive(Debug, Clone, Copy)]
+pub struct Operands<'a>(OperandsRepr<'a>);
+
+#[derive(Debug, Clone, Copy)]
+enum OperandsRepr<'a> {
+    /// The first `n` entries are the operands.
+    Inline([Operand; 3], u8),
+    Args(&'a [Operand]),
+}
+
+impl std::ops::Deref for Operands<'_> {
+    type Target = [Operand];
+    fn deref(&self) -> &[Operand] {
+        match &self.0 {
+            OperandsRepr::Inline(ops, n) => &ops[..*n as usize],
+            OperandsRepr::Args(args) => args,
+        }
+    }
+}
+
+impl<'a> IntoIterator for Operands<'a> {
+    type Item = Operand;
+    type IntoIter = OperandsIter<'a>;
+    fn into_iter(self) -> OperandsIter<'a> {
+        OperandsIter { ops: self, next: 0 }
+    }
+}
+
+/// By-value iterator over [`Operands`].
+#[derive(Debug, Clone)]
+pub struct OperandsIter<'a> {
+    ops: Operands<'a>,
+    next: usize,
+}
+
+impl Iterator for OperandsIter<'_> {
+    type Item = Operand;
+    fn next(&mut self) -> Option<Operand> {
+        let o = *self.ops.get(self.next)?;
+        self.next += 1;
+        Some(o)
+    }
+}
+
 /// A static instruction: an id, an opcode payload, and an optional result
 /// register. `result == None` exactly for `Store` / `Output` / void
 /// `Call`, which the fault model does not inject into.
@@ -345,23 +393,19 @@ impl Term {
         }
     }
 
-    /// Operands read by the terminator.
-    pub fn operands(&self) -> Vec<Operand> {
-        match self {
-            Term::Br { args, .. } => args.clone(),
+    /// Operands read by the terminator, in order, without allocating.
+    pub fn operands(&self) -> impl Iterator<Item = Operand> + '_ {
+        let (head, lists): (Option<Operand>, [&[Operand]; 2]) = match self {
+            Term::Br { args, .. } => (None, [args, &[]]),
             Term::CondBr {
                 cond,
                 then_args,
                 else_args,
                 ..
-            } => {
-                let mut v = vec![*cond];
-                v.extend_from_slice(then_args);
-                v.extend_from_slice(else_args);
-                v
-            }
-            Term::Ret { value } => value.iter().copied().collect(),
-        }
+            } => (Some(*cond), [then_args, else_args]),
+            Term::Ret { value } => (*value, [&[], &[]]),
+        };
+        head.into_iter().chain(lists.into_iter().flatten().copied())
     }
 }
 

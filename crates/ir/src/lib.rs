@@ -33,7 +33,9 @@ pub mod types;
 pub mod verify;
 
 pub use builder::{FunctionBuilder, ModuleBuilder};
-pub use instr::{BinOp, CastKind, FPred, IPred, Instr, InstrId, Op, OpClass, Operand, Term, UnOp};
+pub use instr::{
+    BinOp, CastKind, FPred, IPred, Instr, InstrId, Op, OpClass, Operand, Operands, Term, UnOp,
+};
 pub use module::{Block, BlockId, Const, FuncId, Function, Global, Module, ValueId};
 pub use parse::{parse_module, ParseError};
 pub use types::Ty;
