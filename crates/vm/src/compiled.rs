@@ -18,7 +18,10 @@
 //! compute → `finish`) and then checks the snapshot-boundary gate; a
 //! fused head runs only its first component there and steps to the
 //! unfused stub at `pc + 1`, so fused pairs run only in the turbo
-//! tier, whose gate proves no boundary falls inside them. Register
+//! tier, whose gate proves no boundary falls inside them. The turbo
+//! tier is its own small loop (`CMachine::turbo`) that counts a whole
+//! segment's instructions when its gate passes and, on a trap, rebuilds
+//! the counters the exact tier would have left. Register
 //! indices below `num_values` coincide with `ValueId`s so fault
 //! injection flips the same typed bits of the same register.
 //! Unchecked register/code accesses are justified by the bounds sweep
@@ -30,7 +33,7 @@ use crate::exec::{
     ExecLimits, Injection, InjectionTarget, RunEnd, RunOutput, RunStatus, Stop, Trap,
 };
 use crate::image::{Image, ResumeScratch};
-use crate::lower::{Bc, CompiledFunc, CompiledModule, NO_REG};
+use crate::lower::{defines, Bc, CompiledFunc, CompiledModule, NO_REG};
 use crate::profile::Profile;
 use crate::snapshot::{
     mask_contains, AccessEv, AccessLog, ConvergeMasks, FrameSnap, ReadSets, SnapData, TrialResume,
@@ -427,29 +430,320 @@ impl<'m, const LOG: bool> CMachine<'m, LOG> {
             .matches(cp, read_sets.and_then(|r| r.set_at(cp.value_dynamic)))
     }
 
-    /// The driver: outer loop owns frame pushes/pops and the boundary
-    /// gate; the inner loop threads through one frame's bytecode.
+    /// The turbo tier: runs whole straight-line segments of one frame
+    /// from `*pc` while the gate holds for the next segment (see
+    /// [`Self::drive`]). Returns `None` with `*pc` at the segment whose
+    /// gate failed, or `Exit::Call`/`Exit::Ret` with `*pc` at the call or
+    /// return that ended the last segment. A passing gate adds the
+    /// segment's `n_ops` and `n_defs` to the counters up front, so no op
+    /// counts itself; a trap inside the segment hands its position to
+    /// [`Self::turbo_trap`], which rebuilds the counters the exact tier
+    /// would have left.
     ///
-    /// The inner loop is two-tier. The **turbo** tier runs whole
-    /// straight-line segments with batched bookkeeping whenever a
-    /// one-time gate proves nothing observable can happen inside the
-    /// segment: no static-instance injection is pending, the hang
-    /// budget cannot expire
+    /// Kept out of line so that its register allocation does not depend
+    /// on `drive`'s. Inside `drive` and counting per op, the loop's
+    /// release build reloaded the register-file pointer from `drive`'s
+    /// stack frame on every op and kept `value_dynamic` in memory; here
+    /// the register-file and bytecode pointers and the pc stay in
+    /// registers. An `#[inline(always)]` build of this loop keeps them in
+    /// registers too and timed the same within noise (perfbench `ship`,
+    /// 6 pairs of 5 s runs, median ratio 0.99): the attribute guards the
+    /// loop against `drive`'s growth rather than closing a gap measured
+    /// today.
+    #[inline(never)]
+    fn turbo(
+        &mut self,
+        cf: &CompiledFunc,
+        pcb: usize,
+        regs: &mut [u64],
+        pc_out: &mut usize,
+        move_buf: &mut Vec<u64>,
+    ) -> Result<Option<Exit>, Stop> {
+        let code = &cf.code[..];
+        let gate_vd = self.inj_vd.min(self.next_vd);
+        let max_dyn = self.limits.max_dynamic;
+        let mut dynamic = self.profile.dynamic;
+        let mut vd = self.profile.value_dynamic;
+        let mut pc = *pc_out;
+        let exit = 'segs: loop {
+            debug_assert!(pc < cf.seg.len(), "pc out of bounds");
+            // SAFETY: `seg` has one entry per op, and `pc` is a valid op
+            // index: it starts at the frame's pc (an entry, a `pc_of`
+            // resume point or the op after a call) and moves only to an
+            // edge target, all checked by `lower::validate`, or to a
+            // later op of its own block, which ends in a control op.
+            let s = unsafe { *cf.seg.get_unchecked(pc) };
+            if vd + s.n_defs as u64 >= gate_vd || dynamic + s.n_ops as u64 > max_dyn {
+                break None;
+            }
+            dynamic += s.n_ops as u64;
+            vd += s.n_defs as u64;
+            let start = pc;
+            // A trap at `pc` after `$began` of the segment's instructions
+            // began, the trapping one included.
+            macro_rules! trap {
+                ($e:expr, $began:expr) => {
+                    return Err(self.turbo_trap(cf, start, dynamic, vd, $began, $e))
+                };
+            }
+            loop {
+                debug_assert!(pc < code.len(), "pc out of bounds");
+                // SAFETY: `pc` is a valid op index, as above.
+                match unsafe { code.get_unchecked(pc) } {
+                    Bc::Bin { op, ty, dst, a, b } => {
+                        match exec_bin(*op, *ty, rd(regs, *a), rd(regs, *b)) {
+                            Ok(r) => wr(regs, *dst, r),
+                            Err(e) => trap!(e, pc - start + 1),
+                        }
+                        pc += 1;
+                    }
+                    Bc::IAdd { dst, a, b } => {
+                        let r = (rd(regs, *a) as i64).wrapping_add(rd(regs, *b) as i64);
+                        wr(regs, *dst, r as u64);
+                        pc += 1;
+                    }
+                    Bc::ISub { dst, a, b } => {
+                        let r = (rd(regs, *a) as i64).wrapping_sub(rd(regs, *b) as i64);
+                        wr(regs, *dst, r as u64);
+                        pc += 1;
+                    }
+                    Bc::IMul { dst, a, b } => {
+                        let r = (rd(regs, *a) as i64).wrapping_mul(rd(regs, *b) as i64);
+                        wr(regs, *dst, r as u64);
+                        pc += 1;
+                    }
+                    Bc::And { dst, a, b } => {
+                        wr(regs, *dst, rd(regs, *a) & rd(regs, *b));
+                        pc += 1;
+                    }
+                    Bc::FAdd { dst, a, b } => {
+                        let r = f64::from_bits(rd(regs, *a)) + f64::from_bits(rd(regs, *b));
+                        wr(regs, *dst, r.to_bits());
+                        pc += 1;
+                    }
+                    Bc::FSub { dst, a, b } => {
+                        let r = f64::from_bits(rd(regs, *a)) - f64::from_bits(rd(regs, *b));
+                        wr(regs, *dst, r.to_bits());
+                        pc += 1;
+                    }
+                    Bc::FMul { dst, a, b } => {
+                        let r = f64::from_bits(rd(regs, *a)) * f64::from_bits(rd(regs, *b));
+                        wr(regs, *dst, r.to_bits());
+                        pc += 1;
+                    }
+                    Bc::FDiv { dst, a, b } => {
+                        let r = f64::from_bits(rd(regs, *a)) / f64::from_bits(rd(regs, *b));
+                        wr(regs, *dst, r.to_bits());
+                        pc += 1;
+                    }
+                    Bc::FMulAdd { t, a, b, dst, x, y } => {
+                        let m = f64::from_bits(rd(regs, *a)) * f64::from_bits(rd(regs, *b));
+                        wr(regs, *t, m.to_bits());
+                        let sum = f64::from_bits(rd(regs, *x)) + f64::from_bits(rd(regs, *y));
+                        wr(regs, *dst, sum.to_bits());
+                        pc += 2;
+                    }
+                    Bc::Un { op, ty, dst, a } => {
+                        wr(regs, *dst, exec_un(*op, *ty, rd(regs, *a)));
+                        pc += 1;
+                    }
+                    Bc::Icmp { pred, dst, a, b } => {
+                        wr(regs, *dst, icmp(*pred, rd(regs, *a), rd(regs, *b)));
+                        pc += 1;
+                    }
+                    Bc::Fcmp { pred, dst, a, b } => {
+                        wr(regs, *dst, fcmp(*pred, rd(regs, *a), rd(regs, *b)));
+                        pc += 1;
+                    }
+                    Bc::Select { dst, cond, t, f } => {
+                        let r = if rd(regs, *cond) & 1 != 0 {
+                            rd(regs, *t)
+                        } else {
+                            rd(regs, *f)
+                        };
+                        wr(regs, *dst, r);
+                        pc += 1;
+                    }
+                    Bc::Cast {
+                        kind,
+                        from,
+                        to,
+                        dst,
+                        a,
+                    } => {
+                        wr(regs, *dst, exec_cast(*kind, *from, *to, rd(regs, *a)));
+                        pc += 1;
+                    }
+                    Bc::Load { ty, dst, addr } => {
+                        match self.mem_read(rd(regs, *addr)) {
+                            Ok(w) => wr(regs, *dst, canon(*ty, w)),
+                            Err(e) => trap!(e, pc - start + 1),
+                        }
+                        pc += 1;
+                    }
+                    Bc::Store { addr, val } => {
+                        if let Err(e) = self.mem_write(rd(regs, *addr), rd(regs, *val)) {
+                            trap!(e, pc - start + 1);
+                        }
+                        pc += 1;
+                    }
+                    Bc::Gep { dst, base, index } => {
+                        wr(regs, *dst, rd(regs, *base).wrapping_add(rd(regs, *index)));
+                        pc += 1;
+                    }
+                    Bc::Alloca { dst, words } => {
+                        match self.alloca(rd(regs, *words)) {
+                            Ok(r) => wr(regs, *dst, r),
+                            Err(e) => trap!(e, pc - start + 1),
+                        }
+                        pc += 1;
+                    }
+                    Bc::Output { val } => {
+                        self.output.push(rd(regs, *val));
+                        pc += 1;
+                    }
+                    Bc::GepLoad {
+                        ty,
+                        gep_dst,
+                        base,
+                        index,
+                        dst,
+                    } => {
+                        let p = rd(regs, *base).wrapping_add(rd(regs, *index));
+                        wr(regs, *gep_dst, p);
+                        match self.mem_read(p) {
+                            Ok(w) => wr(regs, *dst, canon(*ty, w)),
+                            Err(e) => trap!(e, pc - start + 2),
+                        }
+                        pc += 2;
+                    }
+                    Bc::GepStore {
+                        gep_dst,
+                        base,
+                        index,
+                        val,
+                    } => {
+                        let p = rd(regs, *base).wrapping_add(rd(regs, *index));
+                        wr(regs, *gep_dst, p);
+                        if let Err(e) = self.mem_write(p, rd(regs, *val)) {
+                            trap!(e, pc - start + 2);
+                        }
+                        pc += 2;
+                    }
+                    Bc::CmpBrI {
+                        pred,
+                        dst,
+                        a,
+                        b,
+                        edge,
+                    } => {
+                        let r = icmp(*pred, rd(regs, *a), rd(regs, *b));
+                        wr(regs, *dst, r);
+                        self.seg_hits[pcb + start] += 1;
+                        let e = if r != 0 { *edge } else { *edge + 1 };
+                        pc = take_edge(cf, e, regs, move_buf) as usize;
+                        break;
+                    }
+                    Bc::CmpBrF {
+                        pred,
+                        dst,
+                        a,
+                        b,
+                        edge,
+                    } => {
+                        let r = fcmp(*pred, rd(regs, *a), rd(regs, *b));
+                        wr(regs, *dst, r);
+                        self.seg_hits[pcb + start] += 1;
+                        let e = if r != 0 { *edge } else { *edge + 1 };
+                        pc = take_edge(cf, e, regs, move_buf) as usize;
+                        break;
+                    }
+                    Bc::Br { edge } => {
+                        self.seg_hits[pcb + start] += 1;
+                        pc = take_edge(cf, *edge, regs, move_buf) as usize;
+                        break;
+                    }
+                    Bc::CondBr { cond, edge } => {
+                        self.seg_hits[pcb + start] += 1;
+                        let e = if rd(regs, *cond) & 1 != 0 {
+                            *edge
+                        } else {
+                            *edge + 1
+                        };
+                        pc = take_edge(cf, e, regs, move_buf) as usize;
+                        break;
+                    }
+                    Bc::Call { .. } => {
+                        self.seg_hits[pcb + start] += 1;
+                        break 'segs Some(Exit::Call);
+                    }
+                    Bc::Ret { .. } => {
+                        self.seg_hits[pcb + start] += 1;
+                        break 'segs Some(Exit::Ret);
+                    }
+                }
+            }
+        };
+        self.profile.dynamic = dynamic;
+        self.profile.value_dynamic = vd;
+        *pc_out = pc;
+        Ok(exit)
+    }
+
+    /// The counters a trap leaves inside the turbo segment from `start`,
+    /// whose gate already added its `n_ops` and `n_defs` to `dynamic` and
+    /// `vd`: the first `began` instructions began (`pc - start + 1`, or
+    /// `+ 2` when a fused op's second component traps), and the defs
+    /// among all but the last of them finished. `exec_counts` gets the
+    /// `began` credits the exact tier would have made.
+    #[cold]
+    #[inline(never)]
+    fn turbo_trap(
+        &mut self,
+        cf: &CompiledFunc,
+        start: usize,
+        dynamic: u64,
+        vd: u64,
+        began: usize,
+        stop: Stop,
+    ) -> Stop {
+        let s = cf.seg[start];
+        let finished = cf
+            .seg_pcs(start)
+            .take(began - 1)
+            .filter(|&pc| defines(&cf.code[pc]))
+            .count();
+        self.profile.dynamic = dynamic - s.n_ops as u64 + began as u64;
+        self.profile.value_dynamic = vd - s.n_defs as u64 + finished as u64;
+        self.credit_partial(cf, start, began as u64);
+        stop
+    }
+
+    /// Runs the machine to the end of the run: the outer loop owns
+    /// frame pushes/pops, calls, returns and the boundary gate; the
+    /// inner loop threads through one frame's bytecode.
+    ///
+    /// The inner loop is two-tier. The **turbo** tier,
+    /// [`Self::turbo`], runs whole straight-line segments with batched
+    /// bookkeeping whenever a one-time gate proves nothing observable
+    /// can happen inside the segment: no static-instance injection is
+    /// pending, the hang budget cannot expire
     /// (`dynamic + n_ops <= max_dynamic`), and no def in the segment
     /// can reach the pending injection index or the next snapshot
     /// boundary (`value_dynamic + n_defs < min(inj_vd, next_vd)`).
-    /// Under that proof the per-instruction counters collapse to two
-    /// local register increments (written back at every exit) and
-    /// `exec_counts` collapses to one segment-hit increment, expanded
-    /// exactly at run end by [`Self::fold_seg_hits`]. A trap
-    /// mid-segment reconstructs the exact partial counters the
-    /// per-instruction path would have left. Whenever the gate fails,
-    /// the **exact** tier runs one interpreter instruction with full
-    /// `begin`/`finish` bookkeeping, checks the boundary gate, and
-    /// retries the turbo gate at the next pc. It never runs a fused
-    /// pair: a fused head runs as its first component and steps to its
-    /// stub at `pc + 1`. Both tiers produce bit-identical observables;
-    /// the split is pure wall-clock.
+    /// Under that proof the per-instruction counters collapse to one
+    /// addition of the segment's `n_ops` and `n_defs` (written back at
+    /// every exit) and `exec_counts` collapses to one segment-hit
+    /// increment, expanded exactly at run end by
+    /// [`Self::fold_seg_hits`]. A trap mid-segment reconstructs the
+    /// exact partial counters the per-instruction path would have left
+    /// ([`Self::turbo_trap`]). Whenever the gate fails, the **exact**
+    /// tier runs one interpreter instruction with full `begin`/`finish`
+    /// bookkeeping, checks the boundary gate, and retries the turbo
+    /// gate at the next pc. It never runs a fused pair: a fused head
+    /// runs as its first component and steps to its stub at `pc + 1`.
+    /// Both tiers produce bit-identical observables; the split is pure
+    /// wall-clock.
     fn drive(&mut self, frames: &mut Vec<CFrame>, arena: &mut Vec<u64>) -> Result<RunEnd, Stop> {
         let module = self.module;
         let code = self.code;
@@ -473,305 +767,10 @@ impl<'m, const LOG: bool> CMachine<'m, LOG> {
                 let mut pc = *frame_pc as usize;
                 'inner: loop {
                     if !self.static_pending {
-                        // ---- turbo tier ----
-                        let gate_vd = self.inj_vd.min(self.next_vd);
-                        let max_dyn = self.limits.max_dynamic;
-                        let mut dynamic = self.profile.dynamic;
-                        let mut vd = self.profile.value_dynamic;
-                        'turbo: loop {
-                            debug_assert!(pc < cf.seg.len(), "pc out of bounds");
-                            let s = unsafe { *cf.seg.get_unchecked(pc) };
-                            if vd + s.n_defs as u64 >= gate_vd || dynamic + s.n_ops as u64 > max_dyn
-                            {
-                                break 'turbo;
-                            }
-                            let seg_start = pc;
-                            let dyn0 = dynamic;
-                            macro_rules! turbo_trap {
-                                ($e:expr) => {{
-                                    self.profile.dynamic = dynamic;
-                                    self.profile.value_dynamic = vd;
-                                    self.credit_partial(cf, seg_start, dynamic - dyn0);
-                                    return Err($e);
-                                }};
-                            }
-                            'ops: loop {
-                                debug_assert!(pc < cf.code.len(), "pc out of bounds");
-                                let bc = unsafe { *cf.code.get_unchecked(pc) };
-                                match bc {
-                                    Bc::Bin { op, ty, dst, a, b } => {
-                                        dynamic += 1;
-                                        match exec_bin(op, ty, rd(regs, a), rd(regs, b)) {
-                                            Ok(r) => {
-                                                vd += 1;
-                                                wr(regs, dst, r);
-                                                pc += 1;
-                                            }
-                                            Err(e) => turbo_trap!(e),
-                                        }
-                                    }
-                                    Bc::IAdd { dst, a, b } => {
-                                        dynamic += 1;
-                                        let r = (rd(regs, a) as i64)
-                                            .wrapping_add(rd(regs, b) as i64)
-                                            as u64;
-                                        vd += 1;
-                                        wr(regs, dst, r);
-                                        pc += 1;
-                                    }
-                                    Bc::ISub { dst, a, b } => {
-                                        dynamic += 1;
-                                        let r = (rd(regs, a) as i64)
-                                            .wrapping_sub(rd(regs, b) as i64)
-                                            as u64;
-                                        vd += 1;
-                                        wr(regs, dst, r);
-                                        pc += 1;
-                                    }
-                                    Bc::IMul { dst, a, b } => {
-                                        dynamic += 1;
-                                        let r = (rd(regs, a) as i64)
-                                            .wrapping_mul(rd(regs, b) as i64)
-                                            as u64;
-                                        vd += 1;
-                                        wr(regs, dst, r);
-                                        pc += 1;
-                                    }
-                                    Bc::FAdd { dst, a, b } => {
-                                        dynamic += 1;
-                                        let r = (f64::from_bits(rd(regs, a))
-                                            + f64::from_bits(rd(regs, b)))
-                                        .to_bits();
-                                        vd += 1;
-                                        wr(regs, dst, r);
-                                        pc += 1;
-                                    }
-                                    Bc::FSub { dst, a, b } => {
-                                        dynamic += 1;
-                                        let r = (f64::from_bits(rd(regs, a))
-                                            - f64::from_bits(rd(regs, b)))
-                                        .to_bits();
-                                        vd += 1;
-                                        wr(regs, dst, r);
-                                        pc += 1;
-                                    }
-                                    Bc::FMul { dst, a, b } => {
-                                        dynamic += 1;
-                                        let r = (f64::from_bits(rd(regs, a))
-                                            * f64::from_bits(rd(regs, b)))
-                                        .to_bits();
-                                        vd += 1;
-                                        wr(regs, dst, r);
-                                        pc += 1;
-                                    }
-                                    Bc::FDiv { dst, a, b } => {
-                                        dynamic += 1;
-                                        let r = (f64::from_bits(rd(regs, a))
-                                            / f64::from_bits(rd(regs, b)))
-                                        .to_bits();
-                                        vd += 1;
-                                        wr(regs, dst, r);
-                                        pc += 1;
-                                    }
-                                    Bc::FMulAdd { t, a, b, dst, x, y } => {
-                                        dynamic += 1;
-                                        let m = (f64::from_bits(rd(regs, a))
-                                            * f64::from_bits(rd(regs, b)))
-                                        .to_bits();
-                                        vd += 1;
-                                        wr(regs, t, m);
-                                        dynamic += 1;
-                                        let s = (f64::from_bits(rd(regs, x))
-                                            + f64::from_bits(rd(regs, y)))
-                                        .to_bits();
-                                        vd += 1;
-                                        wr(regs, dst, s);
-                                        pc += 2;
-                                    }
-                                    Bc::Un { op, ty, dst, a } => {
-                                        dynamic += 1;
-                                        let r = exec_un(op, ty, rd(regs, a));
-                                        vd += 1;
-                                        wr(regs, dst, r);
-                                        pc += 1;
-                                    }
-                                    Bc::Icmp { pred, dst, a, b } => {
-                                        dynamic += 1;
-                                        let r = icmp(pred, rd(regs, a), rd(regs, b));
-                                        vd += 1;
-                                        wr(regs, dst, r);
-                                        pc += 1;
-                                    }
-                                    Bc::Fcmp { pred, dst, a, b } => {
-                                        dynamic += 1;
-                                        let r = fcmp(pred, rd(regs, a), rd(regs, b));
-                                        vd += 1;
-                                        wr(regs, dst, r);
-                                        pc += 1;
-                                    }
-                                    Bc::Select { dst, cond, t, f } => {
-                                        dynamic += 1;
-                                        let c = rd(regs, cond) & 1;
-                                        let r = if c != 0 { rd(regs, t) } else { rd(regs, f) };
-                                        vd += 1;
-                                        wr(regs, dst, r);
-                                        pc += 1;
-                                    }
-                                    Bc::Cast {
-                                        kind,
-                                        from,
-                                        to,
-                                        dst,
-                                        a,
-                                    } => {
-                                        dynamic += 1;
-                                        let r = exec_cast(kind, from, to, rd(regs, a));
-                                        vd += 1;
-                                        wr(regs, dst, r);
-                                        pc += 1;
-                                    }
-                                    Bc::Load { ty, dst, addr } => {
-                                        dynamic += 1;
-                                        match self.mem_read(rd(regs, addr)) {
-                                            Ok(w) => {
-                                                vd += 1;
-                                                wr(regs, dst, canon(ty, w));
-                                                pc += 1;
-                                            }
-                                            Err(e) => turbo_trap!(e),
-                                        }
-                                    }
-                                    Bc::Store { addr, val } => {
-                                        dynamic += 1;
-                                        match self.mem_write(rd(regs, addr), rd(regs, val)) {
-                                            Ok(()) => pc += 1,
-                                            Err(e) => turbo_trap!(e),
-                                        }
-                                    }
-                                    Bc::Gep { dst, base, index } => {
-                                        dynamic += 1;
-                                        let r = rd(regs, base).wrapping_add(rd(regs, index));
-                                        vd += 1;
-                                        wr(regs, dst, r);
-                                        pc += 1;
-                                    }
-                                    Bc::Alloca { dst, words } => {
-                                        dynamic += 1;
-                                        match self.alloca(rd(regs, words)) {
-                                            Ok(r) => {
-                                                vd += 1;
-                                                wr(regs, dst, r);
-                                                pc += 1;
-                                            }
-                                            Err(e) => turbo_trap!(e),
-                                        }
-                                    }
-                                    Bc::Output { val } => {
-                                        dynamic += 1;
-                                        let v = rd(regs, val);
-                                        self.output.push(v);
-                                        pc += 1;
-                                    }
-                                    Bc::GepLoad {
-                                        ty,
-                                        gep_dst,
-                                        base,
-                                        index,
-                                        dst,
-                                    } => {
-                                        dynamic += 1;
-                                        let p = rd(regs, base).wrapping_add(rd(regs, index));
-                                        vd += 1;
-                                        wr(regs, gep_dst, p);
-                                        dynamic += 1;
-                                        match self.mem_read(p) {
-                                            Ok(w) => {
-                                                vd += 1;
-                                                wr(regs, dst, canon(ty, w));
-                                                pc += 2;
-                                            }
-                                            Err(e) => turbo_trap!(e),
-                                        }
-                                    }
-                                    Bc::GepStore {
-                                        gep_dst,
-                                        base,
-                                        index,
-                                        val,
-                                    } => {
-                                        dynamic += 1;
-                                        let p = rd(regs, base).wrapping_add(rd(regs, index));
-                                        vd += 1;
-                                        wr(regs, gep_dst, p);
-                                        dynamic += 1;
-                                        match self.mem_write(p, rd(regs, val)) {
-                                            Ok(()) => pc += 2,
-                                            Err(e) => turbo_trap!(e),
-                                        }
-                                    }
-                                    Bc::CmpBrI {
-                                        pred,
-                                        dst,
-                                        a,
-                                        b,
-                                        edge,
-                                    } => {
-                                        dynamic += 1;
-                                        let r = icmp(pred, rd(regs, a), rd(regs, b));
-                                        vd += 1;
-                                        wr(regs, dst, r);
-                                        self.seg_hits[pcb + seg_start] += 1;
-                                        let e = if r != 0 { edge } else { edge + 1 };
-                                        pc = take_edge(cf, e, regs, &mut move_buf) as usize;
-                                        break 'ops;
-                                    }
-                                    Bc::CmpBrF {
-                                        pred,
-                                        dst,
-                                        a,
-                                        b,
-                                        edge,
-                                    } => {
-                                        dynamic += 1;
-                                        let r = fcmp(pred, rd(regs, a), rd(regs, b));
-                                        vd += 1;
-                                        wr(regs, dst, r);
-                                        self.seg_hits[pcb + seg_start] += 1;
-                                        let e = if r != 0 { edge } else { edge + 1 };
-                                        pc = take_edge(cf, e, regs, &mut move_buf) as usize;
-                                        break 'ops;
-                                    }
-                                    Bc::Br { edge } => {
-                                        self.seg_hits[pcb + seg_start] += 1;
-                                        pc = take_edge(cf, edge, regs, &mut move_buf) as usize;
-                                        break 'ops;
-                                    }
-                                    Bc::CondBr { cond, edge } => {
-                                        self.seg_hits[pcb + seg_start] += 1;
-                                        let c = rd(regs, cond) & 1;
-                                        let e = if c != 0 { edge } else { edge + 1 };
-                                        pc = take_edge(cf, e, regs, &mut move_buf) as usize;
-                                        break 'ops;
-                                    }
-                                    Bc::Call { .. } => {
-                                        self.seg_hits[pcb + seg_start] += 1;
-                                        self.profile.dynamic = dynamic;
-                                        self.profile.value_dynamic = vd;
-                                        *frame_pc = pc as u32;
-                                        break 'inner Exit::Call;
-                                    }
-                                    Bc::Ret { .. } => {
-                                        self.seg_hits[pcb + seg_start] += 1;
-                                        self.profile.dynamic = dynamic;
-                                        self.profile.value_dynamic = vd;
-                                        *frame_pc = pc as u32;
-                                        break 'inner Exit::Ret;
-                                    }
-                                }
-                            }
+                        if let Some(exit) = self.turbo(cf, pcb, regs, &mut pc, &mut move_buf)? {
+                            *frame_pc = pc as u32;
+                            break 'inner exit;
                         }
-                        self.profile.dynamic = dynamic;
-                        self.profile.value_dynamic = vd;
                     }
                     // ---- exact tier ----
                     // One interpreter instruction per step. A fused head
@@ -900,6 +899,11 @@ impl<'m, const LOG: bool> CMachine<'m, LOG> {
                             self.begin(cf, pc)?;
                             let r = (f64::from_bits(rd(regs, a)) / f64::from_bits(rd(regs, b)))
                                 .to_bits();
+                            self.finish(fid, cf, pc, dst, r, regs);
+                        }
+                        Bc::And { dst, a, b } => {
+                            self.begin(cf, pc)?;
+                            let r = rd(regs, a) & rd(regs, b);
                             self.finish(fid, cf, pc, dst, r, regs);
                         }
                         Bc::Call { .. } => {

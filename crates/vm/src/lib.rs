@@ -18,9 +18,10 @@
 
 //!
 //! Two execution engines sit behind the same observables: the
-//! compiled threaded-bytecode backend ([`CompiledVm`], 3.1–7.6× the
-//! interpreter's instructions per second in `BENCH_baseline.json`),
-//! which every command runs on, and the tree-walking interpreter
+//! compiled threaded-bytecode backend ([`CompiledVm`], 3.35–5.21× the
+//! interpreter's instructions per second on the 7 benchmarks' golden
+//! runs, as the `golden_speed` example measures it), which every
+//! command runs on, and the tree-walking interpreter
 //! ([`Vm`]), the semantic reference the differential suites compare it
 //! against bit for bit. [`Engine`] is the seam campaigns run through;
 //! [`CompiledModule::lower`] is the one-time translation. Instrumented

@@ -173,10 +173,12 @@ pub(crate) enum Bc {
         val: u32,
     },
     /// Type-specialized [`Bc::Bin`] fast paths. Each is exactly
-    /// `exec_bin` for its `(op, ty)` pair — wrapping `i64` arithmetic
-    /// or IEEE `f64` through the bit pattern — emitted only for types
-    /// whose `canon` is the identity (I64 / F64), so the dispatch loop
-    /// skips both the nested op/ty match and the canonicalization.
+    /// `exec_bin` for its `(op, ty)` pair, so the dispatch loop skips
+    /// both the nested op/ty match and the canonicalization. The
+    /// arithmetic ones — wrapping `i64` arithmetic or IEEE `f64`
+    /// through the bit pattern — are emitted only for types whose
+    /// `canon` is the identity (I64 / F64); [`Bc::And`] for every
+    /// integer type, because the `&` of canonical inputs is canonical.
     IAdd {
         dst: u32,
         a: u32,
@@ -212,6 +214,12 @@ pub(crate) enum Bc {
         a: u32,
         b: u32,
     },
+    /// Integer `and`: `a & b`, canonical because both inputs are.
+    And {
+        dst: u32,
+        a: u32,
+        b: u32,
+    },
     /// Fused f64 multiply-add: `t = a * b` then `dst = x + y`, where
     /// `x` or `y` is `t` (the add reads the freshly written multiply
     /// result, in interpreter order — so injection into `t` still
@@ -240,8 +248,8 @@ const _: () = assert!(std::mem::size_of::<Bc>() == 32);
 /// segment from this pc executes, one per pc of
 /// [`CompiledFunc::seg_pcs`]. The turbo dispatch loop reads this
 /// once per segment to prove that no hang, injection, or snapshot
-/// boundary can fire inside it, and then runs the whole segment with
-/// batched bookkeeping.
+/// boundary can fire inside it, adds both counts to the run's counters,
+/// and then runs the whole segment with no per-op bookkeeping.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct SegInfo {
     pub(crate) n_ops: u32,
@@ -718,11 +726,16 @@ fn ends_segment(bc: &Bc) -> bool {
     )
 }
 
+/// True when the instruction at a segment pc defines a value: every one
+/// but a store or an output (a fused head's own instruction, a `gep`,
+/// `fmul` or compare, always defines).
+pub(crate) fn defines(bc: &Bc) -> bool {
+    !matches!(bc, Bc::Store { .. } | Bc::Output { .. })
+}
+
 /// Backward sweep computing [`SegInfo`] for every pc: each pc of a
-/// segment is one instruction, and a def unless it is a store or an
-/// output (a fused head's own instruction, a `gep`, `fmul` or compare,
-/// always defines). Stubs get their own summaries, since resumes and
-/// exact-tier steps land there.
+/// segment is one instruction, a def by [`defines`]. Stubs get their
+/// own summaries, since resumes and exact-tier steps land there.
 fn seg_table(code: &[Bc]) -> Vec<SegInfo> {
     let mut seg = vec![
         SegInfo {
@@ -733,7 +746,7 @@ fn seg_table(code: &[Bc]) -> Vec<SegInfo> {
     ];
     for pc in (0..code.len()).rev() {
         if !ends_segment(&code[pc]) {
-            let defs = !matches!(code[pc], Bc::Store { .. } | Bc::Output { .. }) as u32;
+            let defs = defines(&code[pc]) as u32;
             seg[pc] = SegInfo {
                 n_ops: seg[pc + 1].n_ops + 1,
                 n_defs: seg[pc + 1].n_defs + defs,
@@ -757,6 +770,7 @@ fn plain_bc(lo: &mut Lowerer<'_>, ins: &peppa_ir::Instr) -> Bc {
                 (BinOp::FSub, Ty::F64) => Bc::FSub { dst, a: ra, b: rb },
                 (BinOp::FMul, Ty::F64) => Bc::FMul { dst, a: ra, b: rb },
                 (BinOp::FDiv, Ty::F64) => Bc::FDiv { dst, a: ra, b: rb },
+                (BinOp::And, _) if ty.is_int() => Bc::And { dst, a: ra, b: rb },
                 _ => Bc::Bin {
                     op: *op,
                     ty,
@@ -895,7 +909,8 @@ fn validate(module: &Module, cm: &CompiledModule) {
                 | Bc::FAdd { dst: d, a, b }
                 | Bc::FSub { dst: d, a, b }
                 | Bc::FMul { dst: d, a, b }
-                | Bc::FDiv { dst: d, a, b } => {
+                | Bc::FDiv { dst: d, a, b }
+                | Bc::And { dst: d, a, b } => {
                     dst(d);
                     src(a);
                     src(b);
@@ -1085,7 +1100,8 @@ mod tests {
             Bc::GepLoad { .. } => Some(2),
             Bc::GepStore { .. } => Some(3),
             Bc::FMulAdd { .. } => Some(4),
-            Bc::Bin { .. }
+            Bc::And { .. }
+            | Bc::Bin { .. }
             | Bc::Un { .. }
             | Bc::Icmp { .. }
             | Bc::Fcmp { .. }
@@ -1137,20 +1153,28 @@ mod tests {
         }
     }
 
-    /// Every fused variant forms on the shipped programs, so none
-    /// carries dispatch code that no real run executes.
+    /// Every fused variant, and the specialized `And`, forms on the
+    /// shipped programs, so none carries dispatch code that no real run
+    /// executes.
     #[test]
     fn every_fused_variant_forms_on_the_benchmarks() {
         let mut total = [0; FUSED.len()];
+        let mut ands = 0;
         for bench in peppa_apps::all_benchmarks() {
             for level in [OptLevel::O0, OptLevel::O2] {
                 let cm = CompiledModule::lower(&optimize(&bench.module, level).module);
                 for (t, n) in total.iter_mut().zip(fused_counts(&cm)) {
                     *t += n;
                 }
+                ands += cm
+                    .funcs
+                    .iter()
+                    .flat_map(|f| &f.code)
+                    .filter(|bc| matches!(bc, Bc::And { .. }))
+                    .count();
             }
         }
-        for (name, n) in FUSED.iter().zip(total) {
+        for (name, n) in FUSED.iter().zip(total).chain([(&"And", ands)]) {
             assert!(
                 n > 0,
                 "{name} never forms on the 7 benchmarks at -O0 or -O2"

@@ -142,23 +142,27 @@ fn bitcast_roundtrips_f64() {
     assert_eq!(f64::from_bits(r), -3.75);
 }
 
+/// Builds `fn main()` as two defs and an `output`, then `build`'s
+/// instructions in the same block, and returns the status of a run with
+/// 64 memory words. The run is made four ways and must agree to the
+/// whole `Profile` (see `run_everywhere`), so a trap lands inside a
+/// turbo segment, past finished defs, both from entry and resumed.
 fn trap_of(build: impl FnOnce(&mut peppa_ir::FunctionBuilder<'_>)) -> RunStatus {
     let mut mb = ModuleBuilder::new("trap");
     let main = mb.declare("main", &[], None);
     let mut f = mb.define(main);
+    let x = f.add(Operand::i64(6), Operand::i64(7));
+    let y = f.mul(x, Operand::i64(3));
+    f.output(y);
     build(&mut f);
     f.ret(None);
     f.finish();
     mb.set_entry(main);
     let m = mb.finish();
-    let vm = Vm::new(
-        &m,
-        ExecLimits {
-            memory_words: 64,
-            ..Default::default()
-        },
-    );
-    vm.run_numeric(&[], None).status
+    peppa_ir::verify(&m).unwrap();
+    let out = run_everywhere(&m, limits(64), &[]);
+    assert_eq!(out.output, vec![39], "the output before the trap is kept");
+    out.status
 }
 
 #[test]
@@ -180,10 +184,45 @@ fn negative_alloca_traps() {
 
 #[test]
 fn alloca_larger_than_memory_traps() {
+    // The stack starts after the reserved null word, so 64 words pass
+    // the 64-word limit by one.
+    for words in [64, 1_000_000] {
+        let s = trap_of(|f| {
+            let _ = f.alloca(Operand::i64(words));
+        });
+        assert_eq!(s, RunStatus::Trap(Trap::StackOverflow), "{words} words");
+    }
+}
+
+#[test]
+fn integer_division_by_zero_traps() {
+    for op in [BinOp::SDiv, BinOp::SRem] {
+        let s = trap_of(|f| {
+            let _ = f.bin(op, Operand::i64(5), Operand::i64(0));
+        });
+        assert_eq!(s, RunStatus::Trap(Trap::DivByZero), "{op:?}");
+    }
+}
+
+/// A `gep` feeding the next `load` or `store` runs as one fused op in
+/// the turbo tier; the trap comes from its second half, after the
+/// `gep` defined its pointer.
+#[test]
+fn fused_gep_access_traps_in_its_second_half() {
+    let past_end = |f: &mut peppa_ir::FunctionBuilder<'_>| {
+        let p = f.cast(CastKind::IntToPtr, Operand::i64(1), Ty::Ptr);
+        f.gep(p, Operand::i64(100))
+    };
     let s = trap_of(|f| {
-        let _ = f.alloca(Operand::i64(1_000_000));
+        let q = past_end(f);
+        let _ = f.load(q, Ty::I64);
     });
-    assert_eq!(s, RunStatus::Trap(Trap::StackOverflow));
+    assert_eq!(s, RunStatus::Trap(Trap::OutOfBounds { addr: 101 }));
+    let s = trap_of(|f| {
+        let q = past_end(f);
+        f.store(q, Operand::i64(1));
+    });
+    assert_eq!(s, RunStatus::Trap(Trap::OutOfBounds { addr: 101 }));
 }
 
 #[test]
