@@ -19,18 +19,20 @@
 //! fused head runs only its first component there and steps to the
 //! unfused stub at `pc + 1`, so fused pairs run only in the turbo
 //! tier, whose gate proves no boundary falls inside them. The turbo
-//! tier is its own small loop (`CMachine::turbo`) that counts a whole
-//! segment's instructions when its gate passes and, on a trap, rebuilds
-//! the counters the exact tier would have left. Register
-//! indices below `num_values` coincide with `ValueId`s so fault
-//! injection flips the same typed bits of the same register.
-//! Unchecked register/code accesses are justified by the bounds sweep
-//! at the end of lowering (`lower::validate`); debug builds keep the
-//! assertions.
+//! tier is its own small loop (`CMachine::turbo`) that runs each
+//! segment through its unconditional jumps, counts the segment's
+//! instructions when its gate passes and, on a trap, rebuilds the
+//! counters the exact tier would have left. Register indices below
+//! `num_values` coincide with `ValueId`s so fault injection flips the
+//! same typed bits of the same register; the constant pool and the
+//! scratch register behind them are engine-private. Unchecked register,
+//! code, edge, move and segment-hit accesses are justified by the
+//! bounds sweep at the end of lowering (`lower::validate`); debug builds
+//! keep the assertions.
 
 use crate::exec::{
     canon, exec_bin, exec_cast, exec_fcmp as fcmp, exec_icmp as icmp, exec_un, flip_bits,
-    ExecLimits, Injection, InjectionTarget, RunEnd, RunOutput, RunStatus, Stop, Trap,
+    BareJumps, ExecLimits, Injection, InjectionTarget, RunEnd, RunOutput, RunStatus, Stop, Trap,
 };
 use crate::image::{Image, ResumeScratch};
 use crate::lower::{defines, Bc, CompiledFunc, CompiledModule, NO_REG};
@@ -124,7 +126,7 @@ struct CMachine<'m, const LOG: bool> {
     next_vd: u64,
     /// Completed-segment execution counts, indexed by flat pc
     /// (`pc_base[fid] + segment start pc`). The turbo loop records one
-    /// hit per fully executed straight-line segment instead of one
+    /// hit per fully executed segment, jumps and all, instead of one
     /// `exec_counts` read-modify-write per instruction;
     /// [`Self::fold_seg_hits`] folds the hits back into per-sid
     /// `exec_counts` before the profile is observable (at run end and
@@ -134,6 +136,11 @@ struct CMachine<'m, const LOG: bool> {
     /// see exact values: a pending static injection disables the turbo
     /// loop outright.
     seg_hits: Vec<u64>,
+    /// The run's open streak of jumps with no instruction begun, as the
+    /// interpreter counts it. The exact tier counts its jumps here; the
+    /// turbo tier hands over the jumps its last segment took after its
+    /// last instruction.
+    bare: BareJumps,
     /// Memory-access trace (`LOG` runs only).
     log: AccessLog,
 }
@@ -280,13 +287,12 @@ impl<'m, const LOG: bool> CMachine<'m, LOG> {
     /// mid-way (a trap): credit the segment's first `began`
     /// instructions, the ones that began before the trap.
     #[cold]
-    fn credit_partial(&mut self, cf: &CompiledFunc, start_pc: usize, began: u64) {
-        let pcs = cf.seg_pcs(start_pc);
+    fn credit_partial(&mut self, cf: &CompiledFunc, start_pc: usize, began: usize) {
         debug_assert!(
-            began as usize <= pcs.len(),
+            began <= cf.seg_pcs(start_pc).count(),
             "more began than the segment holds"
         );
-        for pc in pcs.take(began as usize) {
+        for pc in cf.seg_pcs(start_pc).take(began) {
             self.profile.exec_counts[cf.sids[pc] as usize] += 1;
         }
     }
@@ -430,15 +436,20 @@ impl<'m, const LOG: bool> CMachine<'m, LOG> {
             .matches(cp, read_sets.and_then(|r| r.set_at(cp.value_dynamic)))
     }
 
-    /// The turbo tier: runs whole straight-line segments of one frame
-    /// from `*pc` while the gate holds for the next segment (see
-    /// [`Self::drive`]). Returns `None` with `*pc` at the segment whose
-    /// gate failed, or `Exit::Call`/`Exit::Ret` with `*pc` at the call or
+    /// The turbo tier: runs whole segments of one frame from `*pc` while
+    /// the gate holds for the next segment (see [`Self::drive`]). A
+    /// segment runs through every [`Bc::Br`], doing its moves and going
+    /// on at its target, and ends at a `CondBr`, a [`Bc::BrCut`], a call
+    /// or a return. Returns `None` with `*pc` at the segment whose gate
+    /// failed, or `Exit::Call`/`Exit::Ret` with `*pc` at the call or
     /// return that ended the last segment. A passing gate adds the
     /// segment's `n_ops` and `n_defs` to the counters up front, so no op
-    /// counts itself; a trap inside the segment hands its position to
+    /// counts itself; a trap inside the segment hands the trapping pc to
     /// [`Self::turbo_trap`], which rebuilds the counters the exact tier
-    /// would have left.
+    /// would have left. A segment that only jumps fails the gate, so the
+    /// exact tier counts its jumps against the hang budget; when the gate
+    /// fails after a segment ran, the jumps that segment took after its
+    /// last instruction open the exact tier's streak.
     ///
     /// Kept out of line so that its register allocation does not depend
     /// on `drive`'s. Inside `drive` and counting per op, the loop's
@@ -457,103 +468,154 @@ impl<'m, const LOG: bool> CMachine<'m, LOG> {
         pcb: usize,
         regs: &mut [u64],
         pc_out: &mut usize,
-        move_buf: &mut Vec<u64>,
     ) -> Result<Option<Exit>, Stop> {
         let code = &cf.code[..];
         let gate_vd = self.inj_vd.min(self.next_vd);
         let max_dyn = self.limits.max_dynamic;
         let mut dynamic = self.profile.dynamic;
         let mut vd = self.profile.value_dynamic;
-        let mut pc = *pc_out;
+        debug_assert!(*pc_out < code.len(), "pc out of bounds");
+        // `ip` points at the op to run next: dispatch reads it directly, an
+        // op steps it past itself, and a jump sets it to the edge's
+        // target. Its pc is worked out only at a gate, a trap and the exit.
+        // It always points at an op of `code`: it starts at the frame's
+        // pc, a valid op index (an entry, a `pc_of` resume point or the op
+        // after a call), and moves only to an edge target, checked by
+        // `lower::validate`, or to a later op of its own block, which ends
+        // in a control op.
+        let ops = code.as_ptr();
+        // SAFETY: `*pc_out` is an op index of `code`, as above.
+        let mut ip = unsafe { ops.add(*pc_out) };
+        // The pc of `ip`.
+        macro_rules! pc {
+            () => {
+                // SAFETY: `ip` points into `code`, as `ops` does.
+                unsafe { ip.offset_from(ops) as usize }
+            };
+        }
+        // Steps `ip` past an op that covers `$n` pcs.
+        macro_rules! step {
+            ($n:expr) => {
+                // SAFETY: a later op of the block follows, as above.
+                ip = unsafe { ip.add($n) }
+            };
+        }
+        // Takes edge `$e`: its moves, then on at its target.
+        macro_rules! jump {
+            ($e:expr) => {
+                // SAFETY: an edge target is an op index, as above.
+                ip = unsafe { ops.add(take_edge(cf, $e, regs) as usize) }
+            };
+        }
+        debug_assert!(
+            pcb + code.len() <= self.seg_hits.len(),
+            "hits out of bounds"
+        );
+        // SAFETY: `pc_base[f] + code.len() <= total_pcs`, the length of
+        // `seg_hits`, by `lower::validate`, every segment start is an op
+        // index of this function, and nothing else touches `seg_hits`
+        // while the loop runs.
+        let hits = unsafe { self.seg_hits.as_mut_ptr().add(pcb) };
+        // The start of the last segment whose gate passed.
+        let mut start = usize::MAX;
         let exit = 'segs: loop {
+            let pc = pc!();
             debug_assert!(pc < cf.seg.len(), "pc out of bounds");
             // SAFETY: `seg` has one entry per op, and `pc` is a valid op
-            // index: it starts at the frame's pc (an entry, a `pc_of`
-            // resume point or the op after a call) and moves only to an
-            // edge target, all checked by `lower::validate`, or to a
-            // later op of its own block, which ends in a control op.
+            // index, as above.
             let s = unsafe { *cf.seg.get_unchecked(pc) };
-            if vd + s.n_defs as u64 >= gate_vd || dynamic + s.n_ops as u64 > max_dyn {
+            if vd + s.n_defs as u64 >= gate_vd
+                || dynamic + s.n_ops as u64 > max_dyn
+                || (s.n_ops == 0 && cf.seg_only_jumps(pc))
+            {
                 break None;
             }
             dynamic += s.n_ops as u64;
             vd += s.n_defs as u64;
-            let start = pc;
-            // A trap at `pc` after `$began` of the segment's instructions
-            // began, the trapping one included.
+            start = pc;
+            // Counts the segment as run to its end.
+            macro_rules! hit {
+                () => {
+                    // SAFETY: `start` is an op index of `code`, so its
+                    // counter lies in the range `hits` points at.
+                    unsafe { *hits.add(start) += 1 }
+                };
+            }
+            // A trap in the op's instruction `$k`: 0 for its own, 1 for a
+            // fused op's second component, whose stub is the next op.
             macro_rules! trap {
-                ($e:expr, $began:expr) => {
-                    return Err(self.turbo_trap(cf, start, dynamic, vd, $began, $e))
+                ($e:expr, $k:expr) => {
+                    return Err(self.turbo_trap(cf, start, dynamic, vd, pc!() + $k, $e))
                 };
             }
             loop {
-                debug_assert!(pc < code.len(), "pc out of bounds");
-                // SAFETY: `pc` is a valid op index, as above.
-                match unsafe { code.get_unchecked(pc) } {
+                debug_assert!(pc!() < code.len(), "pc out of bounds");
+                // SAFETY: `ip` points at an op of `code`, as above.
+                match unsafe { &*ip } {
                     Bc::Bin { op, ty, dst, a, b } => {
                         match exec_bin(*op, *ty, rd(regs, *a), rd(regs, *b)) {
                             Ok(r) => wr(regs, *dst, r),
-                            Err(e) => trap!(e, pc - start + 1),
+                            Err(e) => trap!(e, 0),
                         }
-                        pc += 1;
+                        step!(1);
                     }
                     Bc::IAdd { dst, a, b } => {
                         let r = (rd(regs, *a) as i64).wrapping_add(rd(regs, *b) as i64);
                         wr(regs, *dst, r as u64);
-                        pc += 1;
+                        step!(1);
                     }
                     Bc::ISub { dst, a, b } => {
                         let r = (rd(regs, *a) as i64).wrapping_sub(rd(regs, *b) as i64);
                         wr(regs, *dst, r as u64);
-                        pc += 1;
+                        step!(1);
                     }
                     Bc::IMul { dst, a, b } => {
                         let r = (rd(regs, *a) as i64).wrapping_mul(rd(regs, *b) as i64);
                         wr(regs, *dst, r as u64);
-                        pc += 1;
+                        step!(1);
                     }
                     Bc::And { dst, a, b } => {
                         wr(regs, *dst, rd(regs, *a) & rd(regs, *b));
-                        pc += 1;
+                        step!(1);
                     }
                     Bc::FAdd { dst, a, b } => {
                         let r = f64::from_bits(rd(regs, *a)) + f64::from_bits(rd(regs, *b));
                         wr(regs, *dst, r.to_bits());
-                        pc += 1;
+                        step!(1);
                     }
                     Bc::FSub { dst, a, b } => {
                         let r = f64::from_bits(rd(regs, *a)) - f64::from_bits(rd(regs, *b));
                         wr(regs, *dst, r.to_bits());
-                        pc += 1;
+                        step!(1);
                     }
                     Bc::FMul { dst, a, b } => {
                         let r = f64::from_bits(rd(regs, *a)) * f64::from_bits(rd(regs, *b));
                         wr(regs, *dst, r.to_bits());
-                        pc += 1;
+                        step!(1);
                     }
                     Bc::FDiv { dst, a, b } => {
                         let r = f64::from_bits(rd(regs, *a)) / f64::from_bits(rd(regs, *b));
                         wr(regs, *dst, r.to_bits());
-                        pc += 1;
+                        step!(1);
                     }
                     Bc::FMulAdd { t, a, b, dst, x, y } => {
                         let m = f64::from_bits(rd(regs, *a)) * f64::from_bits(rd(regs, *b));
                         wr(regs, *t, m.to_bits());
                         let sum = f64::from_bits(rd(regs, *x)) + f64::from_bits(rd(regs, *y));
                         wr(regs, *dst, sum.to_bits());
-                        pc += 2;
+                        step!(2);
                     }
                     Bc::Un { op, ty, dst, a } => {
                         wr(regs, *dst, exec_un(*op, *ty, rd(regs, *a)));
-                        pc += 1;
+                        step!(1);
                     }
                     Bc::Icmp { pred, dst, a, b } => {
                         wr(regs, *dst, icmp(*pred, rd(regs, *a), rd(regs, *b)));
-                        pc += 1;
+                        step!(1);
                     }
                     Bc::Fcmp { pred, dst, a, b } => {
                         wr(regs, *dst, fcmp(*pred, rd(regs, *a), rd(regs, *b)));
-                        pc += 1;
+                        step!(1);
                     }
                     Bc::Select { dst, cond, t, f } => {
                         let r = if rd(regs, *cond) & 1 != 0 {
@@ -562,7 +624,7 @@ impl<'m, const LOG: bool> CMachine<'m, LOG> {
                             rd(regs, *f)
                         };
                         wr(regs, *dst, r);
-                        pc += 1;
+                        step!(1);
                     }
                     Bc::Cast {
                         kind,
@@ -572,35 +634,35 @@ impl<'m, const LOG: bool> CMachine<'m, LOG> {
                         a,
                     } => {
                         wr(regs, *dst, exec_cast(*kind, *from, *to, rd(regs, *a)));
-                        pc += 1;
+                        step!(1);
                     }
                     Bc::Load { ty, dst, addr } => {
                         match self.mem_read(rd(regs, *addr)) {
                             Ok(w) => wr(regs, *dst, canon(*ty, w)),
-                            Err(e) => trap!(e, pc - start + 1),
+                            Err(e) => trap!(e, 0),
                         }
-                        pc += 1;
+                        step!(1);
                     }
                     Bc::Store { addr, val } => {
                         if let Err(e) = self.mem_write(rd(regs, *addr), rd(regs, *val)) {
-                            trap!(e, pc - start + 1);
+                            trap!(e, 0);
                         }
-                        pc += 1;
+                        step!(1);
                     }
                     Bc::Gep { dst, base, index } => {
                         wr(regs, *dst, rd(regs, *base).wrapping_add(rd(regs, *index)));
-                        pc += 1;
+                        step!(1);
                     }
                     Bc::Alloca { dst, words } => {
                         match self.alloca(rd(regs, *words)) {
                             Ok(r) => wr(regs, *dst, r),
-                            Err(e) => trap!(e, pc - start + 1),
+                            Err(e) => trap!(e, 0),
                         }
-                        pc += 1;
+                        step!(1);
                     }
                     Bc::Output { val } => {
                         self.output.push(rd(regs, *val));
-                        pc += 1;
+                        step!(1);
                     }
                     Bc::GepLoad {
                         ty,
@@ -613,9 +675,9 @@ impl<'m, const LOG: bool> CMachine<'m, LOG> {
                         wr(regs, *gep_dst, p);
                         match self.mem_read(p) {
                             Ok(w) => wr(regs, *dst, canon(*ty, w)),
-                            Err(e) => trap!(e, pc - start + 2),
+                            Err(e) => trap!(e, 1),
                         }
-                        pc += 2;
+                        step!(2);
                     }
                     Bc::GepStore {
                         gep_dst,
@@ -626,9 +688,9 @@ impl<'m, const LOG: bool> CMachine<'m, LOG> {
                         let p = rd(regs, *base).wrapping_add(rd(regs, *index));
                         wr(regs, *gep_dst, p);
                         if let Err(e) = self.mem_write(p, rd(regs, *val)) {
-                            trap!(e, pc - start + 2);
+                            trap!(e, 1);
                         }
-                        pc += 2;
+                        step!(2);
                     }
                     Bc::CmpBrI {
                         pred,
@@ -639,9 +701,9 @@ impl<'m, const LOG: bool> CMachine<'m, LOG> {
                     } => {
                         let r = icmp(*pred, rd(regs, *a), rd(regs, *b));
                         wr(regs, *dst, r);
-                        self.seg_hits[pcb + start] += 1;
+                        hit!();
                         let e = if r != 0 { *edge } else { *edge + 1 };
-                        pc = take_edge(cf, e, regs, move_buf) as usize;
+                        jump!(e);
                         break;
                     }
                     Bc::CmpBrF {
@@ -653,32 +715,33 @@ impl<'m, const LOG: bool> CMachine<'m, LOG> {
                     } => {
                         let r = fcmp(*pred, rd(regs, *a), rd(regs, *b));
                         wr(regs, *dst, r);
-                        self.seg_hits[pcb + start] += 1;
+                        hit!();
                         let e = if r != 0 { *edge } else { *edge + 1 };
-                        pc = take_edge(cf, e, regs, move_buf) as usize;
+                        jump!(e);
                         break;
                     }
-                    Bc::Br { edge } => {
-                        self.seg_hits[pcb + start] += 1;
-                        pc = take_edge(cf, *edge, regs, move_buf) as usize;
+                    Bc::Br { edge } => jump!(*edge),
+                    Bc::BrCut { edge } => {
+                        hit!();
+                        jump!(*edge);
                         break;
                     }
                     Bc::CondBr { cond, edge } => {
-                        self.seg_hits[pcb + start] += 1;
+                        hit!();
                         let e = if rd(regs, *cond) & 1 != 0 {
                             *edge
                         } else {
                             *edge + 1
                         };
-                        pc = take_edge(cf, e, regs, move_buf) as usize;
+                        jump!(e);
                         break;
                     }
                     Bc::Call { .. } => {
-                        self.seg_hits[pcb + start] += 1;
+                        hit!();
                         break 'segs Some(Exit::Call);
                     }
                     Bc::Ret { .. } => {
-                        self.seg_hits[pcb + start] += 1;
+                        hit!();
                         break 'segs Some(Exit::Ret);
                     }
                 }
@@ -686,16 +749,24 @@ impl<'m, const LOG: bool> CMachine<'m, LOG> {
         };
         self.profile.dynamic = dynamic;
         self.profile.value_dynamic = vd;
-        *pc_out = pc;
+        *pc_out = pc!();
+        if exit.is_none() && start != usize::MAX {
+            self.bare = BareJumps {
+                at: dynamic,
+                n: cf.seg_tail(start),
+            };
+        }
         Ok(exit)
     }
 
-    /// The counters a trap leaves inside the turbo segment from `start`,
-    /// whose gate already added its `n_ops` and `n_defs` to `dynamic` and
-    /// `vd`: the first `began` instructions began (`pc - start + 1`, or
-    /// `+ 2` when a fused op's second component traps), and the defs
-    /// among all but the last of them finished. `exec_counts` gets the
-    /// `began` credits the exact tier would have made.
+    /// The counters a trap in the instruction at `at` leaves inside the
+    /// turbo segment from `start`, whose gate already added its `n_ops`
+    /// and `n_defs` to `dynamic` and `vd`. `at` is the trapping op's pc,
+    /// or its stub's when a fused op's second component traps. The
+    /// instructions of [`CompiledFunc::seg_pcs`] up to and including the
+    /// one at `at` began, `began` of them, and the defs among all but the
+    /// last finished. `exec_counts` gets the `began` credits the exact
+    /// tier would have made.
     #[cold]
     #[inline(never)]
     fn turbo_trap(
@@ -704,10 +775,15 @@ impl<'m, const LOG: bool> CMachine<'m, LOG> {
         start: usize,
         dynamic: u64,
         vd: u64,
-        began: usize,
+        at: usize,
         stop: Stop,
     ) -> Stop {
         let s = cf.seg[start];
+        debug_assert!(
+            cf.seg_pcs(start).any(|pc| pc == at),
+            "trap outside its segment"
+        );
+        let began = 1 + cf.seg_pcs(start).take_while(|&pc| pc != at).count();
         let finished = cf
             .seg_pcs(start)
             .take(began - 1)
@@ -715,7 +791,7 @@ impl<'m, const LOG: bool> CMachine<'m, LOG> {
             .count();
         self.profile.dynamic = dynamic - s.n_ops as u64 + began as u64;
         self.profile.value_dynamic = vd - s.n_defs as u64 + finished as u64;
-        self.credit_partial(cf, start, began as u64);
+        self.credit_partial(cf, start, began);
         stop
     }
 
@@ -723,31 +799,33 @@ impl<'m, const LOG: bool> CMachine<'m, LOG> {
     /// frame pushes/pops, calls, returns and the boundary gate; the
     /// inner loop threads through one frame's bytecode.
     ///
-    /// The inner loop is two-tier. The **turbo** tier,
-    /// [`Self::turbo`], runs whole straight-line segments with batched
-    /// bookkeeping whenever a one-time gate proves nothing observable
-    /// can happen inside the segment: no static-instance injection is
-    /// pending, the hang budget cannot expire
-    /// (`dynamic + n_ops <= max_dynamic`), and no def in the segment
-    /// can reach the pending injection index or the next snapshot
-    /// boundary (`value_dynamic + n_defs < min(inj_vd, next_vd)`).
-    /// Under that proof the per-instruction counters collapse to one
-    /// addition of the segment's `n_ops` and `n_defs` (written back at
-    /// every exit) and `exec_counts` collapses to one segment-hit
-    /// increment, expanded exactly at run end by
-    /// [`Self::fold_seg_hits`]. A trap mid-segment reconstructs the
-    /// exact partial counters the per-instruction path would have left
+    /// The inner loop is two-tier. The **turbo** tier, [`Self::turbo`],
+    /// runs whole segments, each through its unconditional jumps, with
+    /// batched bookkeeping whenever a one-time gate proves nothing
+    /// observable can happen inside the segment: no static-instance
+    /// injection is pending, the segment does more than jump, the hang
+    /// budget cannot expire (`dynamic + n_ops <= max_dynamic`), and no
+    /// def in the segment can reach the pending injection index or the
+    /// next snapshot boundary (`value_dynamic + n_defs < min(inj_vd,
+    /// next_vd)`). The tier is entered only where its most jumps in a row
+    /// without an instruction (`max_bare`) cannot end the open streak's
+    /// hang budget either. Under that proof the per-instruction counters
+    /// collapse to one addition of the segment's `n_ops` and `n_defs`
+    /// (written back at every exit) and `exec_counts` collapses to one
+    /// segment-hit increment, expanded exactly at run end by
+    /// [`Self::fold_seg_hits`]. A trap mid-segment reconstructs the exact
+    /// partial counters the per-instruction path would have left
     /// ([`Self::turbo_trap`]). Whenever the gate fails, the **exact**
     /// tier runs one interpreter instruction with full `begin`/`finish`
-    /// bookkeeping, checks the boundary gate, and retries the turbo
-    /// gate at the next pc. It never runs a fused pair: a fused head
-    /// runs as its first component and steps to its stub at `pc + 1`.
-    /// Both tiers produce bit-identical observables; the split is pure
-    /// wall-clock.
+    /// bookkeeping, or takes one jump and counts it as the interpreter
+    /// does, checks the boundary gate, and retries the turbo gate at the
+    /// next pc. It never runs a fused pair: a fused head runs as its
+    /// first component and steps to its stub at `pc + 1`. Both tiers
+    /// produce bit-identical observables; the split is pure wall-clock.
     fn drive(&mut self, frames: &mut Vec<CFrame>, arena: &mut Vec<u64>) -> Result<RunEnd, Stop> {
         let module = self.module;
         let code = self.code;
-        let mut move_buf: Vec<u64> = Vec::new();
+        let max_dyn = self.limits.max_dynamic;
         let mut arg_buf: Vec<u64> = Vec::new();
         'outer: loop {
             if self.profile.value_dynamic >= self.next_vd {
@@ -766,8 +844,9 @@ impl<'m, const LOG: bool> CMachine<'m, LOG> {
                 let regs = &mut arena[base..];
                 let mut pc = *frame_pc as usize;
                 'inner: loop {
-                    if !self.static_pending {
-                        if let Some(exit) = self.turbo(cf, pcb, regs, &mut pc, &mut move_buf)? {
+                    let bare = self.bare.open(self.profile.dynamic);
+                    if !self.static_pending && bare.saturating_add(cf.max_bare) <= max_dyn {
+                        if let Some(exit) = self.turbo(cf, pcb, regs, &mut pc)? {
                             *frame_pc = pc as u32;
                             break 'inner exit;
                         }
@@ -914,14 +993,16 @@ impl<'m, const LOG: bool> CMachine<'m, LOG> {
                             *frame_pc = pc as u32;
                             break 'inner Exit::Ret;
                         }
-                        Bc::Br { edge } => {
-                            pc = take_edge(cf, edge, regs, &mut move_buf) as usize;
+                        Bc::Br { edge } | Bc::BrCut { edge } => {
+                            self.bare.jump(self.profile.dynamic, max_dyn)?;
+                            pc = take_edge(cf, edge, regs) as usize;
                             continue 'inner;
                         }
                         Bc::CondBr { cond, edge } => {
+                            self.bare.jump(self.profile.dynamic, max_dyn)?;
                             let c = rd(regs, cond) & 1;
                             let e = if c != 0 { edge } else { edge + 1 };
-                            pc = take_edge(cf, e, regs, &mut move_buf) as usize;
+                            pc = take_edge(cf, e, regs) as usize;
                             continue 'inner;
                         }
                     }
@@ -982,6 +1063,7 @@ impl<'m, const LOG: bool> CMachine<'m, LOG> {
                         }
                     }
                     self.stack_ptr = frame_sp;
+                    self.bare.n = 0;
                     let popped = frames.pop().expect("ret with no frame");
                     arena.truncate(popped.base as usize);
                     match frames.last_mut() {
@@ -1024,24 +1106,25 @@ impl<'m, const LOG: bool> CMachine<'m, LOG> {
 }
 
 /// Applies a branch edge's block-argument moves and returns the target
-/// pc. Safe edges copy in place; unsafe ones buffer sources first —
-/// both orders equal the interpreter's two-phase `arg_buf` copy (see
-/// [`crate::lower::Edge::in_place`]).
+/// pc. Lowering ordered the moves so that copying them one at a time, in
+/// place, equals the interpreter's two-phase `arg_buf` copy (a cycle of
+/// moves goes through the scratch register behind the constant pool).
 #[inline(always)]
-fn take_edge(cf: &CompiledFunc, e: u32, regs: &mut [u64], buf: &mut Vec<u64>) -> u32 {
-    let ed = cf.edges[e as usize];
-    let mv = &cf.moves[ed.moves_start as usize..(ed.moves_start + ed.moves_len) as usize];
-    if ed.in_place {
-        for &(d, s) in mv {
-            let v = rd(regs, s);
-            wr(regs, d, v);
-        }
-    } else {
-        buf.clear();
-        buf.extend(mv.iter().map(|&(_, s)| rd(regs, s)));
-        for (&(d, _), &v) in mv.iter().zip(buf.iter()) {
-            wr(regs, d, v);
-        }
+fn take_edge(cf: &CompiledFunc, e: u32, regs: &mut [u64]) -> u32 {
+    debug_assert!((e as usize) < cf.edges.len(), "edge out of bounds");
+    // SAFETY: every edge index a branch op holds (`edge + 1` too for a
+    // conditional one) is in bounds, by `lower::validate`.
+    let ed = unsafe { cf.edges.get_unchecked(e as usize) };
+    let lo = ed.moves_start as usize;
+    debug_assert!(
+        lo + ed.moves_len as usize <= cf.moves.len(),
+        "moves out of bounds"
+    );
+    // SAFETY: every edge's move range is in bounds, by `lower::validate`.
+    let mv = unsafe { cf.moves.get_unchecked(lo..lo + ed.moves_len as usize) };
+    for &(d, s) in mv {
+        let v = rd(regs, s);
+        wr(regs, d, v);
     }
     ed.target_pc
 }
@@ -1353,6 +1436,7 @@ impl<'m> CompiledVm<'m> {
             ctl: Ctl::Off,
             next_vd: u64::MAX,
             seg_hits: vec![0u64; self.code.total_pcs],
+            bare: BareJumps::default(),
             log: AccessLog::default(),
         }
     }

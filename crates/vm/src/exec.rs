@@ -110,7 +110,9 @@ impl Injection {
 #[derive(Debug, Clone, Copy)]
 pub struct ExecLimits {
     /// Dynamic (non-terminator) instruction budget; exceeding it reports
-    /// [`RunStatus::Hang`].
+    /// [`RunStatus::Hang`]. It also bounds the jumps a run takes in a row
+    /// without beginning an instruction or returning, so a loop with no
+    /// instructions hangs too.
     pub max_dynamic: u64,
     /// The address space, in 64-bit words (globals + stack): address 0
     /// and addresses at or past it trap, and an `alloca` ending past it
@@ -162,6 +164,47 @@ impl RunOutput {
 pub(crate) enum Stop {
     Trap(Trap),
     Hang,
+}
+
+/// The jumps a run has taken in a row without beginning an instruction
+/// or returning. Both engines count every jump taken, and one more than
+/// `max_dynamic` of them ends the run in [`Stop::Hang`], as one more
+/// instruction would: a loop with no instructions moves no counter the
+/// instruction budget reads. Nothing a run observes changes between such
+/// jumps. A return ends the streak, so every snapshot point (just after a
+/// def, or a value call's return) has none open, and a resumed run
+/// starts from the default state.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct BareJumps {
+    /// The `dynamic` count every jump of the streak was taken at.
+    pub(crate) at: u64,
+    /// Jumps in the streak.
+    pub(crate) n: u64,
+}
+
+impl BareJumps {
+    /// Counts a jump taken at `dynamic`.
+    #[inline]
+    pub(crate) fn jump(&mut self, dynamic: u64, max_dynamic: u64) -> Result<(), Stop> {
+        if dynamic != self.at {
+            *self = BareJumps { at: dynamic, n: 0 };
+        }
+        self.n += 1;
+        if self.n > max_dynamic {
+            return Err(Stop::Hang);
+        }
+        Ok(())
+    }
+
+    /// The jumps of the streak still open at `dynamic`.
+    #[inline]
+    pub(crate) fn open(&self, dynamic: u64) -> u64 {
+        if dynamic == self.at {
+            self.n
+        } else {
+            0
+        }
+    }
 }
 
 /// How the driver loop ended (besides a trap or hang).
@@ -608,6 +651,7 @@ impl<'m, H: ExecHook> State<'m, H> {
     fn drive(&mut self, frames: &mut Vec<Frame>, ctl: &mut SnapCtl<'_>) -> Result<RunEnd, Stop> {
         let module = self.module;
         let mut arg_buf: Vec<u64> = Vec::new();
+        let mut bare = BareJumps::default();
         loop {
             // Cheap per-boundary gate: the heavy snapshot/convergence
             // bookkeeping only runs when the next interesting
@@ -651,6 +695,7 @@ impl<'m, H: ExecHook> State<'m, H> {
             } else {
                 match &block.term {
                     Term::Br { target, args } => {
+                        bare.jump(self.profile.dynamic, self.limits.max_dynamic)?;
                         arg_buf.clear();
                         arg_buf.extend(args.iter().map(|a| eval(&frame.regs, a)));
                         let t = &func.blocks[target.0 as usize];
@@ -670,6 +715,7 @@ impl<'m, H: ExecHook> State<'m, H> {
                         else_target,
                         else_args,
                     } => {
+                        bare.jump(self.profile.dynamic, self.limits.max_dynamic)?;
                         let c = eval(&frame.regs, cond) & 1;
                         let (target, targs) = if c != 0 {
                             (then_target, then_args)
@@ -689,6 +735,7 @@ impl<'m, H: ExecHook> State<'m, H> {
                         frame.instr = 0;
                     }
                     Term::Ret { value } => {
+                        bare.n = 0;
                         if H::ENABLED {
                             self.hook.func_ret(value.as_ref());
                         }

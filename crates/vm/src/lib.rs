@@ -18,7 +18,7 @@
 
 //!
 //! Two execution engines sit behind the same observables: the
-//! compiled threaded-bytecode backend ([`CompiledVm`], 3.35–5.21× the
+//! compiled threaded-bytecode backend ([`CompiledVm`], 3.47–5.33× the
 //! interpreter's instructions per second on the 7 benchmarks' golden
 //! runs, as the `golden_speed` example measures it), which every
 //! command runs on, and the tree-walking interpreter

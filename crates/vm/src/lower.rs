@@ -26,14 +26,20 @@
 //!   `CompiledFunc::pc_of` targets the stub when a resume lands
 //!   mid-pair. Fusion is therefore invisible to every observable.
 //! * **Branch edges.** Block-argument transfers become pre-resolved
-//!   move lists (`(dst, src)` register pairs) with a lowering-time
-//!   proof of whether an in-place sequential copy is safe; otherwise
-//!   the machine buffers sources first, exactly like the
-//!   interpreter's two-phase `arg_buf` copy.
+//!   move lists (`(dst, src)` register pairs), ordered so that copying
+//!   them one at a time, in place, leaves what the interpreter's
+//!   two-phase `arg_buf` copy leaves: a move goes once no move still to
+//!   go reads its destination, and a cycle of moves first saves one
+//!   destination in a scratch register behind the constant pool.
+//! * **Segments through jumps.** A turbo segment runs through every
+//!   unconditional `br` but one per cycle of them, which lowering marks
+//!   as `Bc::BrCut`; a per-pc table sums each segment's instructions
+//!   and defs along its chain of jumps.
 //!
 //! [`lower`] ends with a validation sweep asserting every register
-//! index, edge target, and pool range is in bounds. The dispatch loop
-//! relies on that invariant for its unchecked register accesses.
+//! index, edge, move range, pool range and segment-hit range is in
+//! bounds. The dispatch loop relies on that invariant for its unchecked
+//! accesses.
 //!
 //! [`lower`]: CompiledModule::lower
 
@@ -121,8 +127,15 @@ pub(crate) enum Bc {
         /// Result register, or [`NO_REG`] for void callees.
         dst: u32,
     },
-    /// Unconditional jump through [`CompiledFunc::edges`].
+    /// Unconditional jump through [`CompiledFunc::edges`]. A turbo
+    /// segment goes on at its target.
     Br {
+        edge: u32,
+    },
+    /// The unconditional jump that closes a cycle of unconditional
+    /// jumps, one per cycle: it ends its turbo segment, so that following
+    /// the jumps from any pc ends. The exact tier runs it as a [`Bc::Br`].
+    BrCut {
         edge: u32,
     },
     /// Conditional jump: the then-edge is `edge`, the else-edge is
@@ -243,21 +256,23 @@ pub(crate) enum Bc {
 // 2-vCPU VM.
 const _: () = assert!(std::mem::size_of::<Bc>() == 32);
 
-/// Straight-line segment summary for one pc: how many interpreter
-/// instructions (and how many of them value-producing) a turbo
-/// segment from this pc executes, one per pc of
-/// [`CompiledFunc::seg_pcs`]. The turbo dispatch loop reads this
+/// Turbo segment summary for one pc: how many interpreter instructions
+/// (and how many of them value-producing) a turbo segment from this pc
+/// executes, one per pc of [`CompiledFunc::seg_pcs`], summed along its
+/// chain of unconditional jumps. The turbo dispatch loop reads this
 /// once per segment to prove that no hang, injection, or snapshot
 /// boundary can fire inside it, adds both counts to the run's counters,
-/// and then runs the whole segment with no per-op bookkeeping.
-#[derive(Debug, Clone, Copy)]
+/// and then runs the whole segment with no per-op bookkeeping. A
+/// segment that only jumps goes to the exact tier, which counts its
+/// jumps against the hang budget (see [`CompiledFunc::seg_only_jumps`]).
+#[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct SegInfo {
     pub(crate) n_ops: u32,
     pub(crate) n_defs: u32,
 }
 
-/// One branch edge: the target pc plus the pre-resolved
-/// block-argument moves.
+/// One branch edge: the target pc plus the pre-resolved block-argument
+/// moves, ordered to copy in place (see [`sequentialize`]).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Edge {
     pub(crate) target_pc: u32,
@@ -265,11 +280,6 @@ pub(crate) struct Edge {
     /// [`CompiledFunc::moves`].
     pub(crate) moves_start: u32,
     pub(crate) moves_len: u32,
-    /// Sequential in-place copying is safe: no move's destination is
-    /// read as a source by a later move. When false the machine
-    /// buffers all sources before writing (the interpreter's
-    /// two-phase copy).
-    pub(crate) in_place: bool,
 }
 
 /// One function's threaded bytecode plus the side tables the machine
@@ -298,31 +308,80 @@ pub(crate) struct CompiledFunc {
     pub(crate) moves: Vec<(u32, u32)>,
     /// Argument register lists for calls.
     pub(crate) call_args: Vec<u32>,
-    /// Per-pc straight-line segment summaries (see [`SegInfo`]).
+    /// Per-pc turbo segment summaries (see [`SegInfo`]).
     pub(crate) seg: Vec<SegInfo>,
-    /// Pre-built frame register image: `num_values` zeros followed by
-    /// the constant pool. Frame push is one `extend_from_slice`.
+    /// The most jumps in a row, with no instruction begun between them,
+    /// that the turbo tier can take in this function (see [`seg_table`]).
+    /// The machine enters the turbo tier only where that many more jumps
+    /// stay within the hang budget.
+    pub(crate) max_bare: u64,
+    /// Pre-built frame register image: `num_values` zeros, the constant
+    /// pool, and a zeroed scratch register when a cycle of moves needs
+    /// one. Frame push is one `extend_from_slice`.
     pub(crate) frame_image: Vec<u64>,
 }
 
 impl CompiledFunc {
     /// Total frame register-file size.
     pub(crate) fn num_regs(&self) -> usize {
-        self.num_values + self.consts.len()
+        self.frame_image.len()
     }
 
-    /// The pcs whose instructions a turbo segment from `start`
-    /// executes, in order: every pc before the first [`Bc::Br`],
-    /// [`Bc::CondBr`], [`Bc::Call`] or [`Bc::Ret`]. The run is
-    /// contiguous because a fused head's second instruction is its
-    /// stub's at `pc + 1`, and a compare-and-branch's stub is the
-    /// `CondBr` that ends the segment.
-    pub(crate) fn seg_pcs(&self, start: usize) -> std::ops::Range<usize> {
-        let len = self.code[start..]
-            .iter()
-            .take_while(|bc| !ends_segment(bc))
-            .count();
-        start..start + len
+    /// The pcs whose instructions a turbo segment from `start` executes,
+    /// in order: every pc up to the first [`Bc::CondBr`], [`Bc::BrCut`],
+    /// [`Bc::Call`] or [`Bc::Ret`], following each [`Bc::Br`] to its
+    /// target. A fused head's second instruction is its stub's at
+    /// `pc + 1`, and a compare-and-branch's stub is the `CondBr` that
+    /// ends the segment. No pc comes twice: every cycle of jumps has its
+    /// cut.
+    pub(crate) fn seg_pcs(&self, start: usize) -> impl Iterator<Item = usize> + '_ {
+        let mut pc = start;
+        std::iter::from_fn(move || loop {
+            match self.code[pc] {
+                Bc::Br { edge } => pc = self.edges[edge as usize].target_pc as usize,
+                bc if ends_segment(&bc) => return None,
+                _ => {
+                    pc += 1;
+                    return Some(pc - 1);
+                }
+            }
+        })
+    }
+
+    /// True when a segment from `pc` begins no instruction and ends in a
+    /// jump, not at a call or return: the turbo tier leaves it to the
+    /// exact tier, which counts the jumps against the hang budget, so
+    /// that a loop with no instructions ends.
+    pub(crate) fn seg_only_jumps(&self, pc: usize) -> bool {
+        debug_assert_eq!(self.seg[pc].n_ops, 0, "the segment has instructions");
+        let mut pc = pc;
+        loop {
+            match self.code[pc] {
+                Bc::Br { edge } => pc = self.edges[edge as usize].target_pc as usize,
+                Bc::CondBr { .. } | Bc::BrCut { .. } => return true,
+                _ => return false,
+            }
+        }
+    }
+
+    /// How many jumps a completed turbo segment from `start` took after
+    /// its last instruction, counting the jump that ended it.
+    pub(crate) fn seg_tail(&self, start: usize) -> u64 {
+        let (mut pc, mut tail) = (start, 0);
+        loop {
+            match self.code[pc] {
+                Bc::Br { edge } => {
+                    tail += 1;
+                    pc = self.edges[edge as usize].target_pc as usize;
+                }
+                Bc::CondBr { .. } | Bc::BrCut { .. } => return tail + 1,
+                Bc::Call { .. } | Bc::Ret { .. } => return tail,
+                _ => {
+                    tail = 0;
+                    pc += 1;
+                }
+            }
+        }
     }
 }
 
@@ -415,8 +474,10 @@ impl<'f> Lowerer<'f> {
     }
 
     /// Builds one branch edge. `target_pc` temporarily holds the
-    /// target *block id*; [`lower_func`] patches it to the block's
-    /// entry pc once all pcs are assigned.
+    /// target *block id*, and the moves are the parallel copy in
+    /// parameter order; [`lower_func`] patches the target to the block's
+    /// entry pc once all pcs are assigned, and orders the moves once the
+    /// constant pool is complete.
     fn edge(&mut self, target: u32, args: &[Operand]) -> u32 {
         let params = &self.func.blocks[target as usize].params;
         let moves_start = self.moves.len() as u32;
@@ -426,21 +487,74 @@ impl<'f> Lowerer<'f> {
                 self.moves.push((p.0, src));
             }
         }
-        let ms = moves_start as usize;
-        let emitted = &self.moves[ms..];
-        // In-place is safe iff no destination is read by a later move.
-        let in_place = emitted
-            .iter()
-            .enumerate()
-            .all(|(k, m)| !emitted[k + 1..].iter().any(|m2| m2.1 == m.0));
         let e = self.edges.len() as u32;
         self.edges.push(Edge {
             target_pc: target,
             moves_start,
-            moves_len: (self.moves.len() - ms) as u32,
-            in_place,
+            moves_len: self.moves.len() as u32 - moves_start,
         });
         e
+    }
+}
+
+/// Appends to `out` the parallel copy `moves` (distinct destinations,
+/// none its own source) ordered so that copying one move at a time, in
+/// place, leaves every destination holding its source's value from
+/// before the copy. A move goes once no move still to go reads its
+/// destination, in the given order where several may; when none may,
+/// the moves left form cycles, and one destination is first saved in
+/// `scratch` and read from there. A cycle is broken only once no earlier
+/// cycle's move still reads `scratch`, so one scratch register serves
+/// every edge of a function. Returns whether `scratch` was used.
+fn sequentialize(moves: &[(u32, u32)], scratch: u32, out: &mut Vec<(u32, u32)>) -> bool {
+    let mut todo = moves.to_vec();
+    let mut used = false;
+    while !todo.is_empty() {
+        let free = (0..todo.len()).find(|&k| todo.iter().all(|m| m.1 != todo[k].0));
+        match free {
+            Some(k) => out.push(todo.remove(k)),
+            None => {
+                let saved = todo[0].0;
+                out.push((scratch, saved));
+                for m in todo.iter_mut().filter(|m| m.1 == saved) {
+                    m.1 = scratch;
+                }
+                used = true;
+            }
+        }
+    }
+    used
+}
+
+/// Marks one `br` of every cycle of unconditional jumps as
+/// [`Bc::BrCut`]: the jump that, walking the jumps from some block,
+/// first returns to a block of the same walk.
+fn cut_jump_cycles(func: &Function, pc_of: &[Vec<u32>], code: &mut [Bc]) {
+    const NEW: u8 = 0;
+    const ON_WALK: u8 = 1;
+    const DONE: u8 = 2;
+    let mut state = vec![NEW; func.blocks.len()];
+    let mut walk = Vec::new();
+    for first in 0..func.blocks.len() {
+        let mut b = first;
+        while state[b] == NEW {
+            state[b] = ON_WALK;
+            walk.push(b);
+            let Term::Br { target, .. } = &func.blocks[b].term else {
+                break;
+            };
+            let t = target.0 as usize;
+            if state[t] == ON_WALK {
+                let pc = pc_of[b][func.blocks[b].instrs.len()] as usize;
+                if let Bc::Br { edge } = code[pc] {
+                    code[pc] = Bc::BrCut { edge };
+                }
+            }
+            b = t;
+        }
+        for w in walk.drain(..) {
+            state[w] = DONE;
+        }
     }
 }
 
@@ -693,14 +807,28 @@ fn lower_func(func: &Function) -> CompiledFunc {
         lo.pc_of.push(pcs);
     }
 
-    // Patch edge targets from block ids to entry pcs.
+    // Patch edge targets from block ids to entry pcs, and order each
+    // edge's moves to copy in place, with the scratch register behind
+    // the now complete constant pool.
+    let scratch = (lo.num_values + lo.consts.len()) as u32;
+    let mut moves = Vec::with_capacity(lo.moves.len());
+    let mut scratch_used = false;
     for e in &mut lo.edges {
         e.target_pc = lo.pc_of[e.target_pc as usize][0];
+        let start = moves.len();
+        let parallel = &lo.moves[e.moves_start as usize..(e.moves_start + e.moves_len) as usize];
+        scratch_used |= sequentialize(parallel, scratch, &mut moves);
+        e.moves_start = start as u32;
+        e.moves_len = (moves.len() - start) as u32;
     }
+    cut_jump_cycles(func, &lo.pc_of, &mut lo.code);
 
-    let seg = seg_table(&lo.code);
+    let (seg, max_bare) = seg_table(&lo.code, &lo.edges);
     let mut frame_image = vec![0u64; lo.num_values];
     frame_image.extend_from_slice(&lo.consts);
+    if scratch_used {
+        frame_image.push(0);
+    }
     CompiledFunc {
         code: lo.code,
         sids: lo.sids,
@@ -709,20 +837,21 @@ fn lower_func(func: &Function) -> CompiledFunc {
         num_values: lo.num_values,
         consts: lo.consts,
         edges: lo.edges,
-        moves: lo.moves,
+        moves,
         call_args: lo.call_args,
         seg,
+        max_bare,
         frame_image,
     }
 }
 
-/// True for the control transfers, which end a turbo segment before
-/// themselves. A compare-and-branch ends its segment at its `CondBr`
-/// stub.
+/// True for the control transfers that end a turbo segment before
+/// themselves; a segment runs through a [`Bc::Br`]. A
+/// compare-and-branch ends its segment at its `CondBr` stub.
 fn ends_segment(bc: &Bc) -> bool {
     matches!(
         bc,
-        Bc::Br { .. } | Bc::CondBr { .. } | Bc::Call { .. } | Bc::Ret { .. }
+        Bc::BrCut { .. } | Bc::CondBr { .. } | Bc::Call { .. } | Bc::Ret { .. }
     )
 }
 
@@ -733,27 +862,99 @@ pub(crate) fn defines(bc: &Bc) -> bool {
     !matches!(bc, Bc::Store { .. } | Bc::Output { .. })
 }
 
-/// Backward sweep computing [`SegInfo`] for every pc: each pc of a
-/// segment is one instruction, a def by [`defines`]. Stubs get their
-/// own summaries, since resumes and exact-tier steps land there.
-fn seg_table(code: &[Bc]) -> Vec<SegInfo> {
-    let mut seg = vec![
-        SegInfo {
-            n_ops: 0,
-            n_defs: 0
+/// A pc's segment as [`seg_table`] builds it: its counts, the jumps it
+/// takes before its first instruction (`lead`), after its last one
+/// (`tail`, counting the jump that ends it) and in all (`jumps`), and
+/// whether it ends in a jump. A segment with no instructions has
+/// `lead == jumps` and `tail == 0`.
+#[derive(Clone, Copy, Default)]
+struct Chain {
+    seg: SegInfo,
+    lead: u32,
+    tail: u32,
+    jumps: u32,
+    ends_in_jump: bool,
+}
+
+/// Computes [`SegInfo`] for every pc, summing along each chain of
+/// [`Bc::Br`] jumps: each pc of a segment is one instruction, a def by
+/// [`defines`]. Stubs get their own summaries, since resumes and
+/// exact-tier steps land there. Each pc is walked once, since a chain
+/// stops at the first pc already summed, and every chain ends, since
+/// [`cut_jump_cycles`] cut every cycle of jumps.
+///
+/// Also returns the most jumps the turbo tier can take in a row with no
+/// instruction begun. It runs no segment that only jumps (see
+/// [`CompiledFunc::seg_only_jumps`]), and a call begins an instruction
+/// and a return ends a streak, so such a streak is one segment's jumps
+/// before its first instruction, or between two of them (both a
+/// `lead`), or the `tail` of one segment followed by the `lead` of the
+/// next.
+fn seg_table(code: &[Bc], edges: &[Edge]) -> (Vec<SegInfo>, u64) {
+    let mut chains = vec![Chain::default(); code.len()];
+    let mut summed = vec![false; code.len()];
+    let mut path = Vec::new();
+    for first in 0..code.len() {
+        let mut pc = first;
+        let mut c = loop {
+            if summed[pc] {
+                break chains[pc];
+            }
+            match code[pc] {
+                Bc::CondBr { .. } | Bc::BrCut { .. } => {
+                    break Chain {
+                        lead: 1,
+                        jumps: 1,
+                        ends_in_jump: true,
+                        ..Chain::default()
+                    }
+                }
+                Bc::Call { .. } | Bc::Ret { .. } => break Chain::default(),
+                Bc::Br { edge } => {
+                    path.push(pc);
+                    pc = edges[edge as usize].target_pc as usize;
+                }
+                _ => {
+                    path.push(pc);
+                    pc += 1;
+                }
+            }
+            assert!(path.len() <= code.len(), "a cycle of jumps has no cut");
         };
-        code.len()
-    ];
-    for pc in (0..code.len()).rev() {
-        if !ends_segment(&code[pc]) {
-            let defs = defines(&code[pc]) as u32;
-            seg[pc] = SegInfo {
-                n_ops: seg[pc + 1].n_ops + 1,
-                n_defs: seg[pc + 1].n_defs + defs,
+        (chains[pc], summed[pc]) = (c, true);
+        for &p in path.iter().rev() {
+            c = match code[p] {
+                Bc::Br { .. } => Chain {
+                    lead: c.lead + 1,
+                    jumps: c.jumps + 1,
+                    ..c
+                },
+                bc => Chain {
+                    seg: SegInfo {
+                        n_ops: c.seg.n_ops + 1,
+                        n_defs: c.seg.n_defs + defines(&bc) as u32,
+                    },
+                    lead: 0,
+                    tail: if c.seg.n_ops > 0 { c.tail } else { c.jumps },
+                    ..c
+                },
             };
+            (chains[p], summed[p]) = (c, true);
         }
+        path.clear();
     }
-    seg
+    let (mut lead, mut tail) = (0, 0);
+    let seg = chains
+        .into_iter()
+        .map(|c| {
+            if c.seg.n_ops > 0 || !c.ends_in_jump {
+                lead = lead.max(c.lead);
+                tail = tail.max(c.tail);
+            }
+            c.seg
+        })
+        .collect();
+    (seg, u64::from(lead) + u64::from(tail))
 }
 
 fn plain_bc(lo: &mut Lowerer<'_>, ins: &peppa_ir::Instr) -> Bc {
@@ -869,35 +1070,44 @@ fn plain_bc(lo: &mut Lowerer<'_>, ins: &peppa_ir::Instr) -> Bc {
     }
 }
 
-/// Post-lowering validation: every register index, edge target, and
-/// pool range is in bounds. The dispatch loop's unchecked register
-/// accesses are sound exactly because this sweep ran.
+/// Post-lowering validation: every register index, edge index, edge
+/// target, move range, pool range and segment-hit range is in bounds.
+/// The dispatch loop's unchecked accesses are sound exactly because this
+/// sweep ran.
 fn validate(module: &Module, cm: &CompiledModule) {
     assert_eq!(module.functions.len(), cm.funcs.len());
-    for (func, cf) in module.functions.iter().zip(&cm.funcs) {
+    for ((func, cf), &base) in module.functions.iter().zip(&cm.funcs).zip(&cm.pc_base) {
+        assert!(
+            base as usize + cf.code.len() <= cm.total_pcs,
+            "segment-hit range out of bounds"
+        );
         let total = cf.num_regs() as u32;
         let nv = cf.num_values as u32;
+        let pool_end = (cf.num_values + cf.consts.len()) as u32;
         let npc = cf.code.len() as u32;
         assert_eq!(cf.sids.len(), cf.code.len());
         assert_eq!(cf.meta.len(), cf.code.len());
+        assert_eq!(cf.seg.len(), cf.code.len());
         assert_eq!(cf.pc_of.len(), func.blocks.len());
         for (b, pcs) in func.blocks.iter().zip(&cf.pc_of) {
             assert_eq!(pcs.len(), b.instrs.len() + 1);
             assert!(pcs.iter().all(|&p| p < npc));
         }
+        // A move writes a value register, or the scratch register behind
+        // the constant pool.
+        for ed in &cf.edges {
+            assert!(ed.target_pc < npc, "edge target out of bounds");
+            let lo = ed.moves_start as usize;
+            let hi = lo + ed.moves_len as usize;
+            assert!(hi <= cf.moves.len(), "move range out of bounds");
+            for &(d, s) in &cf.moves[lo..hi] {
+                assert!((d < nv || d >= pool_end) && d < total && s < total);
+            }
+        }
         let src = |r: u32| assert!(r < total, "source register out of bounds");
         let dst = |r: u32| assert!(r < nv, "destination register out of bounds");
         let opt_dst = |r: u32| assert!(r == NO_REG || r < nv);
-        let edge = |e: u32| {
-            let ed = &cf.edges[e as usize];
-            assert!(ed.target_pc < npc);
-            let lo = ed.moves_start as usize;
-            let hi = lo + ed.moves_len as usize;
-            assert!(hi <= cf.moves.len());
-            for &(d, s) in &cf.moves[lo..hi] {
-                assert!(d < nv && s < total);
-            }
-        };
+        let edge = |e: u32| assert!((e as usize) < cf.edges.len(), "edge index out of bounds");
         for (pc, bc) in cf.code.iter().enumerate() {
             match *bc {
                 Bc::Bin { dst: d, a, b, .. }
@@ -983,7 +1193,7 @@ fn validate(module: &Module, cm: &CompiledModule) {
                         src(r);
                     }
                 }
-                Bc::Br { edge: e } => edge(e),
+                Bc::Br { edge: e } | Bc::BrCut { edge: e } => edge(e),
                 Bc::CondBr { cond, edge: e } => {
                     src(cond);
                     edge(e);
@@ -1059,7 +1269,7 @@ fn validate(module: &Module, cm: &CompiledModule) {
 mod tests {
     use super::*;
     use peppa_analysis::{optimize, OptLevel};
-    use peppa_ir::ModuleBuilder;
+    use peppa_ir::{BlockId, ModuleBuilder};
 
     fn loop_module() -> Module {
         // sum = 0; for i in 0..n { sum += buf[i] } ; output sum
@@ -1085,6 +1295,182 @@ mod tests {
         fb.ret(Some(dp[0]));
         fb.finish();
         mb.finish()
+    }
+
+    /// `main(n)`: a loop whose back edge, a `br`, swaps two block
+    /// parameters and rotates three, then outputs all five.
+    fn swap_loop_module() -> Module {
+        let mut mb = ModuleBuilder::new("swap-loop");
+        let f = mb.declare("main", &[Ty::I64], None);
+        mb.set_entry(f);
+        let mut fb = mb.define(f);
+        let n = fb.param(0);
+        let (head, hp) = fb.new_block(&[Ty::I64; 6]);
+        let (body, _) = fb.new_block(&[]);
+        let (done, _) = fb.new_block(&[]);
+        let init: Vec<Operand> = (0..6).map(Operand::i64).collect();
+        fb.br(head, &init);
+        fb.switch_to(head);
+        let (i, a, b, x, y, z) = (hp[0], hp[1], hp[2], hp[3], hp[4], hp[5]);
+        let c = fb.icmp(IPred::Slt, i, n);
+        fb.cond_br(c, body, &[], done, &[]);
+        fb.switch_to(body);
+        let i2 = fb.add(i, Operand::i64(1));
+        fb.br(head, &[i2, b, a, y, z, x]);
+        fb.switch_to(done);
+        for v in [a, b, x, y, z] {
+            fb.output(v);
+        }
+        fb.ret(None);
+        fb.finish();
+        mb.finish()
+    }
+
+    /// The modules whose lowering the edge and segment tests check: the
+    /// 7 benchmarks at -O0 and -O2, and the two loops above.
+    fn lowered_modules() -> Vec<Module> {
+        let mut ms = vec![loop_module(), swap_loop_module()];
+        for bench in peppa_apps::all_benchmarks() {
+            for level in [OptLevel::O0, OptLevel::O2] {
+                ms.push(optimize(&bench.module, level).module);
+            }
+        }
+        ms
+    }
+
+    /// Each edge's moves copy in place: no move reads a register that an
+    /// earlier move of the same edge wrote, apart from the scratch
+    /// register a cycle saved a destination in, and running them one at
+    /// a time leaves what the interpreter's parallel copy leaves.
+    #[test]
+    fn edge_moves_copy_in_place() {
+        let mut scratch_edges = 0;
+        for m in lowered_modules() {
+            let cm = CompiledModule::lower(&m);
+            for (func, cf) in m.functions.iter().zip(&cm.funcs) {
+                let pool_end = (cf.num_values + cf.consts.len()) as u32;
+                // Edges are built in block order, then and else.
+                let ir_edges: Vec<(usize, &[Operand])> = func
+                    .blocks
+                    .iter()
+                    .flat_map(|b| match &b.term {
+                        Term::Br { target, args } => vec![(target.0 as usize, &args[..])],
+                        Term::CondBr {
+                            then_target,
+                            then_args,
+                            else_target,
+                            else_args,
+                            ..
+                        } => vec![
+                            (then_target.0 as usize, &then_args[..]),
+                            (else_target.0 as usize, &else_args[..]),
+                        ],
+                        Term::Ret { .. } => vec![],
+                    })
+                    .collect();
+                assert_eq!(ir_edges.len(), cf.edges.len(), "{}", m.name);
+                for (ed, &(target, args)) in cf.edges.iter().zip(&ir_edges) {
+                    let lo = ed.moves_start as usize;
+                    let mv = &cf.moves[lo..lo + ed.moves_len as usize];
+                    for (k, &(_, s)) in mv.iter().enumerate() {
+                        assert!(
+                            s >= pool_end || mv[..k].iter().all(|&(d, _)| d != s),
+                            "{}: a move reads a register its edge already wrote",
+                            m.name
+                        );
+                    }
+                    scratch_edges += mv.iter().any(|&(d, _)| d >= pool_end) as usize;
+                    let mut regs: Vec<u64> = (0..cf.num_regs() as u64)
+                        .map(|r| 0x5eed_0000_0000 + r)
+                        .collect();
+                    regs[cf.num_values..pool_end as usize].copy_from_slice(&cf.consts);
+                    let expect: Vec<u64> = args
+                        .iter()
+                        .map(|a| match a {
+                            Operand::Value(v) => regs[v.0 as usize],
+                            Operand::Const(c) => canon(c.ty, c.bits),
+                        })
+                        .collect();
+                    let before = regs.clone();
+                    for &(d, s) in mv {
+                        regs[d as usize] = regs[s as usize];
+                    }
+                    let params = &func.blocks[target].params;
+                    for (r, (&now, &was)) in regs.iter().zip(&before).enumerate() {
+                        match params.iter().position(|p| p.0 as usize == r) {
+                            Some(k) => assert_eq!(now, expect[k], "{}: param {r}", m.name),
+                            None if r < cf.num_values => {
+                                assert_eq!(now, was, "{}: register {r} clobbered", m.name)
+                            }
+                            None => {}
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            scratch_edges > 0,
+            "the swap loop's back edge saves through scratch"
+        );
+    }
+
+    /// Following jumps from any pc ends, through the one cut per cycle of
+    /// unconditional jumps, and a segment counts the instructions of
+    /// every block it jumps through.
+    #[test]
+    fn segments_run_through_jumps_and_every_jump_cycle_is_cut() {
+        // bb0 jumps to bb4, which branches to the cycle bb1 -> bb2 -> bb1
+        // or to bb3, which jumps to itself.
+        let mut mb = ModuleBuilder::new("jump-cycles");
+        let f = mb.declare("main", &[Ty::I64], None);
+        mb.set_entry(f);
+        let mut fb = mb.define(f);
+        let (b1, _) = fb.new_block(&[]);
+        let (b2, _) = fb.new_block(&[]);
+        let (b3, _) = fb.new_block(&[]);
+        let (b4, _) = fb.new_block(&[]);
+        let x = fb.add(fb.param(0), Operand::i64(1));
+        fb.br(b4, &[]);
+        fb.switch_to(b4);
+        let c = fb.icmp(IPred::Sgt, x, Operand::i64(0));
+        fb.cond_br(c, b1, &[], b3, &[]);
+        fb.switch_to(b1);
+        let y = fb.mul(x, Operand::i64(2));
+        fb.output(y);
+        fb.br(b2, &[]);
+        fb.switch_to(b2);
+        fb.br(b1, &[]);
+        fb.switch_to(b3);
+        fb.br(b3, &[]);
+        fb.finish();
+        let m = mb.finish();
+        let cm = CompiledModule::lower(&m);
+        let cf = &cm.funcs[0];
+        let cut = |b: BlockId| {
+            matches!(
+                cf.code[cf.pc_of[b.0 as usize][0] as usize],
+                Bc::BrCut { .. }
+            )
+        };
+        assert!(cut(b2) && cut(b3), "one cut per cycle: {:?}", cf.code);
+        let cuts = cf.code.iter().filter(|bc| matches!(bc, Bc::BrCut { .. }));
+        assert_eq!(cuts.count(), 2, "one cut per cycle: {:?}", cf.code);
+        // The add, then the compare through the jump.
+        assert_eq!((cf.seg[0].n_ops, cf.seg[0].n_defs), (2, 2));
+        // The mul and the output, through the jump to the cut.
+        let s1 = cf.seg[cf.pc_of[b1.0 as usize][0] as usize];
+        assert_eq!((s1.n_ops, s1.n_defs), (2, 1));
+        for b in [b2, b3] {
+            assert!(cf.seg_only_jumps(cf.pc_of[b.0 as usize][0] as usize));
+        }
+        for m in lowered_modules() {
+            let cm = CompiledModule::lower(&m);
+            for cf in &cm.funcs {
+                for pc in 0..cf.code.len() {
+                    assert_eq!(cf.seg_pcs(pc).count(), cf.seg[pc].n_ops as usize);
+                }
+            }
+        }
     }
 
     /// The fused variants, by name.
@@ -1114,6 +1500,7 @@ mod tests {
             | Bc::Output { .. }
             | Bc::Call { .. }
             | Bc::Br { .. }
+            | Bc::BrCut { .. }
             | Bc::CondBr { .. }
             | Bc::Ret { .. }
             | Bc::IAdd { .. }

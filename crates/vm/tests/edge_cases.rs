@@ -143,26 +143,42 @@ fn bitcast_roundtrips_f64() {
 }
 
 /// Builds `fn main()` as two defs and an `output`, then `build`'s
-/// instructions in the same block, and returns the status of a run with
-/// 64 memory words. The run is made four ways and must agree to the
-/// whole `Profile` (see `run_everywhere`), so a trap lands inside a
-/// turbo segment, past finished defs, both from entry and resumed.
-fn trap_of(build: impl FnOnce(&mut peppa_ir::FunctionBuilder<'_>)) -> RunStatus {
-    let mut mb = ModuleBuilder::new("trap");
-    let main = mb.declare("main", &[], None);
-    let mut f = mb.define(main);
-    let x = f.add(Operand::i64(6), Operand::i64(7));
-    let y = f.mul(x, Operand::i64(3));
-    f.output(y);
-    build(&mut f);
-    f.ret(None);
-    f.finish();
-    mb.set_entry(main);
-    let m = mb.finish();
-    peppa_ir::verify(&m).unwrap();
-    let out = run_everywhere(&m, limits(64), &[]);
-    assert_eq!(out.output, vec![39], "the output before the trap is kept");
-    out.status
+/// instructions, and returns the status of a run with 64 memory words.
+/// `build` runs twice: in the same block, and in a block that a `br`
+/// reaches, which the turbo tier runs as one segment through the jump.
+/// Each run is made four ways and must agree to the whole `Profile`
+/// (see `run_everywhere`), so a trap lands inside a turbo segment, past
+/// finished defs, both from entry and resumed.
+fn trap_of(build: impl Fn(&mut peppa_ir::FunctionBuilder<'_>)) -> RunStatus {
+    let [same_block, after_br] = [false, true].map(|jump| {
+        let mut mb = ModuleBuilder::new(if jump { "trap-after-br" } else { "trap" });
+        let main = mb.declare("main", &[], None);
+        let mut f = mb.define(main);
+        let x = f.add(Operand::i64(6), Operand::i64(7));
+        let y = f.mul(x, Operand::i64(3));
+        f.output(y);
+        if jump {
+            let (next, _) = f.new_block(&[]);
+            f.br(next, &[]);
+            f.switch_to(next);
+        }
+        build(&mut f);
+        f.ret(None);
+        f.finish();
+        mb.set_entry(main);
+        let m = mb.finish();
+        peppa_ir::verify(&m).unwrap();
+        let out = run_everywhere(&m, limits(64), &[]);
+        assert_eq!(
+            out.output,
+            vec![39],
+            "{}: the output before the trap is kept",
+            m.name
+        );
+        out.status
+    });
+    assert_eq!(same_block, after_br, "a jump before the trap changes it");
+    same_block
 }
 
 #[test]
@@ -479,4 +495,246 @@ fn stores_far_past_the_written_words_keep_their_values() {
             (kept(a, expect[0]), kept(b, 8))
         );
     }
+}
+
+// ---- Loops with no instructions, and block-argument cycles ----
+
+fn max_dynamic(max_dynamic: u64) -> ExecLimits {
+    ExecLimits {
+        max_dynamic,
+        ..Default::default()
+    }
+}
+
+/// `main(n)` in the two shapes -O2 gives a MiniC loop with an empty
+/// body. LICM hoists the compare of `while (n > 0) { }`, leaving a
+/// conditional jump and a jump back; constant folding turns
+/// `while (1 == 1) { }` into a jump to itself, here after an `add` so
+/// that `run_everywhere` can resume past a def.
+fn empty_loop_module(hoisted_compare: bool) -> Module {
+    let mut mb = ModuleBuilder::new(if hoisted_compare {
+        "licm-loop"
+    } else {
+        "self-jump"
+    });
+    let main = mb.declare("main", &[Ty::I64], None);
+    let mut f = mb.define(main);
+    let n = f.param(0);
+    let (head, _) = f.new_block(&[]);
+    if hoisted_compare {
+        let (body, _) = f.new_block(&[]);
+        let (exit, _) = f.new_block(&[]);
+        let c = f.icmp(IPred::Sgt, n, Operand::i64(0));
+        f.br(head, &[]);
+        f.switch_to(head);
+        f.cond_br(c, body, &[], exit, &[]);
+        f.switch_to(body);
+        f.br(head, &[]);
+        f.switch_to(exit);
+        f.output(n);
+        f.ret(None);
+    } else {
+        let _ = f.add(n, Operand::i64(1));
+        f.br(head, &[]);
+        f.switch_to(head);
+        f.br(head, &[]);
+    }
+    f.finish();
+    mb.set_entry(main);
+    let m = mb.finish();
+    peppa_ir::verify(&m).unwrap();
+    m
+}
+
+/// A loop with no instructions moves no counter of the instruction
+/// budget, so the run ends in `Hang` once it takes more than
+/// `max_dynamic` jumps in a row without beginning an instruction, on
+/// both engines, from entry and resumed, with the same `Profile`.
+#[test]
+fn a_loop_with_no_instructions_hangs() {
+    let lim = max_dynamic(5);
+    for hoisted_compare in [true, false] {
+        let m = empty_loop_module(hoisted_compare);
+        let out = run_everywhere(&m, lim, &[3.0]);
+        assert_eq!(out.status, RunStatus::Hang, "{}", m.name);
+        assert_eq!(
+            out.profile.dynamic, 1,
+            "{}: the def before the loop",
+            m.name
+        );
+        assert!(out.output.is_empty());
+    }
+    // The hoisted compare fails for n = 0, and the loop exits at once.
+    let out = run_everywhere(&empty_loop_module(true), lim, &[0.0]);
+    assert_eq!((out.status, out.output), (RunStatus::Ok, vec![0]));
+}
+
+/// `main(n)`: outputs `n + 1` after a loop with no instructions whose
+/// back edge rotates three `i1` block parameters, `(1, 1, 0)` on entry,
+/// and which leaves once the first is 0: the `add` is followed by four
+/// jumps in a row, the jump in, two back edges and the exit.
+fn rotating_flags_module() -> Module {
+    let mut mb = ModuleBuilder::new("rotating-flags");
+    let main = mb.declare("main", &[Ty::I64], None);
+    let mut f = mb.define(main);
+    let (head, p) = f.new_block(&[Ty::I1; 3]);
+    let (exit, _) = f.new_block(&[]);
+    let x = f.add(f.param(0), Operand::i64(1));
+    let flags = [true, true, false].map(Operand::bool);
+    f.br(head, &flags);
+    f.switch_to(head);
+    f.cond_br(p[0], head, &[p[1], p[2], p[0]], exit, &[]);
+    f.switch_to(exit);
+    f.output(x);
+    f.ret(None);
+    f.finish();
+    mb.set_entry(main);
+    let m = mb.finish();
+    peppa_ir::verify(&m).unwrap();
+    m
+}
+
+/// Ends the current block with `jumps` jumps in a row through new
+/// blocks with no instructions, and goes on in the last of them.
+fn jump_through_empty_blocks(f: &mut peppa_ir::FunctionBuilder<'_>, jumps: usize) {
+    for _ in 0..jumps {
+        let (next, _) = f.new_block(&[]);
+        f.br(next, &[]);
+        f.switch_to(next);
+    }
+}
+
+/// `main(n)`: outputs `n + 1` after `jumps` jumps in a row through
+/// blocks with no instructions, which the turbo tier runs as one
+/// segment.
+fn jump_chain_module(jumps: usize) -> Module {
+    let mut mb = ModuleBuilder::new("jump-chain");
+    let main = mb.declare("main", &[Ty::I64], None);
+    let mut f = mb.define(main);
+    let x = f.add(f.param(0), Operand::i64(1));
+    jump_through_empty_blocks(&mut f, jumps);
+    f.output(x);
+    f.ret(None);
+    f.finish();
+    mb.set_entry(main);
+    let m = mb.finish();
+    peppa_ir::verify(&m).unwrap();
+    m
+}
+
+/// `main(n)`: calls `inc(n)`, which computes `n + 1` and takes two jumps
+/// before it returns it, then takes two jumps itself and outputs the
+/// result. The return ends the callee's streak, so neither streak is
+/// longer than two jumps.
+fn jumps_around_a_return_module() -> Module {
+    let mut mb = ModuleBuilder::new("jumps-around-a-return");
+    let inc = mb.declare("inc", &[Ty::I64], Some(Ty::I64));
+    let main = mb.declare("main", &[Ty::I64], None);
+    let mut f = mb.define(inc);
+    let x = f.add(f.param(0), Operand::i64(1));
+    jump_through_empty_blocks(&mut f, 2);
+    f.ret(Some(x));
+    f.finish();
+    let mut f = mb.define(main);
+    let r = f.call(inc, &[f.param(0)]).expect("inc returns a value");
+    jump_through_empty_blocks(&mut f, 2);
+    f.output(r);
+    f.ret(None);
+    f.finish();
+    mb.set_entry(main);
+    let m = mb.finish();
+    peppa_ir::verify(&m).unwrap();
+    m
+}
+
+/// Both engines count a streak of jumps to the same length, whichever
+/// tier takes them, and end it at a return: each run below ends under a
+/// budget of `ends_at` and hangs under any smaller one. In the rotating
+/// loop the compiled engine's turbo tier takes the first two of the four
+/// jumps and hands the count to its exact tier; the chain's three jumps
+/// lie inside one turbo segment, which the turbo tier runs only under a
+/// budget it cannot cross; around the return, the two streaks of two
+/// would be one of four without the return, and the three instructions
+/// need a budget of three anyway.
+#[test]
+fn both_engines_count_a_streak_of_jumps_alike() {
+    for (m, ends_at) in [
+        (rotating_flags_module(), 4),
+        (jump_chain_module(3), 3),
+        (jumps_around_a_return_module(), 3),
+    ] {
+        for budget in 2..=6 {
+            let out = run_everywhere(&m, max_dynamic(budget), &[6.0]);
+            if budget >= ends_at {
+                assert_eq!((out.status, out.output), (RunStatus::Ok, vec![7]));
+            } else {
+                assert_eq!(out.status, RunStatus::Hang, "{} under {budget}", m.name);
+            }
+        }
+    }
+}
+
+/// `main(n)`: a loop whose back edge, a `br`, swaps two block
+/// parameters and rotates three, then outputs all five. Both cycles of
+/// moves go through the compiled engine's scratch register.
+fn swap_loop_module() -> Module {
+    let mut mb = ModuleBuilder::new("swap-loop");
+    let main = mb.declare("main", &[Ty::I64], None);
+    let mut f = mb.define(main);
+    let n = f.param(0);
+    let (head, p) = f.new_block(&[Ty::I64; 6]);
+    let (body, _) = f.new_block(&[]);
+    let (done, _) = f.new_block(&[]);
+    let init: Vec<Operand> = (0..6).map(Operand::i64).collect();
+    f.br(head, &init);
+    f.switch_to(head);
+    let (i, a, b, x, y, z) = (p[0], p[1], p[2], p[3], p[4], p[5]);
+    let c = f.icmp(IPred::Slt, i, n);
+    f.cond_br(c, body, &[], done, &[]);
+    f.switch_to(body);
+    let i2 = f.add(i, Operand::i64(1));
+    f.br(head, &[i2, b, a, y, z, x]);
+    f.switch_to(done);
+    for v in [a, b, x, y, z] {
+        f.output(v);
+    }
+    f.ret(None);
+    f.finish();
+    mb.set_entry(main);
+    let m = mb.finish();
+    peppa_ir::verify(&m).unwrap();
+    m
+}
+
+/// Block arguments are a parallel copy: after `n` trips `(a, b)` has
+/// swapped `n` times and `(x, y, z)` rotated `n` times. The compiled
+/// engine's capture equals the interpreter's at every boundary.
+#[test]
+fn a_back_edge_that_swaps_and_rotates_parameters_copies_them_in_parallel() {
+    let m = swap_loop_module();
+    let lim = ExecLimits::default();
+    for n in 0..7u64 {
+        let out = run_everywhere(&m, lim, &[n as f64]);
+        let ab = if n % 2 == 0 { [1, 2] } else { [2, 1] };
+        let xyz = [3, 4, 5, 3, 4];
+        let r = (n % 3) as usize;
+        let expect = [ab[0], ab[1], xyz[r], xyz[r + 1], xyz[r + 2]];
+        assert_eq!(
+            (out.status, &out.output[..]),
+            (RunStatus::Ok, &expect[..]),
+            "n = {n}"
+        );
+    }
+    let bits = encode_inputs(m.entry_func(), &[6.0]);
+    let code = CompiledModule::lower(&m);
+    let vm = Vm::new(&m, lim);
+    let points: Vec<u64> = (0..vm.run(&bits, None).profile.value_dynamic).collect();
+    let (out_i, snaps_i) = vm.run_with_snapshots(&bits, &points);
+    let (out_c, snaps_c) = CompiledVm::new(&m, &code, lim).run_with_snapshots(&bits, &points);
+    assert_eq!(snaps_i.len(), points.len());
+    assert_eq!((out_i.output, out_i.profile), (out_c.output, out_c.profile));
+    for (k, (si, sc)) in snaps_i.iter().zip(&snaps_c).enumerate() {
+        assert!(si == sc, "snapshot at value-dynamic {k} diverged");
+    }
+    assert_eq!(snaps_c.len(), snaps_i.len());
 }
